@@ -584,9 +584,6 @@ func (t *Tool) runMergePhase(res *Result) error {
 	t.labelStatsMu.Lock()
 	res.LabelStats = t.labelStats
 	t.labelStatsMu.Unlock()
-	if t.sampler != nil {
-		res.SampleStats = t.sampler.Stats()
-	}
 	for _, leafNode := range t.topo.Leaves {
 		if b := stats.NodeOutBytes[leafNode.ID]; b > res.MaxLeafPayloadBytes {
 			res.MaxLeafPayloadBytes = b
@@ -639,6 +636,11 @@ func (t *Tool) runMergePhase(res *Result) error {
 	}
 	if err := s.detach(); err != nil {
 		return err
+	}
+	// After the streamed rounds and the detach (which cancels outstanding
+	// speculation), so the counters cover every round of the session.
+	if t.sampler != nil {
+		res.SampleStats = t.sampler.Stats()
 	}
 
 	// Steady-state round model: repeated gathers of a long session walk

@@ -288,4 +288,62 @@ func TestSamplePhaseZeroAllocs(t *testing.T) {
 	}
 	d2.pre.Cancel()
 	d2.pre = nil
+
+	// Drifting legs: each cycle is a fresh sample command (the epoch
+	// advances), so every stack is novel and the stack memo flushes and
+	// refills in place; the overlap's speculation now matches and is
+	// claimed, and the streaming leg walks the daemon's keyed walker and
+	// ships delta frames. Drifting PCs keep meeting offsets the shared
+	// resolver cache has not seen, each costing one cache entry, so each
+	// leg first warms until a long run of cycles resolves nothing new.
+	newDaemon := func(workers int) *daemon {
+		tool, err := New(Options{
+			Machine:        machine.Atlas(),
+			Tasks:          96,
+			Topology:       topology.Spec{Kind: topology.KindBalanced, Depth: 2},
+			BitVec:         Hierarchical,
+			Samples:        5,
+			ThreadsPerTask: 2,
+			SampleWorkers:  workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &daemon{leaf: 0, tool: tool, state: stateSampled, samples: 5, threads: 2, epoch: 5, wireVersion: 2}
+	}
+	for _, leg := range []struct {
+		name    string
+		workers int
+		req     proto.GatherRequest
+	}{
+		{"quiesced", 1, req},
+		{"overlapped", 2, req},
+		{"keyed delta", 1, proto.GatherRequest{Which: proto.TreeBoth, Delta: true}},
+	} {
+		d := newDaemon(leg.workers)
+		driftCycle := func() {
+			d.epoch += d.samples
+			lease, err := d.gatherPacket(leg.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lease.Release()
+		}
+		for i, quiet := 0, 0; i < 5000 && quiet < 200; i++ {
+			before := d.tool.sampler.Stats().PCCacheMisses
+			driftCycle()
+			if d.tool.sampler.Stats().PCCacheMisses == before {
+				quiet++
+			} else {
+				quiet = 0
+			}
+		}
+		if n := testing.AllocsPerRun(200, driftCycle); n != 0 {
+			t.Errorf("drifting %s gather cycle allocates %v per round, want 0", leg.name, n)
+		}
+		if ss := d.tool.sampler.Stats(); ss.MemoFlushes == 0 {
+			t.Errorf("drifting %s leg never flushed the stack memo", leg.name)
+		}
+		d.pre.Cancel()
+	}
 }

@@ -278,6 +278,33 @@ func TestStreamEventsFireOnClassChange(t *testing.T) {
 	}
 }
 
+// TestStreamSampleStatsCoverAllRounds: a streaming session's sampler
+// counters cover the cold round and every streamed round, and count each
+// walk a round used exactly once, whatever speculation ran beside them.
+func TestStreamSampleStatsCoverAllRounds(t *testing.T) {
+	opts := Options{
+		Machine:        machine.Atlas(),
+		Tasks:          96,
+		Topology:       topology.Spec{Kind: topology.KindBalanced, Depth: 2},
+		BitVec:         Hierarchical,
+		Samples:        4,
+		ThreadsPerTask: 2,
+	}
+	leg := runStreamLeg(t, opts, false, 2)
+	ss := leg.res.SampleStats
+	if want := int64(3 * 96 * 2 * 4); ss.SampledStacks != want {
+		t.Errorf("SampledStacks = %d, want %d (cold + 2 streamed rounds × tasks × threads × samples)",
+			ss.SampledStacks, want)
+	}
+	if want := int64(3 * leg.res.Daemons); ss.Snapshots != want {
+		t.Errorf("Snapshots = %d, want %d (one per daemon per round)", ss.Snapshots, want)
+	}
+	if ss.DistinctStacks+ss.StackMemoHits != ss.SampledStacks {
+		t.Errorf("DistinctStacks %d + StackMemoHits %d != SampledStacks %d",
+			ss.DistinctStacks, ss.StackMemoHits, ss.SampledStacks)
+	}
+}
+
 // TestStreamFaultTolerantRejected: a partial fold has no delta base, so
 // the option combination is rejected at validation.
 func TestStreamFaultTolerantRejected(t *testing.T) {

@@ -141,7 +141,8 @@ type Result struct {
 	// population of distinct PCs. The snapshot-emit pipeline adds its own
 	// counters: snapshots sealed, torn-read retries, walks claimed from a
 	// background prefetch, and the walk nanoseconds the overlap hid
-	// behind the reduction drain. All zero on the legacy sampler.
+	// behind the reduction drain. They are read after the session's last
+	// round, streamed rounds included. All zero on the legacy sampler.
 	SampleStats sample.Stats
 	// SBRSReport is non-nil when SBRS ran.
 	SBRSReport *sbrs.Report

@@ -20,7 +20,8 @@
 //     sequence maps straight to the trie path, so a wedged task's frozen
 //     stack — or any exact resample — skips resolution and descent
 //     entirely and just ticks bits along the memoized path. This is the
-//     stack memoization the package is named for.
+//     stack memoization the package is named for. The memo is bounded
+//     by the walk, not by the session (see below).
 //  4. The round seals an atomic snapshot of the trie and emits
 //     trace.Trees from it: pooled nodes (trace.NewPooledNode) referencing
 //     the snapshot's frozen labels, so emission copies nothing and the
@@ -30,10 +31,24 @@
 //
 // A walker's trie persists across rounds (epochs) — the structural
 // working set of a spinning application is stable, so steady-state rounds
-// create no nodes, no vectors and no memo entries, and the whole sample
-// phase runs allocation-free. The trie is bounded by the distinct
-// call-path population at symbol granularity (small by construction); the
-// stack memo is capped at memoCap entries.
+// create no nodes and no vectors, and the whole sample phase runs
+// allocation-free. The trie is bounded by the distinct call-path
+// population at symbol granularity (small by construction).
+//
+// The stack memo is bounded by the walk: each walk sets its walker's memo
+// budget to 2 × len(Ranks) × Threads entries, at least 64 — or, on a
+// pooled walker, to the round's whole stack count when that is larger
+// (memoBudget explains the difference). A miss that finds the memo at its
+// budget flushes it in place and starts refilling it, copying each new
+// stack's PCs and trie path into the arrays the flushed entries left
+// behind. Frozen stacks — a hung task's, or every task of a quiescent
+// application — are memoized again the first time a walk meets them after
+// a flush and hit from then on, within the round and across rounds;
+// stacks that drift every sample miss and just cycle through the budget.
+// A walker's memo memory is thus bounded by the walks it serves, not by
+// how long the session runs — O(tasks × threads) per resident streaming
+// walker — and once its arena is warm a round allocates nothing whether
+// its stacks are frozen or drifting. Stats.MemoFlushes counts the flushes.
 //
 // Ownership is split between two planes:
 //
@@ -100,10 +115,6 @@ import (
 	"stat/internal/trace"
 )
 
-// memoCap bounds one walker's stack memo; beyond it, novel stacks still
-// merge correctly but stop being memoized.
-const memoCap = 1 << 16
-
 // Engine is the shared sampling state of one tool instance: the resolver
 // caches (one per frame granularity) and the bounded walker pool. Safe for
 // concurrent Sample/SampleOverlap calls.
@@ -130,10 +141,12 @@ type Engine struct {
 	keyedMu sync.Mutex
 	keyed   map[int]*walker
 
-	sampled  atomic.Int64
-	memoHits atomic.Int64
-	distinct atomic.Int64
-	resolved atomic.Int64
+	sampled   atomic.Int64
+	memoHits  atomic.Int64
+	distinct  atomic.Int64
+	resolved  atomic.Int64
+	flushes   atomic.Int64
+	unclaimed atomic.Int64
 
 	snapshots   atomic.Int64
 	torn        atomic.Int64
@@ -290,14 +303,26 @@ func (e *Engine) Sample(req Request) Batch {
 
 // timedWalk and timedSeal run the walker phase, measuring it only when
 // the request asks (Request.Timed) so untimed rounds pay no clock reads.
+// timedWalk walks on the caller's goroutine for the round being served,
+// so its counts always go to the engine.
 func timedWalk(w *walker, req Request) int64 {
 	if !req.Timed {
-		w.walk(req)
+		w.eng.account(w.walk(req))
 		return 0
 	}
 	start := time.Now()
-	w.walk(req)
+	w.eng.account(w.walk(req))
 	return time.Since(start).Nanoseconds()
+}
+
+// account adds a walk's counts to the engine's counters. Only walks a
+// round uses are accounted; abandoned speculation counts as unclaimed.
+func (e *Engine) account(c walkCounts) {
+	e.sampled.Add(c.sampled)
+	e.memoHits.Add(c.memoHits)
+	e.resolved.Add(c.resolved)
+	e.distinct.Add(c.distinct)
+	e.flushes.Add(c.flushes)
 }
 
 func timedSeal(w *walker, req Request) int64 {
@@ -316,9 +341,12 @@ func timedSeal(w *walker, req Request) int64 {
 // every round with the same key lands on the same trie, which is what
 // round-over-round delta extraction (Request.Delta) requires: the
 // previous round's labels must be this walker's previous seal, not some
-// other daemon's. Resident walkers live for the engine's lifetime (one
-// trie per streaming daemon — the memory cost of continuous monitoring);
-// the walk-concurrency bound still holds because the call borrows a pool
+// other daemon's. Resident walkers live for the engine's lifetime: one
+// trie and one stack memo per streaming daemon are the memory cost of
+// continuous monitoring, and both stay bounded across rounds — the trie
+// by the daemon's call-path population, the memo by its tasks × threads
+// budget, flushed in place when drifting stacks fill it. The
+// walk-concurrency bound still holds because the call borrows a pool
 // slot for the duration of its walk, leaving the pool's contents intact.
 // At most one SampleKeyed per key may run at a time, and its batch must
 // be released before the key's next round.
@@ -342,7 +370,7 @@ func (e *Engine) keyedWalker(key int) *walker {
 	}
 	w := e.keyed[key]
 	if w == nil {
-		w = &walker{eng: e}
+		w = &walker{eng: e, keyed: true}
 		e.keyed[key] = w
 	}
 	return w
@@ -374,12 +402,14 @@ func (e *Engine) SampleOverlap(pre *Prefetch, req Request, next *Request) (Batch
 		pre.w = nil
 		hit, hidden := w.claim(req)
 		if hit {
+			e.account(w.bgCounts)
 			e.prefetched.Add(1)
 			e.hiddenNanos.Add(hidden)
 			if req.Timed {
 				walkNs = hidden
 			}
 		} else {
+			e.unclaimed.Add(1)
 			walkNs = timedWalk(w, req)
 		}
 	} else {
@@ -453,17 +483,33 @@ func (e *Engine) finish(w *walker, req Request, pinned bool) Batch {
 
 // Stats are the engine's cumulative sampling counters.
 type Stats struct {
-	// SampledStacks counts stack walks (task × thread × sample).
+	// SampledStacks counts stack walks (task × thread × sample) of the
+	// rounds served. Like every walk counter below it counts a walk when
+	// a round uses it: a speculative background walk counts only once a
+	// round claims it, and otherwise only in UnclaimedWalks.
 	SampledStacks int64
 	// StackMemoHits counts walks short-circuited by the whole-stack memo;
-	// DistinctStacks counts the memo entries built (distinct raw-PC
-	// stacks observed).
+	// DistinctStacks counts the memo entries built — one per memo miss.
+	// A stack memoized again after its walker's memo flushed counts
+	// again, so under flushing DistinctStacks exceeds the number of
+	// distinct raw-PC stacks; barring hash collisions it always equals
+	// SampledStacks − StackMemoHits.
 	StackMemoHits  int64
 	DistinctStacks int64
+	// MemoFlushes counts memo flushes: a walker's memo held its budget
+	// (2 × tasks × threads of the walk, or a whole round's stacks on a
+	// pooled walker) when a miss arrived, and was emptied in place. A count that grows every round means the memo is
+	// thrashing — the sampled stacks drift faster than they repeat.
+	MemoFlushes int64
+	// UnclaimedWalks counts speculative background walks that no round
+	// used: discarded on a request mismatch, or canceled when the session
+	// ended. Their stacks appear in no other walk counter.
+	UnclaimedWalks int64
 	// PCsResolved counts per-PC resolver lookups (memo hits skip them);
 	// PCCacheMisses counts the ones that fell through to a real
 	// symbol-table search — each distinct PC pays exactly once while the
-	// cache is below its cap.
+	// cache is below its cap. PCCacheMisses is read off the shared
+	// resolver caches, so a PC first met by an unclaimed walk counts too.
 	PCsResolved   int64
 	PCCacheMisses int64
 	// Snapshots counts sealed trie snapshots — one per sampled round,
@@ -493,6 +539,8 @@ func (e *Engine) Stats() Stats {
 		SampledStacks:     e.sampled.Load(),
 		StackMemoHits:     e.memoHits.Load(),
 		DistinctStacks:    e.distinct.Load(),
+		MemoFlushes:       e.flushes.Load(),
+		UnclaimedWalks:    e.unclaimed.Load(),
 		PCsResolved:       e.resolved.Load(),
 		PCCacheMisses:     e.plain.Misses() + e.detail.Misses(),
 		Snapshots:         e.snapshots.Load(),

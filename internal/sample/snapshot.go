@@ -182,8 +182,9 @@ type Prefetch struct {
 
 // Cancel abandons the prefetched walk: it waits for the background walk
 // to finish (the trie tolerates the wasted round — its epoch stamps make
-// the stale touches invisible), stops the walker's background goroutine,
-// and returns the walker to the engine pool. Safe on nil and idempotent.
+// the stale touches invisible), counts it in Stats.UnclaimedWalks, stops
+// the walker's background goroutine, and returns the walker to the engine
+// pool. Safe on nil and idempotent.
 func (p *Prefetch) Cancel() {
 	if p == nil || p.w == nil {
 		return
@@ -191,6 +192,7 @@ func (p *Prefetch) Cancel() {
 	w := p.w
 	p.w = nil
 	<-w.bgDone
+	w.eng.unclaimed.Add(1)
 	close(w.bg)
 	w.bg, w.bgDone = nil, nil
 	w.preLive = false

@@ -252,7 +252,10 @@ func TestSingleWorkerDegradesToQuiesced(t *testing.T) {
 // TestSnapshotSteadyZeroAllocs: once the trie, memo, and snapshot buffers
 // hold the working set, both the quiesced and the overlapped round must
 // run allocation-free — seal publishes into per-node buffers, emit uses
-// pooled nodes, the prefetch handle is embedded in the walker.
+// pooled nodes, the prefetch handle is embedded in the walker. The frozen
+// legs resample the same instants every round (all memo hits); the
+// drifting legs advance the sample base, so every stack is novel and each
+// round flushes and refills the memo arena in place.
 func TestSnapshotSteadyZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -290,6 +293,81 @@ func TestSnapshotSteadyZeroAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, round); n != 0 {
 		t.Errorf("steady-state overlapped round allocates %.1f times", n)
+	}
+	pre.Cancel()
+
+	// Drifting legs: a larger daemon, so the rounds overrun the memo
+	// budget, with the base advancing one round's samples at a time.
+	// Drifting PCs keep meeting offsets the shared resolver cache has not
+	// seen, and each costs one cache entry, so every leg first warms until
+	// a long run of rounds resolves nothing new.
+	warm := func(eng *Engine, round func()) {
+		for i, quiet := 0, 0; i < 5000 && quiet < 200; i++ {
+			before := eng.Stats().PCCacheMisses
+			round()
+			if eng.Stats().PCCacheMisses == before {
+				quiet++
+			} else {
+				quiet = 0
+			}
+		}
+	}
+	drift := req
+	drift.Ranks = []int{0, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15}
+	drift.Width = len(drift.Ranks)
+	drift.Samples = 8
+	driftRound := func(sample func(Request)) func() {
+		return func() {
+			sample(drift)
+			drift.Base += drift.Samples
+		}
+	}
+	keyed := New(app, st, 1)
+	legs := []struct {
+		name  string
+		eng   *Engine
+		round func()
+	}{
+		{"quiesced", quies, driftRound(func(r Request) {
+			b := quies.Sample(r)
+			b.Release()
+		})},
+		{"keyed delta", keyed, driftRound(func(r Request) {
+			r.Delta = true
+			b := keyed.SampleKeyed(0, r)
+			b.Release()
+		})},
+	}
+	for _, leg := range legs {
+		warm(leg.eng, leg.round)
+		if n := testing.AllocsPerRun(200, leg.round); n != 0 {
+			t.Errorf("drifting %s round allocates %.1f times", leg.name, n)
+		}
+	}
+	before := quies.Stats().MemoFlushes
+	drift.Base = 0
+	legs[0].round()
+	if quies.Stats().MemoFlushes == before {
+		t.Error("drifting round did not flush the memo; the drifting legs test nothing")
+	}
+
+	over2 := New(app, st, 2)
+	pre = nil
+	driftOverlap := func() {
+		next := drift
+		next.Base += drift.Samples
+		b, npre := over2.SampleOverlap(pre, drift, &next)
+		pre = npre
+		b.Release()
+		drift.Base = next.Base
+	}
+	warm(over2, driftOverlap)
+	if n := testing.AllocsPerRun(200, driftOverlap); n != 0 {
+		t.Errorf("drifting overlapped round allocates %.1f times", n)
+	}
+	if s := over2.Stats(); s.UnclaimedWalks != 0 || s.PrefetchedWalks == 0 {
+		t.Errorf("drifting overlap: %d walks claimed, %d unclaimed; want every speculation claimed",
+			s.PrefetchedWalks, s.UnclaimedWalks)
 	}
 	pre.Cancel()
 }

@@ -20,6 +20,9 @@ import (
 type walker struct {
 	eng   *Engine
 	cache *stackwalk.Cache
+	// keyed marks a resident SampleKeyed walker (one per streaming
+	// daemon) as opposed to a pooled one; it sizes the memo budget.
+	keyed bool
 	width int
 	// epoch advances per round; trie labels reset lazily on first touch of
 	// the round, so stale branches cost nothing. The epoch's parity selects
@@ -51,11 +54,14 @@ type walker struct {
 	// walk's duration in nanoseconds. Both are created at the first
 	// prefetch and live until Cancel closes bg, so a steady-state
 	// overlapped round costs two channel operations and no allocation.
-	bg      chan Request
-	bgDone  chan int64
-	preReq  Request
-	preHdl  Prefetch
-	preLive bool
+	bg     chan Request
+	bgDone chan int64
+	// bgCounts are the last background walk's counters, handed over with
+	// bgDone and accounted only if a round claims the walk.
+	bgCounts walkCounts
+	preReq   Request
+	preHdl   Prefetch
+	preLive  bool
 
 	// Delta-extraction state (delta.go): the request the last seal ran
 	// under (the compatibility reference for the next round's delta) and
@@ -69,64 +75,122 @@ type walker struct {
 	d2h, d3h trace.Tree
 }
 
-// memoTable is the walker-local whole-stack memo: open addressing keyed
-// by the already-computed stack hash, so a probe is an array walk rather
-// than a runtime map access (which would hash the key a second time and
-// cannot reuse ours). Owned by whichever goroutine currently owns the
-// walker, like the rest of the walk state.
+// memoTable is the walker-local whole-stack memo: an arena of entries
+// indexed by open-addressing slots keyed by the already-computed stack
+// hash, so a probe is an array walk rather than a runtime map access
+// (which would hash the key a second time and cannot reuse ours). Owned
+// by whichever goroutine currently owns the walker, like the rest of the
+// walk state.
+//
+// The memo holds at most budget entries (memoBudget, set per walk from
+// the request and the walker's kind). A miss that finds it full flushes it in place: the slots
+// are cleared and the arena refills from its first entry, copying each
+// new stack into the PC and path arrays the flushed entry left behind. So
+// the memo's memory is bounded by the walk's tasks × threads, not by the
+// distinct stacks a long session sees, and once the arena is warm a miss
+// allocates nothing. The arena grows lazily, one doubling at a time, so a
+// walker that only ever sees a few distinct stacks holds only those.
 type memoTable struct {
-	mask  uint64
-	slots []*memoStack
-	count int
+	mask    uint64
+	slots   []uint32 // entry index + 1; 0 marks an empty slot
+	entries []memoStack
+	count   int // live entries: entries[:count]
+	budget  int
+}
+
+// memoFloor is the smallest memo budget, so walks over a handful of tasks
+// still memoize every stack a few rounds produce before anything flushes.
+const memoFloor = 64
+
+// memoBudget bounds a walk's stack memo. Every walker has room for two
+// stacks per task thread: each task's frozen stacks plus as many novel
+// ones before the memo flushes. A resident keyed walker walks each sample
+// command once — a streamed round always brings a new one — so that is
+// all it keeps, and its memory, multiplied by one walker per streaming
+// daemon, stays O(tasks × threads). A pooled walker, of which the engine
+// holds at most `workers`, also keeps room for a whole round's stacks, so
+// when it walks the same daemon's same sample instants again (a re-gather
+// of one sample command, such as a stream round's whole-tree retry) every
+// stack hits, drifting or not.
+func memoBudget(req Request, keyed bool) int {
+	perThread := 2
+	if !keyed {
+		perThread = max(2, req.Samples)
+	}
+	return max(memoFloor, perThread*len(req.Ranks)*req.Threads)
 }
 
 // lookup returns the entry whose hash matches, or nil. The caller must
-// verify the stored PCs — two stacks may share a hash.
+// verify the stored PCs — two stacks may share a hash. The pointer is
+// valid until the next insert.
 func (t *memoTable) lookup(h uint64) *memoStack {
 	if t.slots == nil {
 		return nil
 	}
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
-		e := t.slots[i]
-		if e == nil {
+		ref := t.slots[i]
+		if ref == 0 {
 			return nil
 		}
-		if e.hash == h {
+		if e := &t.entries[ref-1]; e.hash == h {
 			return e
 		}
 	}
 }
 
-// insert places a new entry, growing at 1/2 load. The caller has already
+// insert memoizes a stack and its trie path, flushing first when the memo
+// holds its budget; it reports whether it flushed. The caller has already
 // established no entry with this hash exists.
-func (t *memoTable) insert(e *memoStack) {
-	if t.slots == nil || (t.count+1)*2 > len(t.slots) {
-		size := 256
-		if t.slots != nil {
-			size = len(t.slots) * 2
-		}
-		old := t.slots
-		t.slots = make([]*memoStack, size)
-		t.mask = uint64(size - 1)
-		for _, oe := range old {
-			if oe != nil {
-				t.place(oe)
-			}
-		}
+func (t *memoTable) insert(h uint64, pcs []uint64, path []*trieNode) (flushed bool) {
+	if t.count >= t.budget {
+		t.clear()
+		flushed = true
 	}
-	t.place(e)
+	if t.slots == nil || (t.count+1)*2 > len(t.slots) {
+		t.growSlots()
+	}
+	if t.count == len(t.entries) {
+		if t.count == cap(t.entries) {
+			grown := make([]memoStack, t.count, min(t.budget, max(16, 2*t.count)))
+			copy(grown, t.entries)
+			t.entries = grown
+		}
+		t.entries = t.entries[:t.count+1]
+	}
+	e := &t.entries[t.count]
+	e.hash = h
+	e.pcs = append(e.pcs[:0], pcs...)
+	e.path = append(e.path[:0], path...)
 	t.count++
+	t.place(h, uint32(t.count))
+	return flushed
 }
 
-func (t *memoTable) place(e *memoStack) {
-	for i := e.hash & t.mask; ; i = (i + 1) & t.mask {
-		if t.slots[i] == nil {
-			t.slots[i] = e
+// growSlots doubles the slot table (keeping load at most 1/2) and
+// re-places the live entries.
+func (t *memoTable) growSlots() {
+	size := 2 * len(t.slots)
+	if size == 0 {
+		size = 2 * memoFloor
+	}
+	t.slots = make([]uint32, size)
+	t.mask = uint64(size - 1)
+	for i := 0; i < t.count; i++ {
+		t.place(t.entries[i].hash, uint32(i+1))
+	}
+}
+
+func (t *memoTable) place(h uint64, ref uint32) {
+	for i := h & t.mask; ; i = (i + 1) & t.mask {
+		if t.slots[i] == 0 {
+			t.slots[i] = ref
 			return
 		}
 	}
 }
 
+// clear empties the memo, keeping the slot table and the entries' arrays
+// for reuse.
 func (t *memoTable) clear() {
 	clear(t.slots)
 	t.count = 0
@@ -179,7 +243,8 @@ type trieNode struct {
 
 // memoStack is one memoized whole stack: the raw PCs (verified on hit, so
 // a hash collision degrades to a normal walk instead of corrupting) and
-// the trie path they map to, root included.
+// the trie path they map to, root included. Both arrays outlive a flush
+// and are refilled by the entry's next occupant.
 type memoStack struct {
 	hash uint64
 	pcs  []uint64
@@ -286,10 +351,18 @@ func (w *walker) resetTrie() {
 	w.root.lastEpochs[0], w.root.lastEpochs[1] = 0, 0
 }
 
+// walkCounts are one walk's contributions to the engine's cumulative
+// counters. A walk returns them instead of adding them itself, so a
+// speculative walk that no round claims is counted only as unclaimed
+// (Engine.account, Stats.UnclaimedWalks).
+type walkCounts struct {
+	sampled, memoHits, resolved, distinct, flushes int64
+}
+
 // walk executes one round's sampling: every (rank, thread, sample) stack
 // accumulates into the trie under the round's parity slot. It does not
 // seal or emit — run seal and then emitTrees for the round's trees.
-func (w *walker) walk(req Request) {
+func (w *walker) walk(req Request) walkCounts {
 	cache := w.eng.plain
 	if req.Detail {
 		cache = w.eng.detail
@@ -299,6 +372,7 @@ func (w *walker) walk(req Request) {
 		w.cache = cache
 	}
 	w.width = req.Width
+	w.memo.budget = memoBudget(req, w.keyed)
 	w.epoch++
 	w.slot = int(w.epoch & 1)
 
@@ -322,7 +396,7 @@ func (w *walker) walk(req Request) {
 		}
 	}
 
-	var sampled, memoHits, resolved, distinct int64
+	var cnt walkCounts
 	lastSample := req.Samples - 1
 	for local, rank := range req.Ranks {
 		idx := local
@@ -332,7 +406,7 @@ func (w *walker) walk(req Request) {
 		for thread := 0; thread < req.Threads; thread++ {
 			for smp := 0; smp < req.Samples; smp++ {
 				w.pcs = w.eng.app.AppendStackPCs(w.pcs[:0], rank, thread, req.Base+smp)
-				sampled++
+				cnt.sampled++
 				last := req.Want2D && smp == lastSample
 
 				h := hashPCs(w.pcs)
@@ -342,7 +416,7 @@ func (w *walker) walk(req Request) {
 					// path, no resolution, no descent. Split on the
 					// last-sample flag so the common loop carries no
 					// per-node branch.
-					memoHits++
+					cnt.memoHits++
 					if last {
 						for _, n := range m.path {
 							w.touch(n, idx, true)
@@ -359,7 +433,7 @@ func (w *walker) walk(req Request) {
 					continue
 				}
 
-				resolved += int64(len(w.pcs))
+				cnt.resolved += int64(len(w.pcs))
 				n := r
 				w.touch(n, idx, last)
 				w.path = append(w.path[:0], n)
@@ -374,22 +448,16 @@ func (w *walker) walk(req Request) {
 					w.path = append(w.path, c)
 					n = c
 				}
-				if m == nil && w.memo.count < memoCap {
-					w.memo.insert(&memoStack{
-						hash: h,
-						pcs:  append([]uint64(nil), w.pcs...),
-						path: append([]*trieNode(nil), w.path...),
-					})
-					distinct++
+				if m == nil {
+					if w.memo.insert(h, w.pcs, w.path) {
+						cnt.flushes++
+					}
+					cnt.distinct++
 				}
 			}
 		}
 	}
-
-	w.eng.sampled.Add(sampled)
-	w.eng.memoHits.Add(memoHits)
-	w.eng.resolved.Add(resolved)
-	w.eng.distinct.Add(distinct)
+	return cnt
 }
 
 // bgLoop is the walker's resident background-walk goroutine: one walk per
@@ -400,7 +468,7 @@ func (w *walker) walk(req Request) {
 func (w *walker) bgLoop() {
 	for req := range w.bg {
 		start := time.Now()
-		w.walk(req)
+		w.bgCounts = w.walk(req)
 		w.bgDone <- time.Since(start).Nanoseconds()
 	}
 }
