@@ -612,14 +612,13 @@ func run() error {
 	}
 
 	if ss := res.SampleStats; ss.SampledStacks > 0 {
-		memoRate := float64(ss.StackMemoHits) / float64(ss.SampledStacks)
 		pcRate := 0.0
 		if ss.PCsResolved > 0 {
 			pcRate = 1 - float64(ss.PCCacheMisses)/float64(ss.PCsResolved)
 		}
-		fmt.Printf("\nsampling engine: %d stacks walked, %d distinct (%.1f%% stack-memo hits), "+
-			"%d PCs resolved (%.1f%% cache hits)\n",
-			ss.SampledStacks, ss.DistinctStacks, 100*memoRate, ss.PCsResolved, 100*pcRate)
+		fmt.Printf("\nsampling engine: %d stacks walked, %.3f resolver calls per stack "+
+			"(%d PCs resolved, %.1f%% cache hits)\n",
+			ss.SampledStacks, float64(ss.PCsResolved)/float64(ss.SampledStacks), ss.PCsResolved, 100*pcRate)
 		if ss.Snapshots > 0 {
 			fmt.Printf("snapshot overlap: %d snapshots sealed, %d torn-read retries, "+
 				"%d walks prefetched, %.3fms walk time hidden\n",

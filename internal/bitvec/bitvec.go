@@ -59,7 +59,9 @@ func (v *Vector) Set(i int) {
 	if uint(i) >= uint(v.n) {
 		v.rangePanic("Set", i)
 	}
-	v.words[i>>6] |= 1 << (uint(i) & 63)
+	// A signed shift count keeps Set within the inliner's budget; the
+	// sampling trie's walk calls it once per frame.
+	v.words[i>>6] |= 1 << (i & 63)
 }
 
 // Clear removes task i from the set.

@@ -165,8 +165,9 @@ func (b *sampleBatch) release() {
 // real per-daemon work of the tool's sample phase — and returns the
 // requested prefix trees. On the batched path (the default) the walk runs
 // through the shared direct-to-tree engine: raw PC stacks accumulate in
-// the daemon walker's persistent trie, symbols resolve through the
-// memoized cache, and the trees emit without any per-sample allocation.
+// the daemon walker's persistent trie, frames descend by PC-range check
+// (only novel ranges reach the memoized resolver), and the trees emit
+// without any per-sample allocation.
 // The legacy path materializes resolved frames per sample and folds each
 // trace into a fresh tree, kept as the differential reference.
 func (d *daemon) sampleTrees(req proto.GatherRequest) (sampleBatch, error) {

@@ -118,8 +118,10 @@ type Sampler int
 const (
 	// SamplerBatched is the batched direct-to-tree engine
 	// (internal/sample): raw PC stacks walk into a persistent prefix trie
-	// with memoized symbol resolution and whole-stack short-circuiting,
-	// and the trie emits the gather trees directly. The default.
+	// whose edges are keyed by the PC ranges that resolve to them, so
+	// frames descend by range check and only novel ranges reach the
+	// memoized resolver; the trie emits the gather trees directly. The
+	// default.
 	SamplerBatched Sampler = iota
 	// SamplerLegacy is the original per-sample loop: materialize resolved
 	// frames per sample and fold each trace into a fresh tree. Kept as
@@ -401,7 +403,7 @@ type PhaseTimes struct {
 	Remap  float64
 
 	// SampleSteady is the modeled walk time of one steady-state gather
-	// round (every stack warm in the memo; no cold resolution, no jitter
+	// round (every call path warm in the trie; no cold resolution, no jitter
 	// tail — steady rounds resample a stable working set).
 	SampleSteady float64
 	// SampleHidden is the portion of SampleSteady the snapshot-emit

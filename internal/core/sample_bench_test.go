@@ -73,6 +73,9 @@ func BenchmarkSamplePhase(b *testing.B) {
 						b.Fatal(err)
 					}
 					sb.release()
+					// Each op is a fresh sample command, as in a real
+					// session: the stacks drift from op to op.
+					d.epoch += d.samples
 				}
 				b.ReportMetric(float64(stacks), "stacks/op")
 			})

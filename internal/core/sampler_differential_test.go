@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"stat/internal/machine"
@@ -192,8 +193,8 @@ func TestSamplerDifferentialFullSession(t *testing.T) {
 		if ss.SampledStacks != wantStacks {
 			t.Errorf("%v: SampledStacks = %d, want %d", mode, ss.SampledStacks, wantStacks)
 		}
-		if ss.DistinctStacks == 0 || ss.PCCacheMisses == 0 {
-			t.Errorf("%v: distinct-stack/cache counters silent: %+v", mode, ss)
+		if ss.PCsResolved == 0 || ss.PCCacheMisses == 0 {
+			t.Errorf("%v: resolver/cache counters silent: %+v", mode, ss)
 		}
 	}
 }
@@ -201,8 +202,9 @@ func TestSamplerDifferentialFullSession(t *testing.T) {
 // TestSamplePhaseZeroAllocs is the acceptance guard for the batched
 // engine: a steady-state daemon sampling round — walk every local stack,
 // emit both trees, release — must not touch the heap at all. The legacy
-// path allocated frames, trees and labels per sample; the engine's trie,
-// memo, resolver cache and emitted-node pool absorb all of it.
+// path allocated frames, trees and labels per sample; the engine's trie
+// and its spans, the resolver cache and the emitted-node pool absorb all
+// of it.
 func TestSamplePhaseZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
@@ -290,12 +292,12 @@ func TestSamplePhaseZeroAllocs(t *testing.T) {
 	d2.pre = nil
 
 	// Drifting legs: each cycle is a fresh sample command (the epoch
-	// advances), so every stack is novel and the stack memo flushes and
-	// refills in place; the overlap's speculation now matches and is
-	// claimed, and the streaming leg walks the daemon's keyed walker and
-	// ships delta frames. Drifting PCs keep meeting offsets the shared
-	// resolver cache has not seen, each costing one cache entry, so each
-	// leg first warms until a long run of cycles resolves nothing new.
+	// advances), so each cycle's stacks differ from the last cycle's; the
+	// overlap's speculation now matches and is claimed, and the streaming
+	// leg walks the daemon's keyed walker and ships delta frames. A cycle
+	// that meets a call path the trie has not seen resolves its PC and
+	// records a span, which may grow a span array, so each leg first warms
+	// until a long run of cycles calls the resolver not at all.
 	newDaemon := func(workers int) *daemon {
 		tool, err := New(Options{
 			Machine:        machine.Atlas(),
@@ -330,9 +332,9 @@ func TestSamplePhaseZeroAllocs(t *testing.T) {
 			lease.Release()
 		}
 		for i, quiet := 0, 0; i < 5000 && quiet < 200; i++ {
-			before := d.tool.sampler.Stats().PCCacheMisses
+			before := d.tool.sampler.Stats().PCsResolved
 			driftCycle()
-			if d.tool.sampler.Stats().PCCacheMisses == before {
+			if d.tool.sampler.Stats().PCsResolved == before {
 				quiet++
 			} else {
 				quiet = 0
@@ -341,9 +343,26 @@ func TestSamplePhaseZeroAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(200, driftCycle); n != 0 {
 			t.Errorf("drifting %s gather cycle allocates %v per round, want 0", leg.name, n)
 		}
-		if ss := d.tool.sampler.Stats(); ss.MemoFlushes == 0 {
-			t.Errorf("drifting %s leg never flushed the stack memo", leg.name)
+		if !stacksDrift(d) {
+			t.Errorf("drifting %s leg: a cycle walks the previous cycle's stacks; the leg tests nothing", leg.name)
 		}
 		d.pre.Cancel()
 	}
+}
+
+// stacksDrift reports whether the daemon's next sample command walks any
+// stack that differs from the same (task, thread, sample) stack of its
+// previous one.
+func stacksDrift(d *daemon) bool {
+	for _, rank := range d.tool.taskMap[d.leaf] {
+		for thread := 0; thread < d.threads; thread++ {
+			for s := 0; s < d.samples; s++ {
+				if !slices.Equal(d.tool.app.StackPCs(rank, thread, d.epoch+s),
+					d.tool.app.StackPCs(rank, thread, d.epoch-d.samples+s)) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

@@ -299,9 +299,8 @@ func TestStreamSampleStatsCoverAllRounds(t *testing.T) {
 	if want := int64(3 * leg.res.Daemons); ss.Snapshots != want {
 		t.Errorf("Snapshots = %d, want %d (one per daemon per round)", ss.Snapshots, want)
 	}
-	if ss.DistinctStacks+ss.StackMemoHits != ss.SampledStacks {
-		t.Errorf("DistinctStacks %d + StackMemoHits %d != SampledStacks %d",
-			ss.DistinctStacks, ss.StackMemoHits, ss.SampledStacks)
+	if ss.PCsResolved == 0 {
+		t.Error("PCsResolved = 0: the resolver counter is silent")
 	}
 }
 

@@ -134,11 +134,11 @@ type Result struct {
 	Liveness     *bitvec.Vector
 	MissingRanks int
 	// SampleStats are the batched sampling engine's cumulative counters —
-	// stacks walked, whole-stack memo hits, distinct stacks, per-PC
-	// resolver lookups and their cache misses. The hit rates they imply
-	// are what the direct-to-tree engine exploits: spinning tasks
-	// resample a small population of distinct stacks and a tiny
-	// population of distinct PCs. The snapshot-emit pipeline adds its own
+	// stacks walked, per-PC resolver calls and their cache misses. The
+	// ratios they imply are what the direct-to-tree engine exploits:
+	// spinning tasks walk a small population of call paths, so nearly
+	// every frame descends by a span check and never reaches the
+	// resolver. The snapshot-emit pipeline adds its own
 	// counters: snapshots sealed, torn-read retries, walks claimed from a
 	// background prefetch, and the walk nanoseconds the overlap hid
 	// behind the reduction drain. They are read after the session's last

@@ -65,9 +65,9 @@ type Machine struct {
 	// caches cold, every frame pays a lookup and the trie grows its path.
 	WalkColdPerTaskSec float64
 	// WalkWarmPerTaskSec is the cost of each subsequent walk of the same
-	// round under the memoized direct-to-tree engine: a spinning task
-	// resamples a known stack, so the walk short-circuits through the
-	// whole-stack memo and just ticks bits. The cold/warm split is what
+	// round under the direct-to-tree engine: a spinning task's frames
+	// fall in PC ranges the trie already holds, so the walk descends by
+	// range checks without resolving and just ticks bits. The cold/warm split is what
 	// makes modeled Figure 8/9 curves reflect the batched engine instead
 	// of charging every sample the first-walk price.
 	WalkWarmPerTaskSec float64
@@ -151,8 +151,8 @@ func (m *Machine) TaskMap(tasks, daemons int) [][]int {
 
 // WalkSec is the modeled per-task, per-thread stack-walk time of the
 // FIRST gather round of the given sample count: the first walk pays the
-// cold price (resolution, trie descent), every repeat rides the
-// whole-stack memo at the warm price. This is the cold-round term of the
+// cold price (resolution, trie growth), every repeat descends the warm
+// trie at the warm price. This is the cold-round term of the
 // cold/warm split — it always sits on the critical path
 // (PhaseTimes.Sample) and never earns an overlap discount, so it composes
 // with the snapshot-emit pipeline without double-counting: overlap
@@ -165,9 +165,9 @@ func (m *Machine) WalkSec(samples int) float64 {
 }
 
 // WalkSecSteady is the modeled per-task, per-thread walk time of a
-// steady-state gather round: the trie, resolver cache, and stack memo
+// steady-state gather round: the trie, its spans, and the resolver cache
 // already hold the round's whole working set, so every sample — the first
-// included — rides the memo at the warm price. This is the round the
+// included — walks at the warm price. This is the round the
 // snapshot-emit pipeline can hide behind the previous round's reduction
 // drain (PhaseTimes.SampleSteady / SampleHidden).
 func (m *Machine) WalkSecSteady(samples int) float64 {
@@ -190,8 +190,8 @@ func Atlas() *Machine {
 		TreeLink:       sim.Link{LatencySec: 12e-6, BytesPerSec: 1.2e9}, // DDR IB
 		MergeCPU:       sim.CPUCost{PerMessageSec: 180e-6, PerByteSec: 1.6e-8},
 		MergeConstSec:  0.001,
-		// Paper-calibrated first walk; warm walks ride the stack memo at
-		// roughly 3.4x less (spinning ranks resample identical stacks).
+		// Paper-calibrated first walk; warm walks through the spanned trie
+		// cost roughly 3.4x less (spinning ranks stay on known call paths).
 		WalkColdPerTaskSec: 0.011,
 		WalkWarmPerTaskSec: 0.0032,
 		ParsePerByteSec:    5.2e-9,
@@ -240,7 +240,7 @@ func BGL() *Machine {
 		TreeLink:      sim.Link{LatencySec: 45e-6, BytesPerSec: 2.4e8}, // functional Ethernet to login nodes
 		MergeCPU:      sim.CPUCost{PerMessageSec: 1e-4, PerByteSec: 2e-8},
 		MergeConstSec: 0.05,
-		// Slower PPC440 first walk; the memo payoff is similar in ratio.
+		// Slower PPC440 first walk; the warm-walk payoff is similar in ratio.
 		WalkColdPerTaskSec: 0.016,
 		WalkWarmPerTaskSec: 0.0046,
 		ParsePerByteSec:    9.5e-9,

@@ -10,19 +10,19 @@
 //     distinct call-path edge, with the task-set bit vectors (all-samples
 //     and last-sample) accumulated in place. No per-sample frame slice,
 //     no intermediate trees, no tree merges.
-//  2. Symbols resolve through a shared memoized resolver
-//     (stackwalk.Cache): raw PC → interned name with a lock-free read
-//     path, so a PC any walker has seen before costs one hash probe
-//     instead of a symbol-table search. Trie edges compare by the cache's
-//     dense name IDs — integer compares where the legacy path compared
-//     strings.
-//  3. Whole identical stacks short-circuit: a memo keyed by the raw PC
-//     sequence maps straight to the trie path, so a wedged task's frozen
-//     stack — or any exact resample — skips resolution and descent
-//     entirely and just ticks bits along the memoized path. This is the
-//     stack memoization the package is named for. The memo is bounded
-//     by the walk, not by the session (see below).
-//  4. The round seals an atomic snapshot of the trie and emits
+//  2. Each trie edge is keyed by the PC ranges that resolve to it. A
+//     frame descends by range check against its node's spans — one
+//     unsigned compare per span, no hashing — and only a PC outside
+//     every span asks the shared resolver (stackwalk.Cache.ResolveSpan),
+//     which returns the frame's name, dense name ID and the range over
+//     which that answer holds: the whole function at plain granularity,
+//     the single PC at detailed granularity or for an unresolvable "??"
+//     PC. The walk then finds the child by ID (verified by name) or
+//     inserts it, and records the span. At plain granularity a drifting
+//     stack whose PCs stay inside functions the node has seen therefore
+//     resolves nothing at all, and a frozen stack descends exactly like a
+//     drifting one.
+//  3. The round seals an atomic snapshot of the trie and emits
 //     trace.Trees from it: pooled nodes (trace.NewPooledNode) referencing
 //     the snapshot's frozen labels, so emission copies nothing and the
 //     wire encode reads labels exactly where the walk accumulated them.
@@ -35,31 +35,24 @@
 // allocation-free. The trie is bounded by the distinct call-path
 // population at symbol granularity (small by construction).
 //
-// The stack memo is bounded by the walk: each walk sets its walker's memo
-// budget to 2 × len(Ranks) × Threads entries, at least 64 — or, on a
-// pooled walker, to the round's whole stack count when that is larger
-// (memoBudget explains the difference). A miss that finds the memo at its
-// budget flushes it in place and starts refilling it, copying each new
-// stack's PCs and trie path into the arrays the flushed entries left
-// behind. Frozen stacks — a hung task's, or every task of a quiescent
-// application — are memoized again the first time a walk meets them after
-// a flush and hit from then on, within the round and across rounds;
-// stacks that drift every sample miss and just cycle through the budget.
-// A walker's memo memory is thus bounded by the walks it serves, not by
-// how long the session runs — O(tasks × threads) per resident streaming
-// walker — and once its arena is warm a round allocates nothing whether
-// its stacks are frozen or drifting. Stats.MemoFlushes counts the flushes.
+// The spans are bounded with the trie: a node holds one span per child
+// per symbol range at plain granularity, and one per distinct PC at
+// detailed granularity or in a symbol gap, so a walker's span memory
+// grows with the PC population its daemon's stacks cover, not with how
+// many rounds it walks, and a warm round allocates nothing whether its
+// stacks are frozen or drifting.
 //
 // Ownership is split between two planes:
 //
-//   - The live plane — accumulator slots, child arrays, the memo, the PC
+//   - The live plane — accumulator slots, child arrays, spans, the PC
 //     scratch — belongs to exactly one goroutine at a time: the
 //     Sample/SampleOverlap caller, or (between a seal and the next claim)
 //     the walker's background-walk goroutine. Ownership hands off through
 //     channels, never by shared access. Label accumulators are
 //     double-buffered by round parity: round N writes slot N&1 and lazily
 //     resets it on first touch, leaving the other slot — round N-1's
-//     sealed labels — untouched.
+//     sealed labels — untouched. Spans live only here: seal, emit and
+//     snapshot readers never read them, so walks append to them in place.
 //
 //   - The published plane — each node's nodeSnap chain behind an atomic
 //     pointer — is what everyone else may read. seal(N) freezes round N's
@@ -142,10 +135,7 @@ type Engine struct {
 	keyed   map[int]*walker
 
 	sampled   atomic.Int64
-	memoHits  atomic.Int64
-	distinct  atomic.Int64
 	resolved  atomic.Int64
-	flushes   atomic.Int64
 	unclaimed atomic.Int64
 
 	snapshots   atomic.Int64
@@ -319,10 +309,7 @@ func timedWalk(w *walker, req Request) int64 {
 // round uses are accounted; abandoned speculation counts as unclaimed.
 func (e *Engine) account(c walkCounts) {
 	e.sampled.Add(c.sampled)
-	e.memoHits.Add(c.memoHits)
 	e.resolved.Add(c.resolved)
-	e.distinct.Add(c.distinct)
-	e.flushes.Add(c.flushes)
 }
 
 func timedSeal(w *walker, req Request) int64 {
@@ -342,10 +329,9 @@ func timedSeal(w *walker, req Request) int64 {
 // round-over-round delta extraction (Request.Delta) requires: the
 // previous round's labels must be this walker's previous seal, not some
 // other daemon's. Resident walkers live for the engine's lifetime: one
-// trie and one stack memo per streaming daemon are the memory cost of
-// continuous monitoring, and both stay bounded across rounds — the trie
-// by the daemon's call-path population, the memo by its tasks × threads
-// budget, flushed in place when drifting stacks fill it. The
+// trie per streaming daemon is the memory cost of continuous monitoring,
+// and it stays bounded across rounds — nodes by the daemon's call-path
+// population, spans by the PC ranges its stacks cover. The
 // walk-concurrency bound still holds because the call borrows a pool
 // slot for the duration of its walk, leaving the pool's contents intact.
 // At most one SampleKeyed per key may run at a time, and its batch must
@@ -370,7 +356,7 @@ func (e *Engine) keyedWalker(key int) *walker {
 	}
 	w := e.keyed[key]
 	if w == nil {
-		w = &walker{eng: e, keyed: true}
+		w = &walker{eng: e}
 		e.keyed[key] = w
 	}
 	return w
@@ -488,24 +474,18 @@ type Stats struct {
 	// a round uses it: a speculative background walk counts only once a
 	// round claims it, and otherwise only in UnclaimedWalks.
 	SampledStacks int64
-	// StackMemoHits counts walks short-circuited by the whole-stack memo;
-	// DistinctStacks counts the memo entries built — one per memo miss.
-	// A stack memoized again after its walker's memo flushed counts
-	// again, so under flushing DistinctStacks exceeds the number of
-	// distinct raw-PC stacks; barring hash collisions it always equals
-	// SampledStacks − StackMemoHits.
+	// StackMemoHits and DistinctStacks are always 0.
+	//
+	// Deprecated: they counted the whole-stack memo's hits and entries;
+	// span-keyed trie edges replaced the memo. Read PCsResolved instead.
 	StackMemoHits  int64
 	DistinctStacks int64
-	// MemoFlushes counts memo flushes: a walker's memo held its budget
-	// (2 × tasks × threads of the walk, or a whole round's stacks on a
-	// pooled walker) when a miss arrived, and was emptied in place. A count that grows every round means the memo is
-	// thrashing — the sampled stacks drift faster than they repeat.
-	MemoFlushes int64
 	// UnclaimedWalks counts speculative background walks that no round
 	// used: discarded on a request mismatch, or canceled when the session
 	// ended. Their stacks appear in no other walk counter.
 	UnclaimedWalks int64
-	// PCsResolved counts per-PC resolver lookups (memo hits skip them);
+	// PCsResolved counts per-PC resolver calls: frames whose PC fell in
+	// none of its trie node's spans (span hits skip them);
 	// PCCacheMisses counts the ones that fell through to a real
 	// symbol-table search — each distinct PC pays exactly once while the
 	// cache is below its cap. PCCacheMisses is read off the shared
@@ -537,9 +517,6 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	return Stats{
 		SampledStacks:     e.sampled.Load(),
-		StackMemoHits:     e.memoHits.Load(),
-		DistinctStacks:    e.distinct.Load(),
-		MemoFlushes:       e.flushes.Load(),
 		UnclaimedWalks:    e.unclaimed.Load(),
 		PCsResolved:       e.resolved.Load(),
 		PCCacheMisses:     e.plain.Misses() + e.detail.Misses(),

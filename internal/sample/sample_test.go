@@ -2,6 +2,7 @@ package sample
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
@@ -84,7 +85,8 @@ func assertTreesMatch(t *testing.T, label string, got, want *trace.Tree) {
 // combination of granularity, index mapping, thread count and round shape,
 // the trie-emitted trees must be Equal to — and encode byte-identically
 // with — the legacy per-sample fold. Repeated rounds on the same engine
-// exercise the epoch-reset and memoization paths.
+// exercise the epoch-reset and span-hit paths; the detail case flips the
+// granularity each round.
 func TestEngineMatchesLegacy(t *testing.T) {
 	app, st := testApp(t, 12, 2)
 	eng := New(app, st, 2)
@@ -183,10 +185,13 @@ func TestEngineConcurrentDaemons(t *testing.T) {
 	}
 }
 
-// TestEngineStats checks the counters tell the memoization story: a
-// second identical round is mostly memo hits (the hung task's frozen
-// stack repeats exactly), distinct PCs stay bounded by the symbol
-// population, and sampled counts add up.
+// TestEngineStats checks the counters tell the span story: a round calls
+// the resolver far less often than it walks frames (the hung task's frozen
+// stack repeats exactly, and drifting PCs stay inside functions the trie
+// has already spanned), once per span it records, a second identical
+// round calls it not at all,
+// distinct PCs stay bounded by the symbol population, and sampled counts
+// add up.
 func TestEngineStats(t *testing.T) {
 	app, st := testApp(t, 8, 1)
 	eng := New(app, st, 1)
@@ -197,30 +202,49 @@ func TestEngineStats(t *testing.T) {
 	if want := int64(8 * 5); s1.SampledStacks != want {
 		t.Errorf("SampledStacks = %d, want %d", s1.SampledStacks, want)
 	}
-	if s1.StackMemoHits == 0 {
-		t.Error("no stack-memo hits in a round containing a frozen stack")
+	frames := 0
+	for _, rank := range req.Ranks {
+		for smp := 0; smp < req.Samples; smp++ {
+			frames += len(app.StackPCs(rank, 0, smp))
+		}
 	}
-	if s1.DistinctStacks == 0 || s1.DistinctStacks+s1.StackMemoHits != s1.SampledStacks {
-		t.Errorf("DistinctStacks %d + StackMemoHits %d != SampledStacks %d",
-			s1.DistinctStacks, s1.StackMemoHits, s1.SampledStacks)
+	if s1.PCsResolved == 0 || 2*s1.PCsResolved > int64(frames) {
+		t.Errorf("PCsResolved = %d over %d frames, want some but under half", s1.PCsResolved, frames)
 	}
 	if s1.PCCacheMisses == 0 || s1.PCCacheMisses > s1.PCsResolved {
 		t.Errorf("PCCacheMisses %d outside (0, PCsResolved %d]", s1.PCCacheMisses, s1.PCsResolved)
 	}
-	// Same round again: every stack was seen, so no new distinct stacks
-	// and no new PC-cache misses.
+	// Same round again: every frame lands in a recorded span, so no
+	// resolver calls and no new PC-cache misses.
 	b = eng.Sample(req)
 	b.Release()
 	s2 := eng.Stats()
-	if s2.DistinctStacks != s1.DistinctStacks {
-		t.Errorf("second identical round created %d new distinct stacks", s2.DistinctStacks-s1.DistinctStacks)
+	if s2.PCsResolved != s1.PCsResolved {
+		t.Errorf("second identical round called the resolver %d times", s2.PCsResolved-s1.PCsResolved)
 	}
 	if s2.PCCacheMisses != s1.PCCacheMisses {
 		t.Errorf("second identical round took %d new PC-cache misses", s2.PCCacheMisses-s1.PCCacheMisses)
 	}
-	if s2.StackMemoHits-s1.StackMemoHits != s1.SampledStacks {
-		t.Errorf("second identical round memo hits %d, want %d", s2.StackMemoHits-s1.StackMemoHits, s1.SampledStacks)
+	if s2.SampledStacks != 2*s1.SampledStacks {
+		t.Errorf("SampledStacks after two rounds = %d, want %d", s2.SampledStacks, 2*s1.SampledStacks)
 	}
+	// Each resolver call recorded exactly one span. (checkSpans resolves
+	// span starts itself, so it runs after the counters are read.)
+	w := <-eng.walkers
+	eng.walkers <- w
+	spans := 0
+	var rec func(n *trieNode)
+	rec = func(n *trieNode) {
+		spans += len(n.spans)
+		for _, c := range n.children {
+			rec(c)
+		}
+	}
+	rec(&w.root)
+	if s2.PCsResolved != int64(spans) {
+		t.Errorf("PCsResolved = %d, but the trie holds %d spans", s2.PCsResolved, spans)
+	}
+	checkSpans(t, "after two rounds", w)
 }
 
 // TestBatchReleaseIdempotent: releasing a zero Batch or a released Batch
@@ -240,15 +264,25 @@ func TestBatchReleaseIdempotent(t *testing.T) {
 }
 
 // TestGranularityFlipResetsTrie: alternating detailed and plain rounds on
-// one walker must stay correct — the ID namespaces differ, so the trie
-// resets on each flip.
+// one walker must stay correct — the ID namespaces and span widths
+// differ, so the trie resets on each flip, and no span of the old
+// granularity survives it, the root's included.
 func TestGranularityFlipResetsTrie(t *testing.T) {
 	app, st := testApp(t, 8, 1)
 	eng := New(app, st, 1)
 	ranks := []int{1, 4, 6}
 	for round := 0; round < 4; round++ {
 		req := Request{Ranks: ranks, Width: len(ranks), Samples: 3, Threads: 1,
-			Detail: round%2 == 1, Want2D: true, Want3D: true}
+			Base: round, Detail: round%2 == 1, Want2D: true, Want3D: true}
+		w := <-eng.walkers
+		var old []span
+		if w != nil {
+			old = slices.Clone(w.root.spans)
+			if len(old) == 0 {
+				t.Fatalf("round %d: the warm root holds no spans; the flip tests nothing", round)
+			}
+		}
+		eng.walkers <- w
 		b := eng.Sample(req)
 		w2, w3 := legacyTrees(app, st, req)
 		assertTreesMatch(t, "flip/3D", b.Tree3D, w3)
@@ -256,6 +290,16 @@ func TestGranularityFlipResetsTrie(t *testing.T) {
 		b.Release()
 		w2.Release()
 		w3.Release()
+		w = <-eng.walkers
+		for _, sp := range w.root.spans {
+			for _, o := range old {
+				if o.lo == sp.lo && o.n == sp.n {
+					t.Errorf("round %d: root span [%#x, +%#x) survived the granularity flip", round, o.lo, o.n)
+				}
+			}
+		}
+		checkSpans(t, "after flip", w)
+		eng.walkers <- w
 	}
 }
 

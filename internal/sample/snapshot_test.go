@@ -249,13 +249,13 @@ func TestSingleWorkerDegradesToQuiesced(t *testing.T) {
 	}
 }
 
-// TestSnapshotSteadyZeroAllocs: once the trie, memo, and snapshot buffers
-// hold the working set, both the quiesced and the overlapped round must
-// run allocation-free — seal publishes into per-node buffers, emit uses
-// pooled nodes, the prefetch handle is embedded in the walker. The frozen
-// legs resample the same instants every round (all memo hits); the
-// drifting legs advance the sample base, so every stack is novel and each
-// round flushes and refills the memo arena in place.
+// TestSnapshotSteadyZeroAllocs: once the trie, its spans, and the
+// snapshot buffers hold the working set, both the quiesced and the
+// overlapped round must run allocation-free — seal publishes into per-node
+// buffers, emit uses pooled nodes, the prefetch handle is embedded in the
+// walker. The frozen legs resample the same instants every round; the
+// drifting legs advance the sample base, so each round's stacks differ
+// from the last round's.
 func TestSnapshotSteadyZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -296,16 +296,16 @@ func TestSnapshotSteadyZeroAllocs(t *testing.T) {
 	}
 	pre.Cancel()
 
-	// Drifting legs: a larger daemon, so the rounds overrun the memo
-	// budget, with the base advancing one round's samples at a time.
-	// Drifting PCs keep meeting offsets the shared resolver cache has not
-	// seen, and each costs one cache entry, so every leg first warms until
-	// a long run of rounds resolves nothing new.
+	// Drifting legs: a larger daemon, with the base advancing one round's
+	// samples at a time. A round that meets a call path the trie has not
+	// seen yet resolves its PC and records a span, which may grow a span
+	// array, so every leg first warms until a long run of rounds calls the
+	// resolver not at all.
 	warm := func(eng *Engine, round func()) {
 		for i, quiet := 0, 0; i < 5000 && quiet < 200; i++ {
-			before := eng.Stats().PCCacheMisses
+			before := eng.Stats().PCsResolved
 			round()
-			if eng.Stats().PCCacheMisses == before {
+			if eng.Stats().PCsResolved == before {
 				quiet++
 			} else {
 				quiet = 0
@@ -344,11 +344,8 @@ func TestSnapshotSteadyZeroAllocs(t *testing.T) {
 			t.Errorf("drifting %s round allocates %.1f times", leg.name, n)
 		}
 	}
-	before := quies.Stats().MemoFlushes
-	drift.Base = 0
-	legs[0].round()
-	if quies.Stats().MemoFlushes == before {
-		t.Error("drifting round did not flush the memo; the drifting legs test nothing")
+	if !stacksDiffer(app, drift, drift.Base-drift.Samples) {
+		t.Error("a drifting round walks the previous round's stacks; the drifting legs test nothing")
 	}
 
 	over2 := New(app, st, 2)

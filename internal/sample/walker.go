@@ -10,19 +10,16 @@ import (
 	"stat/internal/trace"
 )
 
-// walker is one pooled daemon-walk state: the persistent trie, the stack
-// memo, the PC scratch buffer, and two reusable tree headers. At any
-// instant a walker has exactly one owner — the Sample/SampleOverlap caller
-// or, between a seal and the next claim, the background walk goroutine —
-// and ownership hands off through channels, so every plain field is
-// single-writer. The only cross-owner reads go through each trie node's
-// atomically published snapshot (see snapshot.go).
+// walker is one pooled daemon-walk state: the persistent trie, the PC
+// scratch buffer, and the reusable tree headers. At any instant a walker
+// has exactly one owner — the Sample/SampleOverlap caller or, between a
+// seal and the next claim, the background walk goroutine — and ownership
+// hands off through channels, so every plain field is single-writer. The
+// only cross-owner reads go through each trie node's atomically published
+// snapshot (see snapshot.go).
 type walker struct {
 	eng   *Engine
 	cache *stackwalk.Cache
-	// keyed marks a resident SampleKeyed walker (one per streaming
-	// daemon) as opposed to a pooled one; it sizes the memo budget.
-	keyed bool
 	width int
 	// epoch advances per round; trie labels reset lazily on first touch of
 	// the round, so stale branches cost nothing. The epoch's parity selects
@@ -45,9 +42,7 @@ type walker struct {
 	root trieNode
 	free []*trieNode // recycled trie nodes (after a granularity flip)
 
-	pcs  []uint64
-	path []*trieNode
-	memo memoTable
+	pcs []uint64
 
 	// Background-walk machinery (the overlap pipeline). bg feeds the
 	// resident walk goroutine one Request per prefetch; bgDone returns the
@@ -75,130 +70,11 @@ type walker struct {
 	d2h, d3h trace.Tree
 }
 
-// memoTable is the walker-local whole-stack memo: an arena of entries
-// indexed by open-addressing slots keyed by the already-computed stack
-// hash, so a probe is an array walk rather than a runtime map access
-// (which would hash the key a second time and cannot reuse ours). Owned
-// by whichever goroutine currently owns the walker, like the rest of the
-// walk state.
-//
-// The memo holds at most budget entries (memoBudget, set per walk from
-// the request and the walker's kind). A miss that finds it full flushes it in place: the slots
-// are cleared and the arena refills from its first entry, copying each
-// new stack into the PC and path arrays the flushed entry left behind. So
-// the memo's memory is bounded by the walk's tasks × threads, not by the
-// distinct stacks a long session sees, and once the arena is warm a miss
-// allocates nothing. The arena grows lazily, one doubling at a time, so a
-// walker that only ever sees a few distinct stacks holds only those.
-type memoTable struct {
-	mask    uint64
-	slots   []uint32 // entry index + 1; 0 marks an empty slot
-	entries []memoStack
-	count   int // live entries: entries[:count]
-	budget  int
-}
-
-// memoFloor is the smallest memo budget, so walks over a handful of tasks
-// still memoize every stack a few rounds produce before anything flushes.
-const memoFloor = 64
-
-// memoBudget bounds a walk's stack memo. Every walker has room for two
-// stacks per task thread: each task's frozen stacks plus as many novel
-// ones before the memo flushes. A resident keyed walker walks each sample
-// command once — a streamed round always brings a new one — so that is
-// all it keeps, and its memory, multiplied by one walker per streaming
-// daemon, stays O(tasks × threads). A pooled walker, of which the engine
-// holds at most `workers`, also keeps room for a whole round's stacks, so
-// when it walks the same daemon's same sample instants again (a re-gather
-// of one sample command, such as a stream round's whole-tree retry) every
-// stack hits, drifting or not.
-func memoBudget(req Request, keyed bool) int {
-	perThread := 2
-	if !keyed {
-		perThread = max(2, req.Samples)
-	}
-	return max(memoFloor, perThread*len(req.Ranks)*req.Threads)
-}
-
-// lookup returns the entry whose hash matches, or nil. The caller must
-// verify the stored PCs — two stacks may share a hash. The pointer is
-// valid until the next insert.
-func (t *memoTable) lookup(h uint64) *memoStack {
-	if t.slots == nil {
-		return nil
-	}
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
-		ref := t.slots[i]
-		if ref == 0 {
-			return nil
-		}
-		if e := &t.entries[ref-1]; e.hash == h {
-			return e
-		}
-	}
-}
-
-// insert memoizes a stack and its trie path, flushing first when the memo
-// holds its budget; it reports whether it flushed. The caller has already
-// established no entry with this hash exists.
-func (t *memoTable) insert(h uint64, pcs []uint64, path []*trieNode) (flushed bool) {
-	if t.count >= t.budget {
-		t.clear()
-		flushed = true
-	}
-	if t.slots == nil || (t.count+1)*2 > len(t.slots) {
-		t.growSlots()
-	}
-	if t.count == len(t.entries) {
-		if t.count == cap(t.entries) {
-			grown := make([]memoStack, t.count, min(t.budget, max(16, 2*t.count)))
-			copy(grown, t.entries)
-			t.entries = grown
-		}
-		t.entries = t.entries[:t.count+1]
-	}
-	e := &t.entries[t.count]
-	e.hash = h
-	e.pcs = append(e.pcs[:0], pcs...)
-	e.path = append(e.path[:0], path...)
-	t.count++
-	t.place(h, uint32(t.count))
-	return flushed
-}
-
-// growSlots doubles the slot table (keeping load at most 1/2) and
-// re-places the live entries.
-func (t *memoTable) growSlots() {
-	size := 2 * len(t.slots)
-	if size == 0 {
-		size = 2 * memoFloor
-	}
-	t.slots = make([]uint32, size)
-	t.mask = uint64(size - 1)
-	for i := 0; i < t.count; i++ {
-		t.place(t.entries[i].hash, uint32(i+1))
-	}
-}
-
-func (t *memoTable) place(h uint64, ref uint32) {
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
-		if t.slots[i] == 0 {
-			t.slots[i] = ref
-			return
-		}
-	}
-}
-
-// clear empties the memo, keeping the slot table and the entries' arrays
-// for reuse.
-func (t *memoTable) clear() {
-	clear(t.slots)
-	t.count = 0
-}
-
 // trieNode is one distinct call-path edge. Edges compare by the resolver
 // cache's dense name ID; children stay sorted by name so emission walks in
-// the order trace trees require.
+// the order trace trees require. The walk reaches a child through spans,
+// the PC ranges known to resolve to it, and asks the resolver only when a
+// PC falls in none of them.
 //
 // Every mutable accumulator is double-buffered by round parity: round N
 // writes slot N&1 while snapshot readers of round N-1 read slot (N-1)&1.
@@ -224,6 +100,10 @@ type trieNode struct {
 	// place) because published snapshots capture the slice and read it
 	// concurrently with the next round's walk.
 	children []*trieNode
+	// spans map PC ranges to children: a PC in [lo, lo+n) resolves to c's
+	// edge. Live plane only — walks read and append them, seal, emit and
+	// snapshot readers never do — so they grow in place.
+	spans []span
 
 	// snap is the node's published snapshot chain; snapBuf the two
 	// rotating backing structs. See snapshot.go.
@@ -241,14 +121,37 @@ type trieNode struct {
 	dKids, dLastKids  []*trieNode
 }
 
-// memoStack is one memoized whole stack: the raw PCs (verified on hit, so
-// a hash collision degrades to a normal walk instead of corrupting) and
-// the trie path they map to, root included. Both arrays outlive a flush
-// and are refilled by the entry's next occupant.
-type memoStack struct {
-	hash uint64
-	pcs  []uint64
-	path []*trieNode
+// span is one PC range [lo, lo+n) whose frames all resolve to the edge c.
+// n is the width rather than the end so that the membership test is one
+// unsigned compare that also holds for a range ending at the top PC.
+type span struct {
+	lo, n uint64
+	c     *trieNode
+}
+
+// childAt returns the child whose span holds pc, or nil when no span
+// does (the walk then resolves pc and records its span).
+func (n *trieNode) childAt(pc uint64) *trieNode {
+	for i := range n.spans {
+		if sp := &n.spans[i]; pc-sp.lo < sp.n {
+			return sp.c
+		}
+	}
+	return nil
+}
+
+// resolveChild is childAt's slow path: resolve pc, find or create the
+// child for its name, and record the span so later PCs in the same range
+// descend without the resolver.
+func (w *walker) resolveChild(n *trieNode, pc uint64) *trieNode {
+	id, name, lo, hi := w.cache.ResolveSpan(pc)
+	c := n.child(id, name)
+	if c == nil {
+		c = w.newNode(id, name)
+		n.insertChild(c)
+	}
+	n.spans = append(n.spans, span{lo: lo, n: hi - lo, c: c})
+	return c
 }
 
 // child finds the edge for a resolved frame. The dense ID is the fast
@@ -322,17 +225,20 @@ func (w *walker) newNode(id uint32, name string) *trieNode {
 		n = &trieNode{}
 	}
 	n.id, n.name = id, name
+	n.spans = n.spans[:0]
 	n.epochs[0], n.epochs[1] = 0, 0
 	n.lastEpochs[0], n.lastEpochs[1] = 0, 0
 	return n
 }
 
-// resetTrie drops every edge (recycling the nodes, labels attached, onto
-// the free list) and clears the memo. Run on a frame-granularity flip:
-// IDs from the plain and detailed caches live in different namespaces, so
-// a trie built under one cannot be probed under the other. The engine
-// never starts a background walk across a granularity flip (Engine
-// canPrefetch), so resetTrie only ever runs with no snapshot reader live.
+// resetTrie drops every edge and span (recycling the nodes, labels
+// attached, onto the free list). Run on a frame-granularity flip: IDs and
+// spans from the plain and detailed caches mean different things, so a
+// trie built under one cannot be probed under the other — the root's
+// spans included, or the first frame of every stack would descend to a
+// recycled node. The engine never starts a background walk across a
+// granularity flip (Engine canPrefetch), so resetTrie only ever runs with
+// no snapshot reader live.
 func (w *walker) resetTrie() {
 	var rec func(n *trieNode)
 	rec = func(n *trieNode) {
@@ -340,13 +246,12 @@ func (w *walker) resetTrie() {
 			rec(c)
 			w.free = append(w.free, c)
 		}
-		for i := range n.children {
-			n.children[i] = nil
-		}
+		clear(n.children)
 		n.children = n.children[:0]
+		clear(n.spans)
+		n.spans = n.spans[:0]
 	}
 	rec(&w.root)
-	w.memo.clear()
 	w.root.epochs[0], w.root.epochs[1] = 0, 0
 	w.root.lastEpochs[0], w.root.lastEpochs[1] = 0, 0
 }
@@ -356,7 +261,7 @@ func (w *walker) resetTrie() {
 // speculative walk that no round claims is counted only as unclaimed
 // (Engine.account, Stats.UnclaimedWalks).
 type walkCounts struct {
-	sampled, memoHits, resolved, distinct, flushes int64
+	sampled, resolved int64
 }
 
 // walk executes one round's sampling: every (rank, thread, sample) stack
@@ -372,7 +277,6 @@ func (w *walker) walk(req Request) walkCounts {
 		w.cache = cache
 	}
 	w.width = req.Width
-	w.memo.budget = memoBudget(req, w.keyed)
 	w.epoch++
 	w.slot = int(w.epoch & 1)
 
@@ -409,50 +313,23 @@ func (w *walker) walk(req Request) walkCounts {
 				cnt.sampled++
 				last := req.Want2D && smp == lastSample
 
-				h := hashPCs(w.pcs)
-				m := w.memo.lookup(h)
-				if m != nil && equalPCs(m.pcs, w.pcs) {
-					// Whole-stack memo hit: tick bits along the known
-					// path, no resolution, no descent. Split on the
-					// last-sample flag so the common loop carries no
-					// per-node branch.
-					cnt.memoHits++
-					if last {
-						for _, n := range m.path {
-							w.touch(n, idx, true)
-						}
-					} else {
-						for _, n := range m.path {
-							if n.epochs[s] == w.epoch {
-								n.all[s].Set(idx)
-							} else {
-								w.touch(n, idx, false)
-							}
-						}
-					}
-					continue
-				}
-
-				cnt.resolved += int64(len(w.pcs))
+				// Descend by span. A node already stamped this round takes
+				// its bit inline (the common case for every frame a
+				// previous stack shared); touch runs only otherwise.
 				n := r
 				w.touch(n, idx, last)
-				w.path = append(w.path[:0], n)
 				for _, pc := range w.pcs {
-					id, name := cache.Resolve(pc)
-					c := n.child(id, name)
+					c := n.childAt(pc)
 					if c == nil {
-						c = w.newNode(id, name)
-						n.insertChild(c)
+						c = w.resolveChild(n, pc)
+						cnt.resolved++
 					}
-					w.touch(c, idx, last)
-					w.path = append(w.path, c)
+					if !last && c.epochs[s] == w.epoch {
+						c.all[s].Set(idx)
+					} else {
+						w.touch(c, idx, last)
+					}
 					n = c
-				}
-				if m == nil {
-					if w.memo.insert(h, w.pcs, w.path) {
-						cnt.flushes++
-					}
-					cnt.distinct++
 				}
 			}
 		}
@@ -487,27 +364,4 @@ func (w *walker) emitTrees(req Request) {
 		w.eng.torn.Add(w.torn)
 		w.torn = 0
 	}
-}
-
-// hashPCs is FNV-1a folded over whole words — cheap, and collisions are
-// harmless (verified against the stored PCs on every hit).
-func hashPCs(pcs []uint64) uint64 {
-	h := uint64(14695981039346656037)
-	for _, pc := range pcs {
-		h ^= pc
-		h *= 1099511628211
-	}
-	return h
-}
-
-func equalPCs(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -7,13 +7,14 @@ import (
 )
 
 // Cache memoizes program-counter resolution: raw PC → interned frame name
-// plus a dense per-name ID. One Cache fronts one SymbolTable at one
-// granularity (function, or function+offset for detailed traces) and is
-// shared by every walker thread of a sampling engine — spinning tasks
-// resample the same handful of program counters thousands of times per
-// gather, so after warm-up every resolution is a read-side hit that costs
-// one hash probe instead of a symbol-table binary search (and, at detailed
-// granularity, a fmt.Sprintf).
+// plus a dense per-name ID, and the PC range [lo, hi) over which that
+// answer holds. One Cache fronts one SymbolTable at one granularity
+// (function, or function+offset for detailed traces) and is shared by
+// every walker thread of a sampling engine. A resolution the cache has
+// seen is a read-side hit that costs one hash probe instead of a
+// symbol-table binary search (and, at detailed granularity, a
+// fmt.Sprintf); the range lets a caller skip even that probe for every
+// other PC the answer covers (the sampling trie keys its edges by it).
 //
 // The read path is lock-free in the style of the LL/SC atomic-copy
 // structures: every table slot is an atomic pointer to an immutable entry,
@@ -48,11 +49,13 @@ type Cache struct {
 	names []string          // dense ID -> interned name
 }
 
-// pcEntry is one resolved PC, immutable once published.
+// pcEntry is one resolved PC, immutable once published. [lo, hi) is the
+// range of PCs resolving to the same name.
 type pcEntry struct {
-	pc   uint64
-	id   uint32
-	name string
+	pc     uint64
+	lo, hi uint64
+	id     uint32
+	name   string
 }
 
 // pcTable is a power-of-two open-addressing table of atomically published
@@ -86,13 +89,17 @@ func NewCache(st *SymbolTable, detail bool) *Cache {
 	return &Cache{st: st, detail: detail, ids: make(map[string]uint32)}
 }
 
-// Resolve maps a program counter to its dense name ID and interned name.
-// The fast path — any PC seen before by any thread — is an atomic load and
-// a probe, with no locking and no allocation.
-func (c *Cache) Resolve(pc uint64) (uint32, string) {
+// ResolveSpan maps a program counter to its dense name ID, its interned
+// name, and the range [lo, hi) of PCs that resolve to the same name: at
+// function granularity the containing symbol's [Addr, Addr+Size); at
+// detailed granularity, and for unresolvable PCs, just [pc, pc+1). (hi
+// wraps to 0 for the top PC, so callers should test membership as
+// pc-lo < hi-lo.) The fast path — any PC seen before by any thread — is an
+// atomic load and a probe, with no locking and no allocation.
+func (c *Cache) ResolveSpan(pc uint64) (id uint32, name string, lo, hi uint64) {
 	if t := c.table.Load(); t != nil {
 		if e := t.lookup(pc); e != nil {
-			return e.id, e.name
+			return e.id, e.name, e.lo, e.hi
 		}
 	}
 	return c.resolveSlow(pc)
@@ -146,25 +153,23 @@ func hashPC(pc uint64) uint64 {
 // resolveSlow is the miss path: resolve through the symbol table, intern
 // the name, and publish the entry. Past the cap it resolves without
 // touching any cache state beyond the miss counter.
-func (c *Cache) resolveSlow(pc uint64) (uint32, string) {
+func (c *Cache) resolveSlow(pc uint64) (uint32, string, uint64, uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// Another writer may have published this PC while we waited on mu.
 	t := c.table.Load()
 	if t != nil {
 		if e := t.lookup(pc); e != nil {
-			return e.id, e.name
+			return e.id, e.name, e.lo, e.hi
 		}
 	}
 	c.misses.Add(1)
-	name := "??"
-	if c.detail {
-		if n, off, ok := c.st.ResolveOffset(pc); ok {
-			name = fmt.Sprintf("%s+0x%x", n, off)
-		}
-	} else {
-		if n, ok := c.st.Resolve(pc); ok {
-			name = n
+	name, lo, hi := "??", pc, pc+1
+	if s, ok := c.st.Symbol(pc); ok {
+		if c.detail {
+			name = fmt.Sprintf("%s+0x%x", s.Name, pc-s.Addr)
+		} else {
+			name, lo, hi = s.Name, s.Addr, s.Addr+s.Size
 		}
 	}
 	if c.count >= cacheEntryCap {
@@ -172,9 +177,9 @@ func (c *Cache) resolveSlow(pc uint64) (uint32, string) {
 		// growing everywhere, not just in the table. A name already
 		// interned keeps its stable ID; a novel one gets OverflowID.
 		if id, ok := c.ids[name]; ok {
-			return id, c.names[id]
+			return id, c.names[id], lo, hi
 		}
-		return OverflowID, name
+		return OverflowID, name, lo, hi
 	}
 	id, ok := c.ids[name]
 	if ok {
@@ -202,9 +207,9 @@ func (c *Cache) resolveSlow(pc uint64) (uint32, string) {
 		c.table.Store(nt)
 		t = nt
 	}
-	t.place(&pcEntry{pc: pc, id: id, name: name})
+	t.place(&pcEntry{pc: pc, lo: lo, hi: hi, id: id, name: name})
 	c.count++
-	return id, name
+	return id, name, lo, hi
 }
 
 // place publishes an entry into the first free slot of its probe chain.

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"stat/internal/mpisim"
@@ -48,7 +49,7 @@ func BuildImage(syms []Sym, padSize int) ([]byte, error) {
 			return nil, fmt.Errorf("stackwalk: overlapping symbols %q and %q", sorted[i-1].Name, sorted[i].Name)
 		}
 	}
-	buf := make([]byte, 0, 64+len(sorted)*32)
+	buf := make([]byte, 0, max(padSize, 64+len(sorted)*32))
 	buf = append(buf, imageMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sorted)))
 	for _, s := range sorted {
@@ -60,14 +61,25 @@ func BuildImage(syms []Sym, padSize int) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s.Name)))
 		buf = append(buf, s.Name...)
 	}
-	if padSize > len(buf) {
-		pad := make([]byte, padSize-len(buf))
-		for i := range pad {
-			pad[i] = byte(i * 131) // deterministic "text section" filler
-		}
-		buf = append(buf, pad...)
+	if n := len(buf); padSize > n {
+		buf = slices.Grow(buf, padSize-n)[:padSize]
+		fillPattern(buf[n:])
 	}
 	return buf, nil
+}
+
+// fillPattern writes the deterministic "text section" filler,
+// pad[i] = byte(i*131). The pattern repeats every 256 bytes, so one period
+// is written by hand and then doubled with copy, which keeps an 8 MB image
+// to a handful of memmoves.
+func fillPattern(pad []byte) {
+	n := min(len(pad), 256)
+	for i := range n {
+		pad[i] = byte(i * 131)
+	}
+	for n < len(pad) {
+		n += copy(pad[n:], pad[:n])
+	}
 }
 
 // ParseImage reads the symbol table out of an image produced by BuildImage.
@@ -136,15 +148,26 @@ func (t *SymbolTable) Resolve(pc uint64) (string, bool) {
 // byte offset within it — the fine granularity STAT's detailed traces use
 // to distinguish a frozen stack from one polling at the same call path.
 func (t *SymbolTable) ResolveOffset(pc uint64) (string, uint64, bool) {
-	i := sort.Search(len(t.syms), func(i int) bool { return t.syms[i].Addr > pc })
-	if i == 0 {
-		return "", 0, false
-	}
-	s := t.syms[i-1]
-	if pc >= s.Addr+s.Size {
+	s, ok := t.Symbol(pc)
+	if !ok {
 		return "", 0, false
 	}
 	return s.Name, pc - s.Addr, true
+}
+
+// Symbol returns the symbol whose range [Addr, Addr+Size) holds pc. Every
+// PC in that range resolves to the same function name, which is what lets
+// a caller keyed by function reuse one resolution for the whole range.
+func (t *SymbolTable) Symbol(pc uint64) (Sym, bool) {
+	i := sort.Search(len(t.syms), func(i int) bool { return t.syms[i].Addr > pc })
+	if i == 0 {
+		return Sym{}, false
+	}
+	s := t.syms[i-1]
+	if pc >= s.Addr+s.Size {
+		return Sym{}, false
+	}
+	return s, true
 }
 
 // Walker samples stacks from a simulated application and resolves them.

@@ -1,6 +1,7 @@
 package stackwalk
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -224,5 +225,30 @@ func TestQuickResolveMatchesLinearScan(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBuildImagePadPattern: the padded image is byte-for-byte the table
+// followed by the filler pad[i] = byte(i*131), at pad lengths below, at,
+// and well past the pattern's 256-byte period, including a length that is
+// not a multiple of it.
+func TestBuildImagePadPattern(t *testing.T) {
+	syms := []Sym{{Name: "f", Addr: 0x10, Size: 4}}
+	table, err := BuildImage(syms, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pad := range []int{0, 10, 300, 4 << 10, 8<<20 + 13} {
+		img, err := BuildImage(syms, len(table)+pad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]byte(nil), table...)
+		for i := 0; i < pad; i++ {
+			want = append(want, byte(i*131))
+		}
+		if !bytes.Equal(img, want) {
+			t.Errorf("pad %d: image differs from table + filler pattern", pad)
+		}
 	}
 }
