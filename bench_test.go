@@ -371,23 +371,29 @@ func BenchmarkThreadsExtension(b *testing.B) {
 	}
 }
 
-// BenchmarkReduceParallelVsSeq compares the concurrent TBON reduction with
-// the low-memory sequential fold on identical real workloads.
-func BenchmarkReduceParallelVsSeq(b *testing.B) {
-	for _, parallel := range []bool{false, true} {
-		name := "sequential"
-		if parallel {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
+// BenchmarkSessionMergeEngines compares whole merge phases on identical
+// real workloads under the one-worker sequential fold, the default
+// pipelined worker pool, and the concurrent goroutine-per-process engine.
+func BenchmarkSessionMergeEngines(b *testing.B) {
+	for _, eng := range []struct {
+		name    string
+		engine  tbon.Engine
+		workers int
+	}{
+		{"pipelined-w1", tbon.EnginePipelined, 1},
+		{"pipelined", tbon.EnginePipelined, 0},
+		{"concurrent", tbon.EngineConcurrent, 0},
+	} {
+		b.Run(eng.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tool, err := core.New(core.Options{
-					Machine:  machine.Atlas(),
-					Tasks:    1024,
-					Topology: topology.Spec{Kind: topology.KindBalanced, Depth: 2},
-					BitVec:   core.Hierarchical,
-					Samples:  3,
-					Parallel: parallel,
+					Machine:       machine.Atlas(),
+					Tasks:         1024,
+					Topology:      topology.Spec{Kind: topology.KindBalanced, Depth: 2},
+					BitVec:        core.Hierarchical,
+					Samples:       3,
+					Engine:        eng.engine,
+					ReduceWorkers: eng.workers,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -444,7 +450,7 @@ func BenchmarkReduceEngines(b *testing.B) {
 		name string
 		opts tbon.ReduceOptions
 	}{
-		{"seq", tbon.ReduceOptions{Engine: tbon.EngineSeq}},
+		{"seq", tbon.ReduceOptions{Engine: tbon.EnginePipelined, Workers: 1}},
 		{"concurrent", tbon.ReduceOptions{Engine: tbon.EngineConcurrent}},
 		{"pipelined", tbon.ReduceOptions{Engine: tbon.EnginePipelined}},
 		{"pipelined-budget=1MiB", tbon.ReduceOptions{Engine: tbon.EnginePipelined, BudgetBytes: 1 << 20}},

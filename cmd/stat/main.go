@@ -373,9 +373,9 @@ func run() error {
 		showTree    = flag.Bool("tree", false, "print the merged 3D prefix tree")
 		maxClasses  = flag.Int("classes", 10, "max equivalence classes to print")
 		progress    = flag.Bool("progress", false, "run a two-round progress check and report wedged tasks")
-		engineName  = flag.String("engine", "seq", "TBON reduction engine: seq, concurrent, or pipelined")
+		engineName  = flag.String("engine", "pipelined", "TBON reduction engine: pipelined (worker-pool fold; -reduce-workers 1 folds sequentially) or concurrent (goroutine per overlay process)")
 		workers     = flag.Int("reduce-workers", 0, "pipelined engine worker count (0 = GOMAXPROCS)")
-		budget      = flag.Int64("reduce-budget", 0, "pipelined engine in-flight payload byte budget (0 = unbounded)")
+		budget      = flag.Int64("reduce-budget", 0, "pipelined engine in-flight payload byte budget (0 = at most one unfolded payload per worker)")
 		wireVersion = flag.Uint("wire", 0, "cap the negotiated wire format version (0 = build maximum; 1 = compact STR1, 2 = 8-aligned STR2, 3 = compressed-label STR3)")
 		samplerName = flag.String("sampler", "batched", "daemon sampling engine: batched (direct-to-tree trie) or legacy (per-sample loop)")
 		sampWorkers = flag.Int("sample-workers", 0, "batched sampler's concurrent daemon-walker bound (0 = GOMAXPROCS)")
@@ -482,14 +482,12 @@ func run() error {
 		return fmt.Errorf("unknown overlap mode %q (snapshot|quiesced)", *overlapName)
 	}
 	switch *engineName {
-	case "seq":
-		opts.Engine = tbon.EngineSeq
-	case "concurrent", "parallel":
-		opts.Engine = tbon.EngineConcurrent
 	case "pipelined":
 		opts.Engine = tbon.EnginePipelined
+	case "concurrent", "parallel":
+		opts.Engine = tbon.EngineConcurrent
 	default:
-		return fmt.Errorf("unknown engine %q (seq|concurrent|pipelined)", *engineName)
+		return fmt.Errorf("unknown engine %q (pipelined|concurrent)", *engineName)
 	}
 
 	switch *machineName {

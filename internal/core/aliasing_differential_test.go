@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"stat/internal/bitvec"
 	"stat/internal/machine"
 	"stat/internal/tbon"
 	"stat/internal/topology"
@@ -69,6 +70,8 @@ func copyingMergeFilter(hierarchical bool, version uint8) tbon.Filter {
 // arena merge, pooled buffers) and once through the copying reference
 // filter — for every engine, both bit-vector modes, and the adversarial
 // topology shapes, asserting byte-identical wire payloads at the root.
+// On v2 both modes must actually alias: hierarchical mode every child,
+// original mode every child but each fold's accumulator.
 func TestAliasingDecodeMatchesCopyingAcrossEngines(t *testing.T) {
 	topos := []struct {
 		name  string
@@ -84,9 +87,10 @@ func TestAliasingDecodeMatchesCopyingAcrossEngines(t *testing.T) {
 		name string
 		opts tbon.ReduceOptions
 	}{
-		{"seq", tbon.ReduceOptions{Engine: tbon.EngineSeq}},
-		{"concurrent", tbon.ReduceOptions{Engine: tbon.EngineConcurrent}},
-		{"pipelined", tbon.ReduceOptions{Engine: tbon.EnginePipelined}},
+		{"seq", seqEngine.reduceOpts()},
+		{"concurrent", concurrentEngine.reduceOpts()},
+		{"pipelined", pipelinedEngine.reduceOpts()},
+		{"pipelined-w4", tbon.ReduceOptions{Engine: tbon.EnginePipelined, Workers: 4}},
 		{"pipelined-1B", tbon.ReduceOptions{Engine: tbon.EnginePipelined, BudgetBytes: 1}},
 	}
 	// Odd-length names force label words onto every alignment class, so
@@ -166,6 +170,12 @@ func TestAliasingDecodeMatchesCopyingAcrossEngines(t *testing.T) {
 						t.Errorf("v%d/%v/%s/%s: aliasing filter output differs from copying filter",
 							version, mode, tc.name, eng.name)
 					}
+				}
+			}
+			if version == trace.WireV2 && bitvec.HostLittleEndian() {
+				hits, misses := tool.aliasHits.Load(), tool.aliasMisses.Load()
+				if hits == 0 || misses != 0 {
+					t.Errorf("v2/%v: %d alias hits, %d misses; want hits and no misses", mode, hits, misses)
 				}
 			}
 		}

@@ -8,6 +8,35 @@ import (
 	"stat/internal/topology"
 )
 
+// testEngine is one reduction-engine configuration the core differentials
+// sweep. "seq" is the pipelined engine on one worker: the sequential fold
+// every other configuration must match byte for byte.
+type testEngine struct {
+	name    string
+	engine  tbon.Engine
+	workers int
+}
+
+func (e testEngine) String() string { return e.name }
+
+// apply selects the engine configuration on o.
+func (e testEngine) apply(o *Options) {
+	o.Engine, o.ReduceWorkers = e.engine, e.workers
+}
+
+// reduceOpts is the engine configuration as tbon options, for tests that
+// drive a reduction directly.
+func (e testEngine) reduceOpts() tbon.ReduceOptions {
+	return tbon.ReduceOptions{Engine: e.engine, Workers: e.workers}
+}
+
+var (
+	seqEngine        = testEngine{"seq", tbon.EnginePipelined, 1}
+	concurrentEngine = testEngine{"concurrent", tbon.EngineConcurrent, 0}
+	pipelinedEngine  = testEngine{"pipelined", tbon.EnginePipelined, 0}
+	allEngines       = []testEngine{seqEngine, concurrentEngine, pipelinedEngine}
+)
+
 // TestMergeEnginesAgree runs the full tool merge phase under every
 // reduction engine and representation and requires identical analysis
 // results: same trees, same traffic statistics. This is the end-to-end
@@ -15,22 +44,23 @@ import (
 // protocol, daemons, trace merges, remap) must be engine-invariant.
 func TestMergeEnginesAgree(t *testing.T) {
 	for _, mode := range []BitVecMode{Original, Hierarchical} {
-		newTool := func(engine tbon.Engine, budget int64) *Tool {
-			tool, err := New(Options{
+		newTool := func(engine testEngine, budget int64) *Tool {
+			opts := Options{
 				Machine:           machine.Atlas(),
 				Tasks:             96,
 				Topology:          topology.Spec{Kind: topology.KindBalanced, Depth: 2},
 				BitVec:            mode,
 				Samples:           3,
-				Engine:            engine,
 				ReduceBudgetBytes: budget,
-			})
+			}
+			engine.apply(&opts)
+			tool, err := New(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return tool
 		}
-		base, err := newTool(tbon.EngineSeq, 0).MeasureMerge()
+		base, err := newTool(seqEngine, 0).MeasureMerge()
 		if err != nil {
 			t.Fatalf("%v/seq: %v", mode, err)
 		}
@@ -39,13 +69,14 @@ func TestMergeEnginesAgree(t *testing.T) {
 		}
 		for _, tc := range []struct {
 			name   string
-			engine tbon.Engine
+			engine testEngine
 			budget int64
 		}{
-			{"concurrent", tbon.EngineConcurrent, 0},
-			{"pipelined", tbon.EnginePipelined, 0},
-			{"pipelined-64KiB", tbon.EnginePipelined, 64 << 10},
-			{"pipelined-1B", tbon.EnginePipelined, 1},
+			{"concurrent", concurrentEngine, 0},
+			{"pipelined", pipelinedEngine, 0},
+			{"pipelined-w4", testEngine{"pipelined-w4", tbon.EnginePipelined, 4}, 0},
+			{"pipelined-64KiB", pipelinedEngine, 64 << 10},
+			{"pipelined-1B", pipelinedEngine, 1},
 		} {
 			res, err := newTool(tc.engine, tc.budget).MeasureMerge()
 			if err != nil {
@@ -77,21 +108,5 @@ func TestMergeEnginesAgree(t *testing.T) {
 					mode, tc.name, res.Times.Merge, base.Times.Merge)
 			}
 		}
-	}
-}
-
-// TestParallelAliasMapsToConcurrent keeps the deprecated knob working.
-func TestParallelAliasMapsToConcurrent(t *testing.T) {
-	opts := Options{
-		Machine:  machine.Atlas(),
-		Tasks:    32,
-		Topology: topology.Spec{Kind: topology.KindBalanced, Depth: 2},
-		Parallel: true,
-	}
-	if err := opts.fillDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	if opts.Engine != tbon.EngineConcurrent {
-		t.Fatalf("Parallel mapped to %v, want concurrent", opts.Engine)
 	}
 }

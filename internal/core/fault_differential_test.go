@@ -15,7 +15,7 @@ import (
 
 // faultCaseOpts builds one differential configuration. BGL topologies run
 // on the BG/L machine model (co-processor mode); everything else on Atlas.
-func faultCaseOpts(topo topology.Spec, mode BitVecMode, wire uint8, engine tbon.Engine) Options {
+func faultCaseOpts(topo topology.Spec, mode BitVecMode, wire uint8, engine testEngine) Options {
 	opts := Options{
 		Machine:     machine.Atlas(),
 		Tasks:       64,
@@ -23,8 +23,8 @@ func faultCaseOpts(topo topology.Spec, mode BitVecMode, wire uint8, engine tbon.
 		BitVec:      mode,
 		Samples:     2,
 		WireVersion: wire,
-		Engine:      engine,
 	}
+	engine.apply(&opts)
 	if topo.Kind == topology.KindBGL2Deep || topo.Kind == topology.KindBGL3Deep {
 		opts.Machine = machine.BGL()
 		opts.Mode = machine.CO
@@ -57,14 +57,16 @@ func TestFaultFreeDifferential(t *testing.T) {
 	type tc struct {
 		name   string
 		topo   topology.Spec
-		engine tbon.Engine
+		engine testEngine
 	}
 	cases := []tc{
-		{"flat", topology.Spec{Kind: topology.KindFlat}, tbon.EngineSeq},
-		{"balanced2", topology.Spec{Kind: topology.KindBalanced, Depth: 2}, tbon.EngineSeq},
-		{"balanced2", topology.Spec{Kind: topology.KindBalanced, Depth: 2}, tbon.EngineConcurrent},
-		{"balanced2", topology.Spec{Kind: topology.KindBalanced, Depth: 2}, tbon.EnginePipelined},
-		{"bgl2deep", topology.Spec{Kind: topology.KindBGL2Deep}, tbon.EngineSeq},
+		{"flat", topology.Spec{Kind: topology.KindFlat}, seqEngine},
+		{"flat", topology.Spec{Kind: topology.KindFlat}, pipelinedEngine},
+		{"balanced2", topology.Spec{Kind: topology.KindBalanced, Depth: 2}, seqEngine},
+		{"balanced2", topology.Spec{Kind: topology.KindBalanced, Depth: 2}, concurrentEngine},
+		{"balanced2", topology.Spec{Kind: topology.KindBalanced, Depth: 2}, pipelinedEngine},
+		{"bgl2deep", topology.Spec{Kind: topology.KindBGL2Deep}, seqEngine},
+		{"bgl2deep", topology.Spec{Kind: topology.KindBGL2Deep}, pipelinedEngine},
 	}
 	for _, c := range cases {
 		for _, mode := range []BitVecMode{Original, Hierarchical} {
@@ -139,7 +141,7 @@ func survivorSet(tool *Tool, crashed ...int) *bitvec.Vector {
 // representations and all three engines.
 func TestFaultCrashDifferential(t *testing.T) {
 	topoSpec := topology.Spec{Kind: topology.KindBalanced, Depth: 2}
-	for _, engine := range []tbon.Engine{tbon.EngineSeq, tbon.EngineConcurrent, tbon.EnginePipelined} {
+	for _, engine := range allEngines {
 		for _, mode := range []BitVecMode{Original, Hierarchical} {
 			t.Run(fmt.Sprintf("%v/%s", engine, mode), func(t *testing.T) {
 				baseline := mustMerge(t, faultCaseOpts(topoSpec, mode, 2, engine))
@@ -204,9 +206,9 @@ func TestFaultCrashDifferential(t *testing.T) {
 // liveness bitvec equals exactly the surviving ranks.
 func TestFaultBGLDaemonCrashAcceptance(t *testing.T) {
 	topoSpec := topology.Spec{Kind: topology.KindBGL2Deep}
-	baseline := mustMerge(t, faultCaseOpts(topoSpec, Hierarchical, 2, tbon.EngineConcurrent))
+	baseline := mustMerge(t, faultCaseOpts(topoSpec, Hierarchical, 2, concurrentEngine))
 
-	opts := faultCaseOpts(topoSpec, Hierarchical, 2, tbon.EngineConcurrent)
+	opts := faultCaseOpts(topoSpec, Hierarchical, 2, concurrentEngine)
 	opts.FaultTolerant = true
 	opts.SubtreeTimeout = 200 * time.Millisecond
 	opts.GatherFaults = &tbon.FaultPlan{Crash: map[int]bool{}}
@@ -248,9 +250,9 @@ func TestFaultBGLDaemonCrashAcceptance(t *testing.T) {
 // result — the crash is invisible in the output.
 func TestFaultAdoptionRecoversInteriorCrash(t *testing.T) {
 	topoSpec := topology.Spec{Kind: topology.KindBalanced, Depth: 2}
-	baseline := mustMerge(t, faultCaseOpts(topoSpec, Hierarchical, 2, tbon.EngineConcurrent))
+	baseline := mustMerge(t, faultCaseOpts(topoSpec, Hierarchical, 2, concurrentEngine))
 
-	opts := faultCaseOpts(topoSpec, Hierarchical, 2, tbon.EngineConcurrent)
+	opts := faultCaseOpts(topoSpec, Hierarchical, 2, concurrentEngine)
 	opts.FaultTolerant = true
 	opts.SubtreeTimeout = 200 * time.Millisecond
 	opts.GatherFaults = &tbon.FaultPlan{Crash: map[int]bool{}}
@@ -283,7 +285,7 @@ func TestFaultAdoptionRecoversInteriorCrash(t *testing.T) {
 // it is reported missing, not silently merged.
 func TestFaultCutPartitionDegrades(t *testing.T) {
 	topoSpec := topology.Spec{Kind: topology.KindBalanced, Depth: 2}
-	opts := faultCaseOpts(topoSpec, Hierarchical, 2, tbon.EngineSeq)
+	opts := faultCaseOpts(topoSpec, Hierarchical, 2, seqEngine)
 	opts.FaultTolerant = true
 	opts.GatherFaults = &tbon.FaultPlan{CutLinks: map[int]bool{}}
 	tool, err := New(opts)
@@ -308,7 +310,7 @@ func TestFaultCutPartitionDegrades(t *testing.T) {
 // the engine-level sweep runs on every early return in core's gather too.
 func TestFaultLeaseBalance(t *testing.T) {
 	topoSpec := topology.Spec{Kind: topology.KindBalanced, Depth: 2}
-	for _, engine := range []tbon.Engine{tbon.EngineSeq, tbon.EngineConcurrent, tbon.EnginePipelined} {
+	for _, engine := range allEngines {
 		t.Run(engine.String(), func(t *testing.T) {
 			opts := faultCaseOpts(topoSpec, Hierarchical, 2, engine)
 			opts.FaultTolerant = true

@@ -387,11 +387,12 @@ func (t *Tool) mergeFilter() tbon.Filter {
 // alignment check, so the copy count is exactly zero on the decode side;
 // the codec's alias hit/miss counters are folded into the Tool's totals
 // so the realized rate is observable per merge phase. Original mode
-// merges by in-place union, which must own its labels, so it keeps the
-// copying decode. Everything decoded or merged dies before the merger
-// returns: nodes and tree headers return to the codec's free lists, arena
-// storage recycles, and the input leases drop back to the engine's
-// reference.
+// merges by in-place union (or XOR) into child 0's trees, so only that
+// accumulator must own its labels: child 0 takes the copying decode and
+// every later child aliases, since the union only reads its source.
+// Everything decoded or merged dies before the merger returns: nodes and
+// tree headers return to the codec's free lists, arena storage recycles,
+// and the input leases drop back to the engine's reference.
 func (t *Tool) treeMerger() mergeFunc {
 	return t.frameMerger(false)
 }
@@ -459,13 +460,15 @@ func (t *Tool) frameMerger(delta bool) mergeFunc {
 				scratchPool.Put(s)
 			}
 		}()
-		for _, c := range children {
+		for i, c := range children {
 			start := len(s.flat)
-			if hierarchical {
-				s.flat, err = appendDecodedTrees(s.codec, s.flat, c.Bytes(), c, nil, delta)
-			} else {
-				s.flat, err = appendDecodedTrees(s.codec, s.flat, c.Bytes(), nil, nil, delta)
+			// Original mode folds children 1..k-1 into child 0's trees in
+			// place, so child 0 alone decodes by copy.
+			var pin trace.Pin = c
+			if !hierarchical && i == 0 {
+				pin = nil
 			}
+			s.flat, err = appendDecodedTrees(s.codec, s.flat, c.Bytes(), pin, nil, delta)
 			if err != nil {
 				return nil, err
 			}

@@ -194,14 +194,16 @@ type Options struct {
 	Seed uint64
 	// Engine selects the TBON reduction engine for every session
 	// reduction (control acks and the gather merge). The zero value is
-	// the memory-safe sequential fold; see the tbon package docs for the
+	// the pipelined worker-pool fold; see the tbon package docs for the
 	// trade-offs. Transport applies only to tbon.EngineConcurrent.
 	Engine tbon.Engine
-	// ReduceWorkers bounds tbon.EnginePipelined's worker pool;
-	// 0 means GOMAXPROCS.
+	// ReduceWorkers bounds tbon.EnginePipelined's worker pool; 0 means
+	// GOMAXPROCS, and 1 is the single-threaded sequential fold (same
+	// result bytes and traffic at any worker count).
 	ReduceWorkers int
 	// ReduceBudgetBytes bounds tbon.EnginePipelined's in-flight payload
-	// bytes; 0 means unbounded.
+	// bytes; 0 bounds payloads instead, admitting at most one
+	// produced-but-unfolded payload per worker ahead of the fold.
 	ReduceBudgetBytes int64
 	// WireVersion caps the data-stream wire version this tool's front end
 	// and daemons advertise during the attach handshake; the session
@@ -232,8 +234,8 @@ type Options struct {
 	// absent from the map advertise the build maximum (still subject to
 	// WireVersion).
 	DaemonWireCaps map[int]uint8
-	// Parallel is a deprecated alias for Engine = tbon.EngineConcurrent.
-	Parallel  bool
+	// Transport carries tbon.EngineConcurrent's overlay edges; nil means
+	// the in-process channel transport.
 	Transport tbon.Transport
 	// App overrides the default buggy ring application.
 	App *mpisim.App
@@ -320,9 +322,6 @@ func (o *Options) fillDefaults() error {
 	}
 	if o.Seed == 0 {
 		o.Seed = 0x208e3
-	}
-	if o.Parallel && o.Engine == tbon.EngineSeq {
-		o.Engine = tbon.EngineConcurrent
 	}
 	if o.WireVersion > proto.MaxVersion {
 		return fmt.Errorf("core: WireVersion %d exceeds this build's maximum %d", o.WireVersion, proto.MaxVersion)

@@ -18,8 +18,9 @@ import (
 // wire v1/v2/v3. Round 1 pipelines cold (nothing to claim), rounds 2+
 // claim the previous round's background walk, so both halves of the
 // claim protocol are on the differential. The overlapped leg also runs
-// under the concurrent reduction engine, where many daemons' pipelines
-// interleave — under -race this doubles as the snapshot-stress test.
+// under the multi-worker pipelined and the concurrent reduction engines,
+// where many daemons' pipelines interleave — under -race this doubles as
+// the snapshot-stress test.
 func TestOverlapDifferentialAcrossTopologies(t *testing.T) {
 	topos := []struct {
 		name  string
@@ -46,7 +47,7 @@ func TestOverlapDifferentialAcrossTopologies(t *testing.T) {
 				// runRounds plays a whole session: each round advances every
 				// daemon's epoch (as a sample command would) and gathers
 				// through the production result filter.
-				runRounds := func(overlap OverlapMode, engine tbon.Engine) [][]byte {
+				runRounds := func(overlap OverlapMode, engine testEngine) [][]byte {
 					tool, err := New(Options{
 						Machine:        machine.Atlas(),
 						Tasks:          tasks,
@@ -80,7 +81,7 @@ func TestOverlapDifferentialAcrossTopologies(t *testing.T) {
 						for _, dm := range daemons {
 							dm.epoch += dm.samples
 						}
-						out, _, err := net.ReduceNodeLeasedWith(tbon.ReduceOptions{Engine: engine}, leaf, tool.resultFilter(false))
+						out, _, err := net.ReduceNodeLeasedWith(engine.reduceOpts(), leaf, tool.resultFilter(false))
 						if err != nil {
 							t.Fatalf("%v/v%d/%s/%v round %d: %v", mode, version, tc.name, overlap, round, err)
 						}
@@ -103,8 +104,8 @@ func TestOverlapDifferentialAcrossTopologies(t *testing.T) {
 					return outs
 				}
 
-				quiesced := runRounds(OverlapQuiesced, tbon.EngineSeq)
-				for _, engine := range []tbon.Engine{tbon.EngineSeq, tbon.EngineConcurrent} {
+				quiesced := runRounds(OverlapQuiesced, seqEngine)
+				for _, engine := range allEngines {
 					overlapped := runRounds(OverlapSnapshot, engine)
 					for round := range quiesced {
 						if !bytes.Equal(quiesced[round], overlapped[round]) {

@@ -154,7 +154,7 @@ func TestSessionOverTCPTransport(t *testing.T) {
 		Topology:  topology.Spec{Kind: topology.KindBalanced, Depth: 2},
 		BitVec:    Hierarchical,
 		Samples:   2,
-		Parallel:  true,
+		Engine:    tbon.EngineConcurrent,
 		Transport: tr,
 	})
 	if err != nil {

@@ -69,13 +69,7 @@ func TestStreamDifferential(t *testing.T) {
 		{"balanced", topology.Spec{Kind: topology.KindBalanced, Depth: 2}},
 		{"bgl2deep", topology.Spec{Kind: topology.KindBGL2Deep}},
 	}
-	engines := []struct {
-		name string
-		eng  tbon.Engine
-	}{
-		{"seq", tbon.EngineSeq},
-		{"concurrent", tbon.EngineConcurrent},
-	}
+	engines := allEngines
 	cases := []struct {
 		mode BitVecMode
 		wire uint8
@@ -96,8 +90,8 @@ func TestStreamDifferential(t *testing.T) {
 						BitVec:      tc.mode,
 						Samples:     2,
 						WireVersion: tc.wire,
-						Engine:      eng.eng,
 					}
+					eng.apply(&opts)
 					delta := runStreamLeg(t, opts, false, rounds)
 					whole := runStreamLeg(t, opts, true, rounds)
 

@@ -31,7 +31,7 @@ func TestTelemetryDifferentialAcrossTopologies(t *testing.T) {
 		{"ragged", func() (*topology.Tree, error) { return topology.Ragged(42, 3, 5) }},
 		{"balanced", func() (*topology.Tree, error) { return topology.Balanced(2, 16) }},
 	}
-	engines := []tbon.Engine{tbon.EngineSeq, tbon.EngineConcurrent, tbon.EnginePipelined}
+	engines := allEngines
 	for _, mode := range []BitVecMode{Original, Hierarchical} {
 		for _, version := range []uint8{1, 2, 3} {
 			if mode == Original && version > 2 {
@@ -45,7 +45,7 @@ func TestTelemetryDifferentialAcrossTopologies(t *testing.T) {
 				nLeaves := topo.NumLeaves()
 				tasks := 8 * nLeaves
 
-				run := func(telem bool, engine tbon.Engine) []byte {
+				run := func(telem bool, engine testEngine) []byte {
 					tool, err := New(Options{
 						Machine:        machine.Atlas(),
 						Tasks:          tasks,
@@ -71,7 +71,7 @@ func TestTelemetryDifferentialAcrossTopologies(t *testing.T) {
 					leaf := func(i int) (*tbon.Lease, error) {
 						return daemons[i].gatherPacket(greq)
 					}
-					out, _, err := net.ReduceNodeLeasedWith(tbon.ReduceOptions{Engine: engine}, leaf, tool.resultFilter(telem))
+					out, _, err := net.ReduceNodeLeasedWith(engine.reduceOpts(), leaf, tool.resultFilter(telem))
 					if err != nil {
 						t.Fatalf("%v/v%d/%s/%v: %v", mode, version, tc.name, engine, err)
 					}
@@ -113,7 +113,7 @@ func TestTelemetryDifferentialAcrossTopologies(t *testing.T) {
 							mode, version, tc.name, engine, f.Daemons, nLeaves)
 					}
 					// Filters counts filter *calls*, and the incremental
-					// engines (seq, pipelined) fold pairwise — several calls
+					// pipelined engine (one worker or many) folds pairwise — several calls
 					// per node — so the census is a lower bound: at least one
 					// call per interior node (root included).
 					minFilters := topo.CommProcesses() + 1

@@ -106,12 +106,13 @@ type Result struct {
 	// AliasDecodeHits / AliasDecodeMisses count the labels the merge
 	// phase's zero-copy decode aliased in place versus copied because the
 	// wire offset failed the word-alignment check. On a v2 stream the
-	// miss count is zero by construction; original (union) mode uses the
-	// copying decode throughout, so both stay zero there. The totals are
-	// a process metric, not a data metric: the incremental (seq-style)
-	// folds decode their accumulator again at every step, so absolute
-	// counts vary by reduction engine even though the merged trees are
-	// byte-identical — compare rates, not counts, across engines.
+	// miss count is zero by construction; original (union) mode decodes
+	// each filter call's accumulator (child 0) by copy, uncounted, and
+	// aliases the rest. The totals are a process metric, not a data
+	// metric: the pipelined engine's incremental folds decode their
+	// accumulator again at every step, so absolute counts vary by
+	// reduction engine even though the merged trees are byte-identical —
+	// compare rates, not counts, across engines.
 	AliasDecodeHits   int64
 	AliasDecodeMisses int64
 	// LabelStats counts the labels the merge phase decoded from v3 (STR3)

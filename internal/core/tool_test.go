@@ -125,14 +125,19 @@ func TestHierarchicalPayloadsSmaller(t *testing.T) {
 }
 
 // TestParallelReduceMatchesSequential: the concurrent TBON and the
-// low-memory fold must produce identical trees and identical traffic.
+// one-worker sequential fold must produce identical trees and identical
+// traffic.
 func TestParallelReduceMatchesSequential(t *testing.T) {
 	results := map[bool]*Result{}
 	for _, parallel := range []bool{false, true} {
 		opts := atlasOpts(256)
 		opts.BitVec = Hierarchical
 		opts.Topology = topology.Spec{Kind: topology.KindBalanced, Depth: 2}
-		opts.Parallel = parallel
+		engine := seqEngine
+		if parallel {
+			engine = concurrentEngine
+		}
+		engine.apply(&opts)
 		tool, err := New(opts)
 		if err != nil {
 			t.Fatalf("New: %v", err)

@@ -280,7 +280,7 @@ func TestWireDifferentialAcrossTopologies(t *testing.T) {
 		name string
 		opts tbon.ReduceOptions
 	}{
-		{"seq", tbon.ReduceOptions{Engine: tbon.EngineSeq}},
+		{"seq", seqEngine.reduceOpts()},
 		{"concurrent", tbon.ReduceOptions{Engine: tbon.EngineConcurrent}},
 		{"pipelined", tbon.ReduceOptions{Engine: tbon.EnginePipelined}},
 		{"pipelined-1B", tbon.ReduceOptions{Engine: tbon.EnginePipelined, BudgetBytes: 1}},

@@ -140,9 +140,10 @@ func (c *telemetryCollector) add(fn func(*telemetry.Frame)) {
 	c.mu.Unlock()
 }
 
-// Run drives a full emulated merge under the sequential reduction engine:
-// daemons generate their synthetic trees, the overlay reduces them under
-// the chosen representation, and the timing model prices the traffic.
+// Run drives a full emulated merge under the default (pipelined)
+// reduction engine: daemons generate their synthetic trees, the overlay
+// reduces them under the chosen representation, and the timing model
+// prices the traffic.
 // Task→daemon assignment is round-robin (non-contiguous, so the
 // hierarchical path must remap).
 func Run(spec Spec, daemons int, topoSpec topology.Spec, hierarchical bool, model tbon.TimingModel) (*Result, error) {
@@ -150,7 +151,7 @@ func Run(spec Spec, daemons int, topoSpec topology.Spec, hierarchical bool, mode
 }
 
 // RunEngine is Run with an explicit reduction-engine selection, the knob
-// the seq-vs-concurrent-vs-pipelined ablation sweeps.
+// the engine ablation sweeps (worker counts, budgets, concurrent).
 func RunEngine(spec Spec, daemons int, topoSpec topology.Spec, hierarchical bool, model tbon.TimingModel, engine tbon.ReduceOptions) (*Result, error) {
 	return runEngine(spec, daemons, topoSpec, hierarchical, model, engine, nil)
 }

@@ -100,10 +100,10 @@ func AblationFanout(c Config) (*Figure, error) {
 // AblationEngines compares the reduction engines on identical emulated
 // workloads. The modeled time is engine-independent (same traffic, same
 // machine model); what the sweep exposes is the real wall-clock of the
-// in-process reduction — the fold's serialization against the pipelined
-// engine's subtree concurrency — plus the memory knob: the bounded-budget
-// series shows the pipelined engine trading peak in-flight bytes for
-// speed.
+// in-process reduction — the one-worker sequential fold against the
+// pipelined engine's subtree concurrency — plus the memory knob: the
+// bounded-budget series shows the pipelined engine trading peak
+// in-flight bytes for speed.
 func AblationEngines(c Config) (*Figure, error) {
 	fig := &Figure{
 		ID:     "AblD",
@@ -114,7 +114,7 @@ func AblationEngines(c Config) (*Figure, error) {
 		name string
 		opts tbon.ReduceOptions
 	}{
-		{"seq measured", tbon.ReduceOptions{Engine: tbon.EngineSeq}},
+		{"sequential fold (1 worker) measured", tbon.ReduceOptions{Engine: tbon.EnginePipelined, Workers: 1}},
 		{"concurrent measured", tbon.ReduceOptions{Engine: tbon.EngineConcurrent}},
 		{"pipelined measured", tbon.ReduceOptions{Engine: tbon.EnginePipelined}},
 		{"pipelined 256KiB budget", tbon.ReduceOptions{Engine: tbon.EnginePipelined, BudgetBytes: 256 << 10}},

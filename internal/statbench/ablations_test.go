@@ -67,7 +67,7 @@ func TestAblationEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := findSeries(t, fig, "seq measured")
+	seq := findSeries(t, fig, "sequential fold (1 worker) measured")
 	pipe := findSeries(t, fig, "pipelined measured")
 	budget := findSeries(t, fig, "pipelined 256KiB budget")
 	modeled := findSeries(t, fig, "modeled (any engine)")

@@ -88,18 +88,50 @@ func assertStatsMatch(t *testing.T, label string, want, got *Stats) {
 	}
 }
 
-// engineVariants are the pipelined configurations every differential case
-// runs in addition to Reduce and ReduceSeq: unbounded, a moderate budget,
-// a pathological 1-byte budget (fully serialized by head-of-line
-// admission), and a single worker.
+// seqFold is the differential reference: the pipelined engine on one
+// worker produces and folds every payload strictly in post-order — the
+// plain sequential fold.
+var seqFold = ReduceOptions{Engine: EnginePipelined, Workers: 1}
+
+// engineVariants are the configurations every differential case checks
+// against seqFold: the concurrent engine, the pipelined engine at several
+// worker counts under its default per-worker payload bound, a moderate
+// byte budget, and a pathological 1-byte budget (fully serialized by
+// head-of-line admission) on one and on several workers.
 func engineVariants() map[string]ReduceOptions {
 	return map[string]ReduceOptions{
-		"pipelined":          {Engine: EnginePipelined},
-		"pipelined/w=4":      {Engine: EnginePipelined, Workers: 4},
-		"pipelined/w=1":      {Engine: EnginePipelined, Workers: 1},
-		"pipelined/budget=1": {Engine: EnginePipelined, Workers: 4, BudgetBytes: 1},
-		"pipelined/b=4KiB":   {Engine: EnginePipelined, Workers: 8, BudgetBytes: 4 << 10},
+		"concurrent":             {Engine: EngineConcurrent},
+		"pipelined":              {Engine: EnginePipelined},
+		"pipelined/w=2":          {Engine: EnginePipelined, Workers: 2},
+		"pipelined/w=4":          {Engine: EnginePipelined, Workers: 4},
+		"pipelined/w=8":          {Engine: EnginePipelined, Workers: 8},
+		"pipelined/w=1/budget=1": {Engine: EnginePipelined, Workers: 1, BudgetBytes: 1},
+		"pipelined/budget=1":     {Engine: EnginePipelined, Workers: 4, BudgetBytes: 1},
+		"pipelined/b=4KiB":       {Engine: EnginePipelined, Workers: 8, BudgetBytes: 4 << 10},
 	}
+}
+
+// assertVariantsMatch runs the reduction under seqFold and every engine
+// variant, requiring byte-identical output and identical traffic stats.
+// It returns the reference output.
+func assertVariantsMatch(t *testing.T, label string, net *Network, leaf func(int) ([]byte, error), filter Filter) []byte {
+	t.Helper()
+	wantOut, wantStats, err := net.ReduceWith(seqFold, leaf, filter)
+	if err != nil {
+		t.Fatalf("%s: seq: %v", label, err)
+	}
+	for vname, opts := range engineVariants() {
+		gotOut, gotStats, err := net.ReduceWith(opts, leaf, filter)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", label, vname, err)
+		}
+		if !bytes.Equal(wantOut, gotOut) {
+			t.Fatalf("%s/%s: output differs from the sequential fold (%d vs %d bytes)",
+				label, vname, len(gotOut), len(wantOut))
+		}
+		assertStatsMatch(t, label+"/"+vname, wantStats, gotStats)
+	}
+	return wantOut
 }
 
 func TestDifferentialConcatFilter(t *testing.T) {
@@ -113,31 +145,7 @@ func TestDifferentialConcatFilter(t *testing.T) {
 			leaf := func(i int) ([]byte, error) { return payloads[i], nil }
 			net := New(topo, nil)
 
-			wantOut, wantStats, err := net.ReduceSeq(leaf, concat)
-			if err != nil {
-				t.Fatalf("%s: seq: %v", name, err)
-			}
-
-			gotOut, gotStats, err := net.Reduce(leaf, concat)
-			if err != nil {
-				t.Fatalf("%s: concurrent: %v", name, err)
-			}
-			if !bytes.Equal(wantOut, gotOut) {
-				t.Fatalf("%s trial %d: concurrent output differs from seq", name, trial)
-			}
-			assertStatsMatch(t, name+"/concurrent", wantStats, gotStats)
-
-			for vname, opts := range engineVariants() {
-				gotOut, gotStats, err := net.ReduceWith(opts, leaf, concat)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", name, vname, err)
-				}
-				if !bytes.Equal(wantOut, gotOut) {
-					t.Fatalf("%s/%s trial %d: output differs from seq (%d vs %d bytes)",
-						name, vname, trial, len(gotOut), len(wantOut))
-				}
-				assertStatsMatch(t, name+"/"+vname, wantStats, gotStats)
-			}
+			assertVariantsMatch(t, fmt.Sprintf("%s trial %d", name, trial), net, leaf, concat)
 		}
 	}
 }
@@ -193,36 +201,13 @@ func TestDifferentialTraceMergeFilter(t *testing.T) {
 		}
 		net := New(topo, nil)
 
-		wantOut, wantStats, err := net.ReduceSeq(leaf, mergeFilter)
-		if err != nil {
-			t.Fatalf("%s: seq: %v", name, err)
-		}
+		wantOut := assertVariantsMatch(t, name, net, leaf, mergeFilter)
 		wantTree, err := trace.UnmarshalBinary(wantOut)
 		if err != nil {
 			t.Fatalf("%s: seq output does not decode: %v", name, err)
 		}
 		if wantTree.NumTasks != topo.NumLeaves()*tasksPerLeaf {
 			t.Fatalf("%s: merged task space %d, want %d", name, wantTree.NumTasks, topo.NumLeaves()*tasksPerLeaf)
-		}
-
-		gotOut, gotStats, err := net.Reduce(leaf, mergeFilter)
-		if err != nil {
-			t.Fatalf("%s: concurrent: %v", name, err)
-		}
-		if !bytes.Equal(wantOut, gotOut) {
-			t.Fatalf("%s: concurrent merge differs from seq", name)
-		}
-		assertStatsMatch(t, name+"/concurrent", wantStats, gotStats)
-
-		for vname, opts := range engineVariants() {
-			gotOut, gotStats, err := net.ReduceWith(opts, leaf, mergeFilter)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, vname, err)
-			}
-			if !bytes.Equal(wantOut, gotOut) {
-				t.Fatalf("%s/%s: merge differs from seq", name, vname)
-			}
-			assertStatsMatch(t, name+"/"+vname, wantStats, gotStats)
 		}
 	}
 }
@@ -262,18 +247,5 @@ func TestDifferentialUnionMergeFilter(t *testing.T) {
 		return b, err
 	}
 	net := New(topo, nil)
-	wantOut, wantStats, err := net.ReduceSeq(leaf, unionFilter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for vname, opts := range engineVariants() {
-		gotOut, gotStats, err := net.ReduceWith(opts, leaf, unionFilter)
-		if err != nil {
-			t.Fatalf("%s: %v", vname, err)
-		}
-		if !bytes.Equal(wantOut, gotOut) {
-			t.Fatalf("%s: union merge differs from seq", vname)
-		}
-		assertStatsMatch(t, vname, wantStats, gotStats)
-	}
+	assertVariantsMatch(t, "ragged-99", net, leaf, unionFilter)
 }

@@ -25,16 +25,16 @@ var errSubtreeTimeout = fmt.Errorf("tbon: subtree timed out: %w", os.ErrDeadline
 // participating, a slow uplink delays every send, and a cut uplink
 // swallows traffic in both directions so the parent's recv deadline is
 // what detects it (plans with SlowLinks or CutLinks therefore need
-// ReduceOptions.SubtreeTimeout set). The in-process engines (EngineSeq,
-// EnginePipelined) have no per-edge transport: Crash and CutLinks both
-// drop the subtree synchronously, and SlowLinks delays leaf payload
-// production, where the leaf-call timeout can turn it into a drop.
+// ReduceOptions.SubtreeTimeout set). EnginePipelined runs in process with
+// no per-edge transport: Crash and CutLinks both drop the subtree
+// synchronously, and SlowLinks delays leaf payload production, where the
+// leaf-call timeout can turn it into a drop.
 type FaultPlan struct {
 	// Crash marks nodes that die before participating in the reduction.
 	Crash map[int]bool
 	// SlowLinks adds the given delay to each message sent on a node's
 	// uplink (concurrent engine) or to the node's payload production
-	// (in-process engines, leaves only).
+	// (EnginePipelined, leaves only).
 	SlowLinks map[int]time.Duration
 	// CutLinks partitions a node's uplink: traffic is silently lost in
 	// both directions.
@@ -57,8 +57,8 @@ func (p *FaultPlan) slow(id int) time.Duration {
 }
 
 // dead reports whether the node's subtree cannot deliver a payload at all:
-// the node crashed or its uplink is partitioned. Used by the in-process
-// engines, which surface both the same way.
+// the node crashed or its uplink is partitioned. Used by EnginePipelined,
+// which surfaces both the same way.
 func (p *FaultPlan) dead(id int) bool {
 	return p.crashed(id) || p.cut(id)
 }

@@ -105,13 +105,18 @@ func wantLiveness(total int, lost ...int) string {
 	return s
 }
 
-var faultEngines = []struct {
-	name   string
-	engine Engine
-}{
-	{"seq", EngineSeq},
-	{"concurrent", EngineConcurrent},
-	{"pipelined", EnginePipelined},
+// faultEngine is one engine configuration the fault scenarios run under;
+// "seq" is the pipelined engine on one worker, the sequential fold.
+type faultEngine struct {
+	name    string
+	engine  Engine
+	workers int
+}
+
+var faultEngines = []faultEngine{
+	{"seq", EnginePipelined, 1},
+	{"concurrent", EngineConcurrent, 0},
+	{"pipelined", EnginePipelined, 0},
 }
 
 // balanced29 builds the fixed scenario topology: Balanced(2, 9) has fanout
@@ -133,12 +138,12 @@ func balanced29(t *testing.T) *topology.Tree {
 // runFaulty drives one partial-mode reduction and verifies the lease
 // population returns to its baseline — the leak check guarding the
 // stranded-lease sweeps on every engine's fault paths.
-func runFaulty(t *testing.T, topo *topology.Tree, engine Engine, plan *FaultPlan, timeout time.Duration) (string, error) {
+func runFaulty(t *testing.T, topo *topology.Tree, e faultEngine, plan *FaultPlan, timeout time.Duration) (string, error) {
 	t.Helper()
 	before := LiveLeases()
 	n := New(topo, nil)
 	out, _, err := n.ReduceNodeWith(ReduceOptions{
-		Engine: engine, Partial: true, Faults: plan, SubtreeTimeout: timeout,
+		Engine: e.engine, Workers: e.workers, Partial: true, Faults: plan, SubtreeTimeout: timeout,
 	}, leafIndexData, livenessFilter(t))
 	if after := LiveLeases(); after != before {
 		t.Errorf("%d leases live after reduction, %d before", after, before)
@@ -151,7 +156,7 @@ func TestFaultCrashLeaf(t *testing.T) {
 	for _, e := range faultEngines {
 		t.Run(e.name, func(t *testing.T) {
 			// Leaf 0 is ID 4; leaf 4 is ID 8.
-			out, err := runFaulty(t, topo, e.engine, &FaultPlan{Crash: map[int]bool{4: true, 8: true}}, 0)
+			out, err := runFaulty(t, topo, e, &FaultPlan{Crash: map[int]bool{4: true, 8: true}}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +175,7 @@ func TestFaultCrashTrailingLeaf(t *testing.T) {
 	for _, e := range faultEngines {
 		t.Run(e.name, func(t *testing.T) {
 			// Leaf 8 (ID 12) is the last child of the last interior node.
-			out, err := runFaulty(t, topo, e.engine, &FaultPlan{Crash: map[int]bool{12: true}}, 0)
+			out, err := runFaulty(t, topo, e, &FaultPlan{Crash: map[int]bool{12: true}}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +190,7 @@ func TestFaultCrashInterior(t *testing.T) {
 	topo := balanced29(t)
 	for _, e := range faultEngines {
 		t.Run(e.name, func(t *testing.T) {
-			out, err := runFaulty(t, topo, e.engine, &FaultPlan{Crash: map[int]bool{1: true}}, 200*time.Millisecond)
+			out, err := runFaulty(t, topo, e, &FaultPlan{Crash: map[int]bool{1: true}}, 200*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,7 +201,7 @@ func TestFaultCrashInterior(t *testing.T) {
 				// node adopts them, so nothing is lost.
 				want = wantLiveness(9)
 			} else {
-				// The in-process engines have no adoption: the subtree
+				// The pipelined engine has no adoption: the subtree
 				// (leaves 0..2) is gone.
 				want = wantLiveness(9, 0, 1, 2)
 			}
@@ -214,7 +219,7 @@ func TestFaultCutInterior(t *testing.T) {
 			// A partitioned node consumed its children's payloads before
 			// its uplink failed — unlike a crash, nothing is recoverable,
 			// in every engine.
-			out, err := runFaulty(t, topo, e.engine, &FaultPlan{CutLinks: map[int]bool{2: true}}, 200*time.Millisecond)
+			out, err := runFaulty(t, topo, e, &FaultPlan{CutLinks: map[int]bool{2: true}}, 200*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +236,7 @@ func TestFaultWholeSubtreeCrash(t *testing.T) {
 		t.Run(e.name, func(t *testing.T) {
 			// All of interior node 1's leaves die: the node has nothing to
 			// send and its silent death must propagate, not hang the root.
-			out, err := runFaulty(t, topo, e.engine,
+			out, err := runFaulty(t, topo, e,
 				&FaultPlan{Crash: map[int]bool{4: true, 5: true, 6: true}}, 200*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
@@ -251,7 +256,7 @@ func TestFaultNothingSurvives(t *testing.T) {
 	}
 	for _, e := range faultEngines {
 		t.Run(e.name, func(t *testing.T) {
-			_, err := runFaulty(t, topo, e.engine, &FaultPlan{Crash: crash}, 200*time.Millisecond)
+			_, err := runFaulty(t, topo, e, &FaultPlan{Crash: crash}, 200*time.Millisecond)
 			if err == nil || !strings.Contains(err.Error(), "no surviving subtree") {
 				t.Errorf("err = %v, want no-surviving-subtree", err)
 			}
@@ -263,7 +268,7 @@ func TestFaultCrashRoot(t *testing.T) {
 	topo := balanced29(t)
 	for _, e := range faultEngines {
 		t.Run(e.name, func(t *testing.T) {
-			_, err := runFaulty(t, topo, e.engine, &FaultPlan{Crash: map[int]bool{0: true}}, 0)
+			_, err := runFaulty(t, topo, e, &FaultPlan{Crash: map[int]bool{0: true}}, 0)
 			if err == nil || !strings.Contains(err.Error(), "front end") {
 				t.Errorf("err = %v, want front-end crash error", err)
 			}
@@ -281,7 +286,7 @@ func TestFaultFatalWithoutPartial(t *testing.T) {
 			before := LiveLeases()
 			n := New(topo, nil)
 			_, _, err := n.ReduceNodeWith(ReduceOptions{
-				Engine: e.engine, Faults: &FaultPlan{Crash: map[int]bool{4: true}}, SubtreeTimeout: 200 * time.Millisecond,
+				Engine: e.engine, Workers: e.workers, Faults: &FaultPlan{Crash: map[int]bool{4: true}}, SubtreeTimeout: 200 * time.Millisecond,
 			}, leafIndexData, livenessFilter(t))
 			if err == nil {
 				t.Fatal("crash without Partial mode succeeded")
@@ -299,7 +304,7 @@ func TestFaultSlowLinkWithinTimeout(t *testing.T) {
 	topo := balanced29(t)
 	for _, e := range faultEngines {
 		t.Run(e.name, func(t *testing.T) {
-			out, err := runFaulty(t, topo, e.engine,
+			out, err := runFaulty(t, topo, e,
 				&FaultPlan{SlowLinks: map[int]time.Duration{4: 5 * time.Millisecond}}, 5*time.Second)
 			if err != nil {
 				t.Fatal(err)
@@ -313,12 +318,12 @@ func TestFaultSlowLinkWithinTimeout(t *testing.T) {
 
 // TestFaultSlowLinkTimesOut: a delay beyond the subtree timeout drops the
 // subtree. This is the deadline path — chanEnd.SetRecvDeadline under the
-// concurrent engine, the leaf-call watchdog under the in-process ones.
+// concurrent engine, the leaf-call watchdog under the pipelined one.
 func TestFaultSlowLinkTimesOut(t *testing.T) {
 	topo := balanced29(t)
 	for _, e := range faultEngines {
 		t.Run(e.name, func(t *testing.T) {
-			out, err := runFaulty(t, topo, e.engine,
+			out, err := runFaulty(t, topo, e,
 				&FaultPlan{SlowLinks: map[int]time.Duration{4: 500 * time.Millisecond}}, 30*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
@@ -346,12 +351,12 @@ func TestFaultFreePartialIdentical(t *testing.T) {
 		}
 		for _, e := range faultEngines {
 			n := New(topo, nil)
-			base, _, err := n.ReduceNodeWith(ReduceOptions{Engine: e.engine}, leafIndexData, livenessFilter(t))
+			base, _, err := n.ReduceNodeWith(ReduceOptions{Engine: e.engine, Workers: e.workers}, leafIndexData, livenessFilter(t))
 			if err != nil {
 				t.Fatal(err)
 			}
 			got, _, err := New(topo, nil).ReduceNodeWith(
-				ReduceOptions{Engine: e.engine, Partial: true, SubtreeTimeout: time.Second},
+				ReduceOptions{Engine: e.engine, Workers: e.workers, Partial: true, SubtreeTimeout: time.Second},
 				leafIndexData, livenessFilter(t))
 			if err != nil {
 				t.Fatal(err)
@@ -373,7 +378,7 @@ func TestFaultFilterErrorIsFatal(t *testing.T) {
 		t.Run(e.name, func(t *testing.T) {
 			before := LiveLeases()
 			n := New(topo, nil)
-			_, _, err := n.ReduceNodeWith(ReduceOptions{Engine: e.engine, Partial: true},
+			_, _, err := n.ReduceNodeWith(ReduceOptions{Engine: e.engine, Workers: e.workers, Partial: true},
 				leafIndexData,
 				func(ctx *FilterCtx, children []*Lease) (*Lease, error) {
 					if ctx.Node.ID == 2 {
@@ -415,7 +420,7 @@ func TestFaultManyShapes(t *testing.T) {
 				for _, l := range lost {
 					crash[topo.Leaves[l].ID] = true
 				}
-				out, err := runFaulty(t, topo, e.engine, &FaultPlan{Crash: crash}, 0)
+				out, err := runFaulty(t, topo, e, &FaultPlan{Crash: crash}, 0)
 				if err != nil {
 					t.Fatalf("%s/%s/%v: %v", sh.name, e.name, lost, err)
 				}

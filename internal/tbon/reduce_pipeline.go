@@ -10,42 +10,16 @@ import (
 	"stat/internal/topology"
 )
 
-// ReducePipelined runs the same reduction as ReduceSeq — each interior
-// node folds its children incrementally, in child order, through the
-// filter — but evaluates independent subtrees concurrently on a worker
-// pool. Because the per-node fold order is identical, the result is
-// byte-identical to ReduceSeq's for any filter that is associative over
-// ordered inputs, and the traffic statistics are identical too.
-//
-// Memory stays bounded: a payload produced out of fold order must be
-// buffered until its left siblings fold, and the total resident bytes of
-// produced-but-unfolded payloads is capped by the byte budget
-// (ReduceOptions.BudgetBytes via ReduceWith; this convenience wrapper
-// runs unbounded with GOMAXPROCS workers). The payload the sequential
-// fold would consume next always bypasses the budget, so progress is
-// guaranteed at any budget; the hard bound is budget plus one payload
-// per worker, since a payload's size is only known once produced.
-//
-// Budget accounting follows the leased-buffer contract: a payload's bytes
-// stay charged from the moment it is produced until the last reference on
-// its lease is released — not merely until the consuming fold returns. A
-// filter that retains a child lease (a zero-copy decoder pinning the wire
-// buffer under its decoded tree) therefore holds budget for exactly as
-// long as it holds the bytes.
-func (n *Network) ReducePipelined(leafData func(leaf int) ([]byte, error), filter Filter) ([]byte, *Stats, error) {
-	return n.reducePipelined(wrapLeafBytes(leafData), asNodeFilter(filter), ReduceOptions{})
-}
-
 // pipeNode is the scheduler's per-node state. rank is the node's position
-// in post-order traversal — exactly the order ReduceSeq finishes nodes —
-// and drives the budget gate's admission order.
+// in post-order traversal — exactly the order a one-worker fold finishes
+// nodes — and drives the gate's admission order.
 type pipeNode struct {
 	node *topology.Node
 	rank int
 	pos  int // index among the parent's children
 	// dead marks a node inside a fault plan's crashed or partitioned
 	// subtree: workers skip its leaf, and its rank is pre-consumed so the
-	// budget gate's head never waits on it.
+	// gate's head never waits on it.
 	dead bool
 
 	mu      sync.Mutex
@@ -88,13 +62,38 @@ func (r *pipeRun) fail(err error) {
 	})
 }
 
+// reducePipelined evaluates the reduction on a worker pool: each interior
+// node folds its children incrementally, in child order, through the
+// filter, while independent subtrees run concurrently. Because the
+// per-node fold order is fixed, the result is byte-identical for every
+// worker count (one worker is the plain sequential fold) and to
+// EngineConcurrent's for any filter associative over ordered inputs, and
+// the traffic statistics are identical too.
+//
+// Memory stays bounded: a payload produced out of fold order must be
+// buffered until its left siblings fold, and the gate caps how many such
+// payloads are resident (ReduceOptions.BudgetBytes; see byteGate). The
+// payload the sequential fold would consume next always bypasses the
+// gate, so progress is guaranteed at any bound.
+//
+// Gate accounting follows the leased-buffer contract: a payload stays
+// charged from the moment it is produced until the last reference on its
+// lease is released — not merely until the consuming fold returns. A
+// filter that retains a child lease (a zero-copy decoder pinning the wire
+// buffer under its decoded tree) therefore holds budget for exactly as
+// long as it holds the bytes.
 func (n *Network) reducePipelined(leaf LeafFunc, filter NodeFilter, opts ReduceOptions) ([]byte, *Stats, error) {
 	stats := newStats(len(n.topo.Levels))
 	plan, partial, timeout := opts.Faults, opts.Partial, opts.SubtreeTimeout
-	workers, budget := opts.Workers, opts.BudgetBytes
+	leaves := n.topo.Leaves
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, len(leaves)))
 
 	// Post-order ranks: children before parents, left before right. This
-	// is the order ReduceSeq releases payloads in, so the gate's
+	// is the order a one-worker fold releases payloads in, so the gate's
 	// head-of-line bypass always matches the payload the sequential fold
 	// would consume next.
 	nodes := make(map[int]*pipeNode)
@@ -116,7 +115,7 @@ func (n *Network) reducePipelined(leaf LeafFunc, filter NodeFilter, opts ReduceO
 
 	r := &pipeRun{
 		filter:  filter,
-		gate:    newByteGate(budget, count),
+		gate:    newByteGate(opts.BudgetBytes, workers, count),
 		nodes:   nodes,
 		partial: partial,
 		waitObs: opts.WaitObserver,
@@ -124,10 +123,10 @@ func (n *Network) reducePipelined(leaf LeafFunc, filter NodeFilter, opts ReduceO
 	}
 
 	// Fault-plan pre-pass: a crashed or partitioned subtree delivers
-	// nothing. Its ranks are consumed up front — the budget gate's head
+	// nothing. Its ranks are consumed up front — the gate's head
 	// must advance through dead nodes or every acquirer wedges behind them
 	// — and its top node's parent is handed a tombstone. Without Partial,
-	// any dead node fails the run, matching the other engines.
+	// any dead node fails the run, matching EngineConcurrent.
 	if plan != nil {
 		if plan.dead(n.topo.Root.ID) {
 			return nil, stats, fmt.Errorf("tbon: front end crashed by fault plan")
@@ -166,17 +165,6 @@ func (n *Network) reducePipelined(leaf LeafFunc, filter NodeFilter, opts ReduceO
 			// starts (every subtree dead).
 			return nil, stats, r.err
 		}
-	}
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	leaves := n.topo.Leaves
-	if workers > len(leaves) {
-		workers = len(leaves)
-	}
-	if workers < 1 {
-		workers = 1
 	}
 
 	var nextLeaf atomic.Int64
@@ -257,7 +245,7 @@ func (n *Network) reducePipelined(leaf LeafFunc, filter NodeFilter, opts ReduceO
 }
 
 // complete handles a node whose output is final: the root's output is the
-// reduction result; any other node's output is charged against the budget
+// reduction result; any other node's output is charged against the gate
 // and delivered to its parent. Runs on the worker that produced the
 // output, so a completing subtree cascades toward the root in one thread.
 // Ownership of l transfers to complete.
@@ -276,9 +264,9 @@ func (r *pipeRun) complete(pn *pipeNode, l *Lease) {
 	// node's rank, so the same bytes are not counted twice.
 	l.dropGate()
 	if r.waitObs != nil {
-		// The pipelined engine's reduce-wait is budget-gate admission:
-		// the time a produced payload sat blocked before its bytes fit
-		// the budget — see ReduceOptions.WaitObserver.
+		// Reduce-wait is gate admission: the time a produced payload
+		// sat blocked before the in-flight bound made room for it — see
+		// ReduceOptions.WaitObserver.
 		start := time.Now()
 		ok := r.gate.acquire(pn.rank, size)
 		r.waitObs(time.Since(start).Nanoseconds())
@@ -344,8 +332,7 @@ func (r *pipeRun) deliver(pp *pipeNode, pos int, payload *Lease) {
 		pp.ctx.Node, pp.ctx.Missing = pp.node, pp.missing
 		if acc == nil {
 			// Normalize even a single child through the filter so a
-			// node's output shape does not depend on its arity (the same
-			// rule ReduceSeq applies).
+			// node's output shape does not depend on its arity.
 			pp.spanBuf[0] = Span{i, i + 1}
 			pp.ctx.Spans = pp.spanBuf[:1]
 			folded, err = r.filter(&pp.ctx, []*Lease{p})
@@ -413,72 +400,82 @@ func (r *pipeRun) deliver(pp *pipeNode, pos int, payload *Lease) {
 	r.complete(pp, acc)
 }
 
-// byteGate is a rank-ordered byte semaphore. A payload's size is charged
-// the moment it exists — when acquire is called, before any blocking —
-// so inFlight and the recorded peak are the true resident payload bytes,
-// including payloads held by workers still waiting for admission.
-// acquire then blocks while the total exceeds the budget — except for
-// the head rank, the smallest not-yet-consumed node, whose payload the
-// sequential fold would consume next: it is always admitted. That bypass
-// is what makes any budget deadlock-free. A worker holds at most one
-// unadmitted payload at a time and admission only proceeds at or under
-// the budget, so resident bytes never exceed the budget plus one payload
+// byteGate is a rank-ordered semaphore over resident payloads. A
+// payload is charged the moment it exists — when acquire is called,
+// before any blocking — so the in-flight totals and the recorded peak
+// are the true resident payloads, including those held by workers still
+// waiting for admission. acquire then blocks while the bound is exceeded:
+// with a positive byte budget, while the resident bytes exceed it;
+// otherwise, while more payloads are resident than there are slots (one
+// per worker). The head rank, the smallest not-yet-consumed node, whose
+// payload the sequential fold would consume next, is always admitted.
+// That bypass is what makes any bound deadlock-free. A worker holds at
+// most one unadmitted payload at a time and admission only proceeds
+// within the bound, so residency never exceeds the bound plus one payload
 // per worker (production cannot be gated: a payload's size is unknown
 // until the leaf callback or fold producing it returns).
 //
-// Rank consumption (consumeRank, at fold time) and byte refund (refund,
-// at lease death) are separate operations: a filter may retain a folded
-// payload's lease, keeping its bytes charged long after the fold, and the
-// head must keep advancing regardless or the bypass would stop
-// guaranteeing progress. Retained bytes can hold inFlight over budget
-// indefinitely — then each successive payload is admitted exactly when it
-// becomes the head, degrading to sequential-fold order rather than
-// deadlocking.
+// Rank consumption (consumeRank, at fold time) and refund (at lease
+// death) are separate operations: a filter may retain a folded payload's
+// lease, keeping it charged long after the fold, and the head must keep
+// advancing regardless or the bypass would stop guaranteeing progress.
+// Retained payloads can hold the gate over its bound indefinitely — then
+// each successive payload is admitted exactly when it becomes the head,
+// degrading to sequential-fold order rather than deadlocking.
 type byteGate struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
-	budget   int64 // <= 0 means unbounded
-	inFlight int64
-	peak     int64
+	budget   int64 // bytes; <= 0 bounds the payload count by slots instead
+	slots    int
+	inFlight int64  // resident bytes
+	payloads int    // resident payloads
+	peak     int64  // bytes
 	released []bool // by post-order rank
 	head     int    // smallest unreleased rank
 	stopped  bool
 }
 
-func newByteGate(budget int64, ranks int) *byteGate {
-	g := &byteGate{budget: budget, released: make([]bool, ranks)}
+func newByteGate(budget int64, slots, ranks int) *byteGate {
+	g := &byteGate{budget: budget, slots: slots, released: make([]bool, ranks)}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
 
-// acquire charges n resident bytes immediately, then blocks until they
-// fit the budget (or rank is the head). It reports false when the gate
+// acquire charges one payload of n bytes immediately, then blocks until
+// it fits the bound (or rank is the head). It reports false when the gate
 // was stopped by a failing run, in which case the charge is rolled back.
 func (g *byteGate) acquire(rank int, n int64) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.inFlight += n
-	if g.inFlight > g.peak {
-		g.peak = g.inFlight
-	}
+	g.payloads++
+	g.peak = max(g.peak, g.inFlight)
 	for {
 		if g.stopped {
 			g.inFlight -= n
+			g.payloads--
 			return false
 		}
-		if g.budget <= 0 || rank == g.head || g.inFlight <= g.budget {
+		if rank == g.head || g.fits() {
 			return true
 		}
 		g.cond.Wait()
 	}
 }
 
+func (g *byteGate) fits() bool {
+	if g.budget > 0 {
+		return g.inFlight <= g.budget
+	}
+	return g.payloads <= g.slots
+}
+
 // consumeRank marks rank's payload folded, which may advance the head
-// and wake blocked acquirers. Consumption and byte accounting are
-// deliberately decoupled: the head must advance in fold order even when a
-// filter retains the folded payload (keeping its bytes charged), or the
-// head-of-line bypass would wedge behind the first retained payload and
-// the deadlock-freedom guarantee would be lost.
+// and wake blocked acquirers. Consumption and accounting are deliberately
+// decoupled: the head must advance in fold order even when a filter
+// retains the folded payload (keeping it charged), or the head-of-line
+// bypass would wedge behind the first retained payload and the
+// deadlock-freedom guarantee would be lost.
 func (g *byteGate) consumeRank(rank int) {
 	g.mu.Lock()
 	g.released[rank] = true
@@ -489,12 +486,13 @@ func (g *byteGate) consumeRank(rank int) {
 	g.mu.Unlock()
 }
 
-// refund returns n bytes to the budget. Under the leased-buffer contract
-// it runs when the payload's last reference dies, on whichever goroutine
-// dropped it.
+// refund returns one payload of n bytes to the gate. Under the
+// leased-buffer contract it runs when the payload's last reference dies,
+// on whichever goroutine dropped it.
 func (g *byteGate) refund(n int64) {
 	g.mu.Lock()
 	g.inFlight -= n
+	g.payloads--
 	g.cond.Broadcast()
 	g.mu.Unlock()
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"stat/internal/topology"
 )
@@ -18,16 +19,65 @@ func TestPipelinedMatchesSeqBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := New(topo, nil)
-	want, _, err := net.ReduceSeq(leafValue, sumFilter)
+	want, _, err := net.ReduceWith(seqFold, leafValue, sumFilter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := net.ReducePipelined(leafValue, sumFilter)
+	got, _, err := net.ReduceWith(ReduceOptions{}, leafValue, sumFilter)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, got) {
 		t.Fatalf("pipelined %v != seq %v", got, want)
+	}
+}
+
+// TestPipelinedDefaultGateBound pins the zero-budget gate through the
+// engine: on a flat tree whose leaves are all payloadBytes long (the
+// root's own output is never charged), PeakInFlightBytes counts bytes —
+// a whole number of leaf payloads — and stays within the per-worker
+// bound even when folding is far slower than production. One worker is
+// the sequential fold: exactly one payload is ever resident.
+func TestPipelinedDefaultGateBound(t *testing.T) {
+	const leaves, payloadBytes = 48, 1024
+	topo, err := topology.Flat(leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := New(topo, nil)
+	leaf := func(i int) ([]byte, error) {
+		b := make([]byte, payloadBytes)
+		b[0] = byte(i)
+		return b, nil
+	}
+	slowConcat := BytesFilter(func(children [][]byte) ([]byte, error) {
+		time.Sleep(100 * time.Microsecond)
+		return bytes.Join(children, nil), nil
+	})
+	want, _, err := net.ReduceWith(seqFold, leaf, slowConcat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		got, stats, err := net.ReduceWith(ReduceOptions{Workers: workers}, leaf, slowConcat)
+		if err != nil {
+			t.Fatalf("w=%d: %v", workers, err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("w=%d: output differs from the sequential fold", workers)
+		}
+		peak := stats.PeakInFlightBytes
+		if peak < payloadBytes || peak%payloadBytes != 0 {
+			t.Fatalf("w=%d: peak in-flight %d is not a whole number of %d-byte payloads", workers, peak, payloadBytes)
+		}
+		// Admitted payloads: at most one per worker beyond the head. Each
+		// worker may hold one more awaiting admission.
+		if limit := int64(2*workers+1) * payloadBytes; peak > limit {
+			t.Errorf("w=%d: peak in-flight %d bytes exceeds %d", workers, peak, limit)
+		}
+		if workers == 1 && peak != payloadBytes {
+			t.Errorf("w=1: peak in-flight %d bytes, want exactly one payload (%d)", peak, payloadBytes)
+		}
 	}
 }
 
@@ -151,7 +201,7 @@ func TestPipelinedTinyBudgetDeepTree(t *testing.T) {
 			t.Fatal(err)
 		}
 		net := New(topo, nil)
-		want, _, err := net.ReduceSeq(leafValue, concatFilter)
+		want, _, err := net.ReduceWith(seqFold, leafValue, concatFilter)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +245,7 @@ func TestPipelinedPassThroughFilterBudget(t *testing.T) {
 			b[0] = byte(i)
 			return b, nil
 		}
-		want, _, err := net.ReduceSeq(leaf, passThrough)
+		want, _, err := net.ReduceWith(seqFold, leaf, passThrough)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +307,7 @@ func TestReduceWithUnknownEngine(t *testing.T) {
 
 func TestEngineString(t *testing.T) {
 	for e, want := range map[Engine]string{
-		EngineSeq: "seq", EngineConcurrent: "concurrent", EnginePipelined: "pipelined",
+		EnginePipelined: "pipelined", EngineConcurrent: "concurrent",
 	} {
 		if e.String() != want {
 			t.Errorf("Engine(%d).String() = %q, want %q", int(e), e.String(), want)
@@ -269,7 +319,7 @@ func TestEngineString(t *testing.T) {
 // than the whole budget is admitted when its rank is the head, and a
 // later rank blocks until the head's payload is consumed and refunded.
 func TestByteGateHeadBypass(t *testing.T) {
-	g := newByteGate(10, 3)
+	g := newByteGate(10, 1, 3)
 	if !g.acquire(0, 100) {
 		t.Fatal("head rank not admitted over budget")
 	}
@@ -297,7 +347,7 @@ func TestByteGateHeadBypass(t *testing.T) {
 // retaining filters deadlock-free: consuming the head rank must admit the
 // next rank even while the consumed payload's bytes remain charged.
 func TestByteGateHeadAdvancesWithoutRefund(t *testing.T) {
-	g := newByteGate(10, 3)
+	g := newByteGate(10, 1, 3)
 	if !g.acquire(0, 100) {
 		t.Fatal("head rank not admitted over budget")
 	}
@@ -313,8 +363,48 @@ func TestByteGateHeadAdvancesWithoutRefund(t *testing.T) {
 	}
 }
 
+// TestByteGateDefaultAdmitsOnePerWorker pins the zero-budget gate: at
+// most slots payloads are admitted out of fold order (ahead of the head),
+// the next non-head payload blocks until one is refunded, the head is
+// always admitted, and the peak is reported in bytes, not payloads.
+func TestByteGateDefaultAdmitsOnePerWorker(t *testing.T) {
+	const slots = 3
+	g := newByteGate(0, slots, 8)
+	for rank := 1; rank <= slots; rank++ {
+		if !g.acquire(rank, 100) {
+			t.Fatalf("rank %d not admitted with %d slots", rank, slots)
+		}
+	}
+	admitted := make(chan struct{})
+	go func() {
+		g.acquire(slots+1, 100)
+		close(admitted)
+	}()
+	select {
+	case <-admitted:
+		t.Fatalf("%d payloads admitted out of fold order with %d slots", slots+1, slots)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if !g.acquire(0, 7) {
+		t.Fatal("head rank not admitted with every slot taken")
+	}
+	g.consumeRank(0)
+	g.refund(7)
+	select {
+	case <-admitted:
+		t.Fatalf("rank %d admitted while ranks 1..%d still hold every slot", slots+1, slots)
+	case <-time.After(20 * time.Millisecond):
+	}
+	g.consumeRank(1)
+	g.refund(100)
+	<-admitted
+	if got, want := g.peakBytes(), int64((slots+1)*100+7); got != want {
+		t.Fatalf("peak %d, want %d bytes", got, want)
+	}
+}
+
 func TestByteGateStopAborts(t *testing.T) {
-	g := newByteGate(1, 2)
+	g := newByteGate(1, 1, 2)
 	if !g.acquire(0, 1) {
 		t.Fatal("first acquire failed")
 	}
@@ -334,7 +424,7 @@ func TestPipelinedStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := New(topo, nil)
-	want, _, err := net.ReduceSeq(leafValue, concatFilter)
+	want, _, err := net.ReduceWith(seqFold, leafValue, concatFilter)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,31 +10,29 @@
 //
 // # Reduction engines
 //
-// The network offers three evaluation strategies for the same reduction;
-// all three produce identical traffic statistics, and the sequential and
-// pipelined engines produce byte-identical results for any filter that is
-// associative over ordered inputs (both prefix-tree merges are).
+// The network offers two evaluation strategies for the same reduction.
+// Both produce identical traffic statistics, and for any filter that is
+// associative over ordered inputs (both prefix-tree merges are) they
+// produce byte-identical results.
 //
-//   - ReduceSeq (EngineSeq, the default): a single-threaded incremental
-//     fold. Peak memory is one accumulator plus one child payload per
-//     tree level, which is why large-scale runs with multi-megabyte leaf
-//     payloads use it. No concurrency, so wall clock is the sum of all
-//     filter work.
+//   - EnginePipelined (the zero value): a worker pool evaluates the
+//     topology DAG. Independent subtrees run concurrently, while each
+//     interior node folds its children incrementally, one at a time, in
+//     child order. A rank-ordered gate bounds the payloads buffered
+//     between production and folding. By default it admits at most one
+//     produced-but-unfolded payload per worker ahead of the head of line
+//     (the payload the sequential fold would consume next), so peak
+//     memory scales with the worker count, not with the fleet;
+//     ReduceOptions.BudgetBytes swaps that bound for an explicit byte
+//     budget. ReduceOptions.Workers = 1 is the single-threaded fold:
+//     one accumulator plus one child payload per tree level.
 //
-//   - Reduce (EngineConcurrent): one goroutine per overlay process with
-//     payloads flowing over the configured transport. Fully concurrent,
-//     but every child payload of every node can be in flight at once —
-//     at BlueGene/L scale that is gigabytes — and each edge pays
-//     transport overhead.
-//
-//   - ReducePipelined (EnginePipelined): a worker pool evaluates the
-//     topology DAG, running independent subtrees concurrently while each
-//     interior node folds its children incrementally in child order,
-//     exactly like ReduceSeq. A configurable byte budget
-//     (ReduceOptions.BudgetBytes) bounds the payload bytes buffered
-//     between production and folding, so peak memory is tunable between
-//     ReduceSeq's floor and Reduce's free-for-all while wall clock
-//     approaches full hardware parallelism.
+//   - EngineConcurrent: one goroutine per overlay process with payloads
+//     flowing over the configured transport. Fully concurrent, but every
+//     child payload of every node can be in flight at once — at
+//     BlueGene/L scale that is gigabytes — and each edge pays transport
+//     overhead. It is also the only engine that re-parents orphans after
+//     an interior crash.
 //
 // ReduceWith selects an engine at runtime from a ReduceOptions value.
 //
@@ -61,8 +59,9 @@
 //     return: keeping further references that other goroutines release
 //     concurrently races the engine's budget bookkeeping on the lease.
 //
-//   - Under EnginePipelined, a payload's bytes stay charged against
-//     ReduceOptions.BudgetBytes from the moment it is produced until the
+//   - Under EnginePipelined, a payload stays charged against the gate
+//     (its bytes against ReduceOptions.BudgetBytes, or its slot against
+//     the per-worker bound) from the moment it is produced until the
 //     last reference is released — not merely until the consuming filter
 //     returns. A filter that pins child buffers therefore holds budget;
 //     the head-of-line bypass still guarantees progress, but a filter that
@@ -134,27 +133,23 @@ import (
 )
 
 // Engine names one of the network's reduction evaluation strategies. The
-// zero value is the memory-safe sequential fold.
+// zero value is the pipelined worker-pool fold.
 type Engine int
 
 const (
-	// EngineSeq is the single-threaded incremental fold (ReduceSeq).
-	EngineSeq Engine = iota
+	// EnginePipelined is the worker-pool fold with a gated in-flight
+	// payload bound; see ReduceOptions.Workers and BudgetBytes.
+	EnginePipelined Engine = iota
 	// EngineConcurrent runs one goroutine per overlay process (Reduce).
 	EngineConcurrent
-	// EnginePipelined is the worker-pool evaluation with a bounded
-	// in-flight payload budget (ReducePipelined).
-	EnginePipelined
 )
 
 func (e Engine) String() string {
 	switch e {
-	case EngineSeq:
-		return "seq"
-	case EngineConcurrent:
-		return "concurrent"
 	case EnginePipelined:
 		return "pipelined"
+	case EngineConcurrent:
+		return "concurrent"
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
@@ -164,20 +159,26 @@ type ReduceOptions struct {
 	// Engine picks the evaluation strategy.
 	Engine Engine
 	// Workers bounds EnginePipelined's concurrency; <= 0 means
-	// runtime.GOMAXPROCS(0). Ignored by the other engines.
+	// runtime.GOMAXPROCS(0). One worker is the sequential fold: leaves
+	// are produced and folded strictly in post-order. Ignored by
+	// EngineConcurrent.
 	Workers int
 	// BudgetBytes bounds the payload bytes EnginePipelined keeps resident
-	// between production and folding; <= 0 means unbounded. The hard
-	// bound is BudgetBytes plus one payload per worker: a payload's size
-	// is only known once produced, and the payload the sequential fold
-	// would consume next is always admitted so the reduction cannot
-	// deadlock, however small the budget. Stats.PeakInFlightBytes
-	// reports the realized peak. Ignored by the other engines.
+	// between production and folding. <= 0 bounds payloads instead of
+	// bytes: at most one produced-but-unfolded payload per worker is
+	// admitted ahead of the head of line. Either way the payload the
+	// sequential fold would consume next is always admitted, so the
+	// reduction cannot deadlock however small the bound, and each worker
+	// may hold one more payload waiting for admission (its size is only
+	// known once produced): the hard bound is BudgetBytes plus one
+	// payload per worker, or about two payloads per worker by default.
+	// Stats.PeakInFlightBytes reports the realized peak in bytes.
+	// Ignored by EngineConcurrent.
 	BudgetBytes int64
 	// SubtreeTimeout bounds how long a node waits on any one child
 	// subtree's payload (threaded through the transports' recv deadlines
-	// under EngineConcurrent, and wrapped around leaf production in the
-	// in-process engines). Zero waits forever. A timeout surfaces as a
+	// under EngineConcurrent, and wrapped around leaf production under
+	// EnginePipelined). Zero waits forever. A timeout surfaces as a
 	// failed run unless Partial is set, in which case the subtree is
 	// dropped and the reduction degrades.
 	SubtreeTimeout time.Duration
@@ -192,16 +193,15 @@ type ReduceOptions struct {
 	// Faults scripts injected failures for this reduction — the
 	// fault-injection harness. nil injects nothing.
 	Faults *FaultPlan
-	// WaitObserver, when non-nil, is called with the nanoseconds an
-	// interior node spent blocked obtaining one child payload — the
-	// telemetry plane's reduce-wait span. What "blocked" means is
-	// engine-dependent: EngineConcurrent reports transport receive
-	// waits, EnginePipelined reports budget-gate admission waits, and
-	// EngineSeq (which produces each child inline, so it never waits)
-	// reports the child subtree's whole production time. Compare its
-	// shape across engines, not its totals. Called from engine
-	// goroutines concurrently; must be cheap, non-blocking, and
-	// allocation-free.
+	// WaitObserver, when non-nil, is called with the nanoseconds one
+	// child payload spent blocked before its parent could take it — the
+	// telemetry plane's reduce-wait span. EnginePipelined reports gate
+	// admission time: how long a produced payload waited for the
+	// in-flight bound to make room (zero-length for the head of line).
+	// EngineConcurrent reports transport receive waits, which include
+	// the child subtree's production time; compare its shape across
+	// engines, not its totals. Called from engine goroutines
+	// concurrently; must be cheap, non-blocking, and allocation-free.
 	WaitObserver func(ns int64)
 }
 
@@ -248,12 +248,10 @@ func (n *Network) ReduceNodeWith(opts ReduceOptions, leafData func(leaf int) ([]
 // payloads; see LeafFunc.
 func (n *Network) ReduceNodeLeasedWith(opts ReduceOptions, leaf LeafFunc, filter NodeFilter) ([]byte, *Stats, error) {
 	switch opts.Engine {
-	case EngineSeq:
-		return n.reduceSeq(leaf, filter, opts)
-	case EngineConcurrent:
-		return n.reduceConcurrent(leaf, filter, opts)
 	case EnginePipelined:
 		return n.reducePipelined(leaf, filter, opts)
+	case EngineConcurrent:
+		return n.reduceConcurrent(leaf, filter, opts)
 	}
 	return nil, nil, fmt.Errorf("tbon: unknown reduction engine %d", int(opts.Engine))
 }
@@ -302,7 +300,7 @@ type Stats struct {
 	Packets int64
 	// PeakInFlightBytes is the largest total of payload bytes buffered
 	// between production and folding. Only EnginePipelined tracks it;
-	// the other engines leave it zero.
+	// EngineConcurrent leaves it zero.
 	PeakInFlightBytes int64
 }
 

@@ -15,7 +15,7 @@ import (
 )
 
 // sumFilter parses child payloads as integers and sums them — an
-// associative reduction suitable for both Reduce and ReduceSeq.
+// associative reduction suitable for every engine.
 var sumFilter = BytesFilter(func(children [][]byte) ([]byte, error) {
 	total := 0
 	for _, c := range children {
@@ -65,6 +65,8 @@ func TestReduceSum(t *testing.T) {
 	}
 }
 
+// TestReduceSeqMatchesReduce: the one-worker sequential fold and the
+// concurrent engine agree on the result and on per-node ingress.
 func TestReduceSeqMatchesReduce(t *testing.T) {
 	topo, err := topology.Balanced(3, 64)
 	if err != nil {
@@ -75,7 +77,7 @@ func TestReduceSeqMatchesReduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outS, statsS, err := n.ReduceSeq(leafValue, sumFilter)
+	outS, statsS, err := n.ReduceWith(seqFold, leafValue, sumFilter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestReduceChildOrderDeterministic(t *testing.T) {
 			t.Fatalf("iteration %d: %q, want %q", i, out, want)
 		}
 	}
-	outS, _, err := n.ReduceSeq(leafLetter, concatFilter)
+	outS, _, err := n.ReduceWith(seqFold, leafLetter, concatFilter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestReduceLeafError(t *testing.T) {
 	if _, _, err := n.Reduce(leaf, sumFilter); err == nil {
 		t.Error("parallel reduce swallowed leaf error")
 	}
-	if _, _, err := n.ReduceSeq(leaf, sumFilter); !errors.Is(err, boom) {
+	if _, _, err := n.ReduceWith(seqFold, leaf, sumFilter); !errors.Is(err, boom) {
 		t.Errorf("seq reduce error = %v, want wrapped boom", err)
 	}
 }
@@ -169,7 +171,7 @@ func TestReduceFilterError(t *testing.T) {
 	if _, _, err := n.Reduce(leafValue, bad); err == nil {
 		t.Error("parallel reduce swallowed filter error")
 	}
-	if _, _, err := n.ReduceSeq(leafValue, bad); err == nil {
+	if _, _, err := n.ReduceWith(seqFold, leafValue, bad); err == nil {
 		t.Error("seq reduce swallowed filter error")
 	}
 }
@@ -374,8 +376,9 @@ func TestBroadcastTimePipelines(t *testing.T) {
 	}
 }
 
-// TestReduceManyShapes cross-checks Reduce and ReduceSeq over a sweep of
-// topology shapes and daemon counts with an order-sensitive filter.
+// TestReduceManyShapes cross-checks Reduce and the sequential fold over a
+// sweep of topology shapes and daemon counts with an order-sensitive
+// filter.
 func TestReduceManyShapes(t *testing.T) {
 	for depth := 1; depth <= 4; depth++ {
 		for _, d := range []int{1, 3, 10, 33} {
@@ -393,7 +396,7 @@ func TestReduceManyShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("depth=%d d=%d: %v", depth, d, err)
 			}
-			outS, _, err := n.ReduceSeq(leaf, concatFilter)
+			outS, _, err := n.ReduceWith(seqFold, leaf, concatFilter)
 			if err != nil {
 				t.Fatalf("depth=%d d=%d: %v", depth, d, err)
 			}

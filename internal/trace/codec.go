@@ -185,8 +185,10 @@ func (c *Codec) DecodeTree(b []byte) (*Tree, error) {
 //
 // The returned tree must be treated as read-only: mutating an aliased
 // label would corrupt the wire buffer. Merging it with MergeConcat (which
-// only reads its inputs) and encoding it are safe; the in-place MergeUnion
-// is not — original-mode filters use the copying DecodeTree.
+// only reads its inputs), encoding it, and passing it as the source of
+// the in-place MergeUnion or MergeXor (which read their source and mutate
+// only their destination) are safe; it must never be their destination —
+// original-mode filters decode the accumulator with the copying DecodeTree.
 func (c *Codec) DecodeTreeAliasing(b []byte, pin Pin) (*Tree, error) {
 	return c.decode(b, pin, false)
 }

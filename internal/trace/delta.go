@@ -127,7 +127,8 @@ func (n *Node) removeChild(name string) {
 // the fold: fold(dst ⊕ src) = fold(dst) then fold(src), even if change
 // sets ever overlapped. Nodes whose labels cancel to empty and have no
 // surviving children are pruned, preserving the canonical delta form.
-// dst must own mutable dense labels (the copying decode).
+// dst must own mutable dense labels (the copying decode); src is only
+// read, so it may be an aliasing decode.
 func MergeXor(dst, src *Tree) error {
 	if dst.NumTasks != src.NumTasks {
 		return fmt.Errorf("trace: MergeXor task-space mismatch %d vs %d", dst.NumTasks, src.NumTasks)

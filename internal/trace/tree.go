@@ -56,7 +56,7 @@
 // it. Aliasing trees must be treated as immutable: mutating a label
 // would scribble on the wire buffer. The copying DecodeTree has no such
 // restriction and is what the in-place union merge of the original
-// representation uses.
+// representation decodes its destination with; its sources may alias.
 package trace
 
 import (
@@ -284,6 +284,7 @@ func (t *Tree) Validate() error {
 // trees label edges with vectors spanning the same (full-job) task space,
 // and matching nodes combine by set union. This is what every level of the
 // unoptimized STAT analysis tree did, and why labels carried mostly zeros.
+// Only dst is mutated; src is only read, so it may be an aliasing decode.
 func MergeUnion(dst, src *Tree) error {
 	if dst.NumTasks != src.NumTasks {
 		return fmt.Errorf("trace: MergeUnion task-space mismatch %d vs %d", dst.NumTasks, src.NumTasks)

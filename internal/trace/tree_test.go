@@ -140,7 +140,8 @@ func TestMergeConcat(t *testing.T) {
 }
 
 func TestMergeConcatAssociative(t *testing.T) {
-	// ReduceSeq folds pairwise; the result must match the all-at-once merge.
+	// The pipelined reduction folds pairwise; the result must match the
+	// all-at-once merge.
 	mk := func(n int, seed int64) *Tree {
 		r := rand.New(rand.NewSource(seed))
 		tr := NewTree(n)
