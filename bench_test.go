@@ -1,7 +1,7 @@
 // Package stat_test holds the benchmark harness: one benchmark per figure
 // of the paper's evaluation (regenerating the figure's series via the
 // statbench harness and reporting the headline modeled seconds), plus
-// ablation benchmarks over the design choices DESIGN.md calls out and raw
+// ablation benchmarks over the tool's design choices and raw
 // data-structure benchmarks for the real in-memory work.
 //
 // Run everything:
@@ -774,7 +774,7 @@ func BenchmarkTBONReduceOverlay(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := net.Reduce(leaf, filter); err != nil {
+		if _, _, err := net.ReduceWith(tbon.ReduceOptions{Engine: tbon.EngineConcurrent}, leaf, filter); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -113,17 +113,6 @@ func NewRunSet(width int, extents []Extent) *Set {
 	return &Set{width: width, card: card, runs: len(extents), extents: extents}
 }
 
-// NewArraySet adopts elems (not copied) as an array-backed set of the
-// given width. The members must be sorted, unique, and in range; runs is
-// the number of maximal runs they form (as computed by a decoder's
-// adjacency scan).
-func NewArraySet(width int, elems []uint32, runs int) *Set {
-	if len(elems) == 0 {
-		return &Set{width: width}
-	}
-	return &Set{width: width, card: len(elems), runs: runs, elems: elems}
-}
-
 // SetFromMembers builds a run-backed set from a sorted unique member
 // list — a convenience for tests and small call sites.
 func SetFromMembers(width int, members ...int) *Set {
@@ -157,10 +146,6 @@ func (s *Set) ContainerCounts() (card, runs int) { return s.card, s.runs }
 // Extents returns the backing extent slice of a run-backed set (nil for
 // array-backed or empty sets). Read-only, per the sharing contract.
 func (s *Set) Extents() []Extent { return s.extents }
-
-// Elems returns the backing member slice of an array-backed set (nil for
-// run-backed or empty sets). Read-only, per the sharing contract.
-func (s *Set) Elems() []uint32 { return s.elems }
 
 // Get reports whether task i is a member.
 func (s *Set) Get(i int) bool {

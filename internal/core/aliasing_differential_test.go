@@ -155,7 +155,7 @@ func TestAliasingDecodeMatchesCopyingAcrossEngines(t *testing.T) {
 
 				leaf := func(i int) ([]byte, error) { return leafBodies[i], nil }
 				net := tbon.New(topo, nil)
-				production := tool.mergeFilter()
+				production := tool.merge.mergeFilter()
 				reference := copyingMergeFilter(mode != Original, version)
 				for _, eng := range engines {
 					want, _, err := net.ReduceWith(eng.opts, leaf, reference)
@@ -173,7 +173,7 @@ func TestAliasingDecodeMatchesCopyingAcrossEngines(t *testing.T) {
 				}
 			}
 			if version == trace.WireV2 && bitvec.HostLittleEndian() {
-				hits, misses := tool.aliasHits.Load(), tool.aliasMisses.Load()
+				hits, misses := tool.merge.aliasHits.Load(), tool.merge.aliasMisses.Load()
 				if hits == 0 || misses != 0 {
 					t.Errorf("v2/%v: %d alias hits, %d misses; want hits and no misses", mode, hits, misses)
 				}

@@ -94,7 +94,7 @@ func (d *daemon) handleControl(p proto.Packet) proto.Ack {
 		if err != nil {
 			return fail("%v", err)
 		}
-		limit := d.tool.maxWireVersion()
+		limit := maxWireVersion(d.tool.opts.BitVec, d.tool.opts.WireVersion)
 		if d.capVersion != 0 && d.capVersion < limit {
 			limit = d.capVersion
 		}
@@ -174,7 +174,7 @@ func (d *daemon) sampleTrees(req proto.GatherRequest) (sampleBatch, error) {
 	if d.state != stateSampled {
 		return sampleBatch{}, fmt.Errorf("core: daemon %d: gather while %s", d.leaf, d.state)
 	}
-	ranks := d.tool.taskMap[d.leaf]
+	ranks := d.tool.merge.taskMap[d.leaf]
 	width := len(ranks)
 	if d.tool.opts.BitVec == Original {
 		width = d.tool.opts.Tasks
@@ -380,6 +380,5 @@ func (d *daemon) gatherPacket(req proto.GatherRequest) (*tbon.Lease, error) {
 		d.telemBuf = f.AppendTo(d.telemBuf[:0])
 		packet = proto.AppendTelemetrySection(packet, d.telemBuf)
 	}
-	proto.PutHeaderV(packet, version, proto.DataStream, typ, len(packet)-hdr)
-	return tbon.NewLease(packet, recycleOutBuf), nil
+	return mintPacket(packet, version, typ), nil
 }

@@ -19,22 +19,22 @@ import (
 // lazily and cached per node; the cache is only touched when a fault
 // actually occurs, so fault-free runs never pay for it. Cached vectors are
 // read-only after insertion and safe to share across filter workers.
-func (t *Tool) coverage(n *topology.Node) *bitvec.Vector {
-	t.covMu.Lock()
-	defer t.covMu.Unlock()
-	if v, ok := t.cov[n.ID]; ok {
+func (m *merger) coverage(n *topology.Node) *bitvec.Vector {
+	m.covMu.Lock()
+	defer m.covMu.Unlock()
+	if v, ok := m.cov[n.ID]; ok {
 		return v
 	}
-	v := bitvec.New(t.opts.Tasks)
+	v := bitvec.New(m.tasks)
 	for _, leaf := range n.SubtreeLeaves(nil) {
-		for _, r := range t.taskMap[leaf.LeafIndex] {
+		for _, r := range m.taskMap[leaf.LeafIndex] {
 			v.Set(r)
 		}
 	}
-	if t.cov == nil {
-		t.cov = make(map[int]*bitvec.Vector)
+	if m.cov == nil {
+		m.cov = make(map[int]*bitvec.Vector)
 	}
-	t.cov[n.ID] = v
+	m.cov[n.ID] = v
 	return v
 }
 
@@ -67,7 +67,7 @@ func posIn(missing []int, pos int) bool {
 // it to the degraded output exactly as on the fast path. Unlike the fast
 // path this one allocates — it only runs when a fault already cost a
 // subtree, so the zero-alloc contract stays a fault-free-path property.
-func (t *Tool) mergePartial(ctx *tbon.FilterCtx, children, bodies []*tbon.Lease,
+func (m *merger) mergePartial(ctx *tbon.FilterCtx, children, bodies []*tbon.Lease,
 	merge mergeFunc, version uint8, hdr int, tf *telemetry.Frame) (*tbon.Lease, error) {
 
 	release := func() {
@@ -75,7 +75,7 @@ func (t *Tool) mergePartial(ctx *tbon.FilterCtx, children, bodies []*tbon.Lease,
 			b.Release()
 		}
 	}
-	live := bitvec.New(t.opts.Tasks)
+	live := bitvec.New(m.tasks)
 	for i, c := range children {
 		p, err := proto.Decode(c.Bytes())
 		if err != nil {
@@ -116,7 +116,7 @@ func (t *Tool) mergePartial(ctx *tbon.FilterCtx, children, bodies []*tbon.Lease,
 			if posIn(ctx.Missing, pos) {
 				continue
 			}
-			if err := live.UnionWith(t.coverage(ctx.Node.Children[pos])); err != nil {
+			if err := live.UnionWith(m.coverage(ctx.Node.Children[pos])); err != nil {
 				release()
 				return nil, err
 			}
@@ -134,8 +134,7 @@ func (t *Tool) mergePartial(ctx *tbon.FilterCtx, children, bodies []*tbon.Lease,
 		return nil, err
 	}
 	proto.PutPartialPrefix(packet[hdr:], version, lvBytes)
-	proto.PutHeaderV(packet, version, proto.DataStream, proto.MsgPartialResult, len(packet)-hdr)
-	return tbon.NewLease(packet, recycleOutBuf), nil
+	return mintPacket(packet, version, proto.MsgPartialResult), nil
 }
 
 // rankRemapperLive compiles the hierarchical remap for a partial gather. A
@@ -145,9 +144,9 @@ func (t *Tool) mergePartial(ctx *tbon.FilterCtx, children, bodies []*tbon.Lease,
 // Daemons fail all-or-nothing in the fault model: a liveness set covering
 // only part of a daemon's ranks means the liveness accounting itself is
 // broken, and the remap refuses to guess.
-func (t *Tool) rankRemapperLive(live *bitvec.Vector) (*bitvec.Remapper, error) {
+func (m *merger) rankRemapperLive(live *bitvec.Vector) (*bitvec.Remapper, error) {
 	perm := make([]int, 0, live.Count())
-	for leaf, ranks := range t.taskMap {
+	for leaf, ranks := range m.taskMap {
 		n := 0
 		for _, r := range ranks {
 			if live.Get(r) {
@@ -162,5 +161,5 @@ func (t *Tool) rankRemapperLive(live *bitvec.Vector) (*bitvec.Remapper, error) {
 			return nil, fmt.Errorf("core: daemon %d liveness is torn: %d of %d ranks survive", leaf, n, len(ranks))
 		}
 	}
-	return bitvec.NewRemapper(perm, t.opts.Tasks)
+	return bitvec.NewRemapper(perm, m.tasks)
 }

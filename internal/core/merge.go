@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stat/internal/bitvec"
@@ -15,7 +16,7 @@ import (
 )
 
 // mergeScratch is the per-invocation state a filter worker borrows for
-// one mergeFilter call: a wire codec (arena, intern table, node and tree
+// one merge-kernel call: a wire codec (arena, intern table, node and tree
 // free lists) plus every slice the call needs, kept warm across
 // invocations. A scratch leaves the pool only for the duration of one
 // call and returns with no live trees, so at steady state the whole
@@ -46,6 +47,16 @@ var outBufs = tbon.NewBufferPool(32)
 // value computed once so minting a lease captures nothing.
 var recycleOutBuf = outBufs.Put
 
+// mintPacket finishes a data-stream packet encoded in place behind a
+// reserved header in an outBufs buffer: it writes the header for typ at
+// version and hands the buffer onward in a lease whose release recycles
+// it. Leaf daemons, MergeTrees' leaves and every filter output mint their
+// packets here.
+func mintPacket(packet []byte, version uint8, typ proto.MsgType) *tbon.Lease {
+	proto.PutHeaderV(packet, version, proto.DataStream, typ, len(packet)-proto.HeaderSizeV(version))
+	return tbon.NewLease(packet, recycleOutBuf)
+}
+
 // Tree-list (MsgResult body) framing, by wire version:
 //
 //	v1: u8 count, then per tree: u32 len, tree (v1 encoding)
@@ -59,25 +70,6 @@ var recycleOutBuf = outBufs.Put
 // in an 8-aligned buffer, every tree — and so every label payload —
 // lands word-aligned in memory, which is what the zero-copy decode's
 // 100% alias rate rests on.
-
-// bodyWireVersion sniffs which framing a tree-list body uses. The
-// layouts are self-evident: the tree magic sits at a fixed offset per
-// version, and an empty body is distinguished by the v2 count padding.
-// An empty v3 body is byte-identical to an empty v2 body and reports 2 —
-// harmless, since with no trees the two framings are the same bytes and
-// gather payloads always carry at least one tree. Delta bodies (the same
-// framing carrying "STD" frames) are rejected here; use bodyFrameInfo
-// where both kinds are admissible.
-func bodyWireVersion(b []byte) (uint8, error) {
-	v, delta, err := bodyFrameInfo(b)
-	if err != nil {
-		return 0, err
-	}
-	if delta {
-		return 0, errors.New("core: delta frames in a whole-tree payload")
-	}
-	return v, nil
-}
 
 // bodyFrameInfo sniffs a tree-list body's framing version and whether it
 // carries delta frames (MsgDelta bodies) or whole trees. The two kinds
@@ -123,8 +115,9 @@ func encodedTreesSize(version uint8, trees []*trace.Tree) int {
 }
 
 // encodeTrees serializes a list of prefix trees under the given wire
-// version (count-prefixed, length-framed; see bodyWireVersion) — the body
-// of a MsgResult packet. A normal gather carries two trees (2D then 3D).
+// version (count-prefixed, length-framed; see the framing note above) —
+// the body of a MsgResult packet. A normal gather carries two trees (2D
+// then 3D).
 func encodeTrees(version uint8, trees ...*trace.Tree) ([]byte, error) {
 	return encodeFramesInto(nil, version, false, trees...)
 }
@@ -183,7 +176,7 @@ func encodeFramesInto(dst []byte, version uint8, delta bool, trees ...*trace.Tre
 // decodeTrees parses an encodeTrees body of either wire version. The
 // returned trees own their storage outright (suitable for long-lived
 // results); the filter hot path decodes through a pooled codec instead
-// (see mergeFilter).
+// (see frameMerger).
 func decodeTrees(b []byte) ([]*trace.Tree, error) {
 	return appendDecodedTrees(nil, nil, b, nil, nil, false)
 }
@@ -306,16 +299,89 @@ func appendDecodedTrees(c *trace.Codec, dst []*trace.Tree, b []byte, pin trace.P
 	return dst, nil
 }
 
+// merger is the state the gather's result filter reads: the task-set
+// representation, the job's task layout, the coverage cache of the
+// fault-tolerant merge, and the pooled codecs' decode counters. A Tool
+// keeps one for its whole life; MergeTrees builds one per call, so the
+// emulated STATBench sweeps reduce through the same filter a session
+// ships.
+type merger struct {
+	mode    BitVecMode
+	tasks   int
+	taskMap [][]int // per daemon: global ranks in local order
+
+	// aliasHits / aliasMisses aggregate the pooled codecs' zero-copy
+	// decode counters across a merge phase's filter workers (hence
+	// atomic); runMergePhase resets them and copies the totals into the
+	// Result.
+	aliasHits   atomic.Int64
+	aliasMisses atomic.Int64
+	// labelStats aggregates the pooled codecs' per-container-kind v3 label
+	// decode counters across a merge phase's filter workers; a struct of
+	// six counters, so a mutex instead of atomics. runMergePhase resets it
+	// and copies the totals into the Result.
+	labelStatsMu sync.Mutex
+	labelStats   trace.LabelStats
+	// cov caches per-node subtree rank coverage for the fault-tolerant
+	// merge's liveness accounting (see coverage); populated lazily, only
+	// when a gather actually degrades. Guarded by covMu because the
+	// concurrent and pipelined engines run filters from many goroutines.
+	covMu sync.Mutex
+	cov   map[int]*bitvec.Vector
+}
+
+// maxWireVersion is the highest data-stream wire version a process
+// advertises: the build's maximum, unless pinned names one explicitly
+// (Options.WireVersion). Original-representation processes advertise at
+// most v2: the original mode models the paper's pre-optimization tool,
+// whose defining cost is full-job-width dense labels on the wire (the
+// Figure 5/7 blowup) — the v3 adaptive containers would compress away
+// exactly the behaviour the mode exists to reproduce. Pinning 3 still
+// overrides.
+func maxWireVersion(mode BitVecMode, pinned uint8) uint8 {
+	if pinned != 0 {
+		return pinned
+	}
+	if mode == Original {
+		return trace.WireV2
+	}
+	return proto.MaxVersion
+}
+
 // rankRemapper compiles the concatenated-order → MPI-rank permutation
-// from the task map collected at setup: the hierarchical front end's
-// final remap, shared by the merge phase and the progress check so the
-// two can never diverge on rank-order semantics.
-func (t *Tool) rankRemapper() (*bitvec.Remapper, error) {
-	perm := make([]int, 0, t.opts.Tasks)
-	for _, ranks := range t.taskMap {
+// from the task map: the hierarchical front end's final remap, shared by
+// the merge phase, the stream and the progress check so they can never
+// diverge on rank-order semantics.
+func (m *merger) rankRemapper() (*bitvec.Remapper, error) {
+	perm := make([]int, 0, m.tasks)
+	for _, ranks := range m.taskMap {
 		perm = append(perm, ranks...)
 	}
-	return bitvec.NewRemapper(perm, t.opts.Tasks)
+	return bitvec.NewRemapper(perm, m.tasks)
+}
+
+// decodeResult decodes a gathered whole-tree body into owned trees in MPI
+// rank order. A hierarchical body decodes through the compiled rank-order
+// permutation: each label materializes from the wire already in rank
+// order — one pass over each word, no separate remap sweep over the
+// decoded trees. A degraded gather concatenated only the surviving
+// subtrees, so its permutation lists only the surviving daemons' ranks
+// (rankRemapperLive).
+func (m *merger) decodeResult(payload []byte, live *bitvec.Vector) ([]*trace.Tree, error) {
+	if m.mode != Hierarchical {
+		return decodeTrees(payload)
+	}
+	var remapper *bitvec.Remapper
+	var err error
+	if live == nil {
+		remapper, err = m.rankRemapper()
+	} else {
+		remapper, err = m.rankRemapperLive(live)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return decodeTreesRemapped(payload, remapper)
 }
 
 // releaseDecoded unwinds a partial appendDecodedTrees, releasing the
@@ -327,46 +393,15 @@ func releaseDecoded(dst []*trace.Tree, base int, err error) ([]*trace.Tree, erro
 	return dst[:base], err
 }
 
-// mergeFilter returns the tree-merge filter for the configured
-// representation, operating on leased encodeTrees bodies: the treeMerger
-// body encode wrapped in a pooled output lease. The output body carries
-// the LOWEST wire version seen among the children — the min-merge rule.
-// In a homogeneous session (the common case) every child agrees after
-// negotiation and the version simply propagates; in a mixed-version fleet
-// (per-daemon caps) a v1-era daemon's subtree downgrades every merge on
-// its path to the root, while disjoint subtrees keep shipping v2 until
-// the join — mirroring how the ack merge's minimum carries the negotiated
-// session version upward.
-func (t *Tool) mergeFilter() tbon.Filter {
-	merge := t.treeMerger()
-	return func(children []*tbon.Lease) (*tbon.Lease, error) {
-		version := uint8(0)
-		for _, c := range children {
-			v, err := bodyWireVersion(c.Bytes())
-			if err != nil {
-				return nil, err
-			}
-			if version == 0 || v < version {
-				version = v
-			}
-		}
-		body, err := merge(children, 0, version, nil)
-		if err != nil {
-			return nil, err
-		}
-		return tbon.NewLease(body, recycleOutBuf), nil
-	}
-}
-
-// treeMerger returns the merge kernel shared by mergeFilter and
-// resultFilter: decode every child's encodeTrees body, merge tree i of
-// every child into output tree i under the configured representation, and
-// encode the merged list — in the requested wire version — into a pooled
-// buffer, leaving prefixLen bytes unwritten at the front for the caller's
-// framing (zero for a bare body, the version's packet header size for a
-// result packet — written in place, so the payload is never copied into a
-// frame). The returned buffer belongs to outBufs; callers hand it onward
-// inside a lease whose free hook is recycleOutBuf.
+// treeMerger returns resultFilter's merge kernel for whole trees: decode
+// every child's encodeTrees body, merge tree i of every child into output
+// tree i under the configured representation, and encode the merged list
+// — in the requested wire version — into a pooled buffer, leaving
+// prefixLen bytes unwritten at the front for the caller's framing (zero
+// for a bare body, the version's packet header size for a result packet
+// — written in place, so the payload is never copied into a frame). The
+// returned buffer belongs to outBufs; callers hand it onward inside a
+// lease whose free hook is recycleOutBuf.
 //
 // With a non-nil tf (the caller's folded telemetry frame — child
 // sections already stripped and folded by resultFilter), the kernel
@@ -385,7 +420,7 @@ func (t *Tool) mergeFilter() tbon.Filter {
 // the heap zero times and copies label words exactly once, from input
 // packet to output packet. On a v2 (STR2) stream every label passes the
 // alignment check, so the copy count is exactly zero on the decode side;
-// the codec's alias hit/miss counters are folded into the Tool's totals
+// the codec's alias hit/miss counters are folded into the merger's totals
 // so the realized rate is observable per merge phase. Original mode
 // merges by in-place union (or XOR) into child 0's trees, so only that
 // accumulator must own its labels: child 0 takes the copying decode and
@@ -393,8 +428,8 @@ func (t *Tool) mergeFilter() tbon.Filter {
 // Everything decoded or merged dies before the merger returns: nodes and
 // tree headers return to the codec's free lists, arena storage recycles,
 // and the input leases drop back to the engine's reference.
-func (t *Tool) treeMerger() mergeFunc {
-	return t.frameMerger(false)
+func (m *merger) treeMerger() mergeFunc {
+	return m.frameMerger(false)
 }
 
 // mergeFunc is the merge-kernel shape shared by the tree and delta
@@ -413,12 +448,12 @@ type mergeFunc = func(children []*tbon.Lease, prefixLen int, version uint8, tf *
 // included children. Original mode combines matching nodes by XOR
 // (trace.MergeXor) — the operation that commutes with the downstream
 // fold — instead of union.
-func (t *Tool) deltaMerger() mergeFunc {
-	return t.frameMerger(true)
+func (m *merger) deltaMerger() mergeFunc {
+	return m.frameMerger(true)
 }
 
-func (t *Tool) frameMerger(delta bool) mergeFunc {
-	hierarchical := t.opts.BitVec != Original
+func (m *merger) frameMerger(delta bool) mergeFunc {
+	hierarchical := m.mode != Original
 	return func(children []*tbon.Lease, prefixLen int, version uint8, tf *telemetry.Frame) (out []byte, err error) {
 		if len(children) == 0 {
 			return nil, errors.New("core: filter with no inputs")
@@ -449,12 +484,12 @@ func (t *Tool) frameMerger(delta bool) mergeFunc {
 				}
 			}
 			hits, misses := s.codec.AliasStats()
-			t.aliasHits.Add(hits - hits0)
-			t.aliasMisses.Add(misses - misses0)
+			m.aliasHits.Add(hits - hits0)
+			m.aliasMisses.Add(misses - misses0)
 			if delta := s.codec.LabelStats().Sub(labels0); delta.Labels() != 0 {
-				t.labelStatsMu.Lock()
-				t.labelStats.Add(delta)
-				t.labelStatsMu.Unlock()
+				m.labelStatsMu.Lock()
+				m.labelStats.Add(delta)
+				m.labelStatsMu.Unlock()
 			}
 			if s.codec.Live() == 0 {
 				scratchPool.Put(s)
@@ -530,6 +565,61 @@ func (t *Tool) frameMerger(delta bool) mergeFunc {
 	}
 }
 
+// MergeTrees reduces one prefix tree per daemon through the gather
+// pipeline a tool session ships: each leaf tree is encoded into a pooled
+// MsgResult packet at the representation's wire version (maxWireVersion),
+// the overlay reduces the packets under ropts with the session's result
+// filter — so ropts' Partial, Faults and SubtreeTimeout degrade the merge
+// exactly as a fault-tolerant session's gather does — and the root packet
+// decodes with the hierarchical rank remap fused in. taskMap lists each
+// daemon's global ranks in local order, one entry per overlay leaf; tasks
+// is the job width. leaf(i) builds daemon i's tree — job-width labels
+// indexed by global rank in Original mode, len(taskMap[i]) local labels in
+// Hierarchical mode — and MergeTrees releases it once encoded. The merged
+// tree is in MPI rank order; live is the set of ranks it accounts for,
+// nil when every subtree arrived.
+func MergeTrees(net *tbon.Network, ropts tbon.ReduceOptions, mode BitVecMode, taskMap [][]int, tasks int,
+	leaf func(int) (*trace.Tree, error)) (*trace.Tree, *bitvec.Vector, *tbon.Stats, error) {
+	if n := len(net.Topology().Leaves); len(taskMap) != n {
+		return nil, nil, nil, fmt.Errorf("core: task map lists %d daemons, overlay has %d leaves", len(taskMap), n)
+	}
+	m := &merger{mode: mode, tasks: tasks, taskMap: taskMap}
+	version := maxWireVersion(mode, 0)
+	hdr := proto.HeaderSizeV(version)
+	leafPacket := func(i int) (*tbon.Lease, error) {
+		t, err := leaf(i)
+		if err != nil {
+			return nil, err
+		}
+		trees := [1]*trace.Tree{t}
+		buf := outBufs.Get(hdr + encodedTreesSize(version, trees[:]))
+		packet, err := encodeFramesInto(buf[:hdr], version, false, trees[:]...)
+		t.Release()
+		if err != nil {
+			outBufs.Put(buf)
+			return nil, err
+		}
+		return mintPacket(packet, version, proto.MsgResult), nil
+	}
+	out, stats, err := net.ReduceNodeLeasedWith(ropts, leafPacket, m.resultFilter(false))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	g, err := unwrapRoot(out, version, false, nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	trees, err := m.decodeResult(g.payload, g.live)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if len(trees) != 1 {
+		releaseDecoded(trees, 0, nil)
+		return nil, nil, nil, fmt.Errorf("core: merge returned %d trees, want 1", len(trees))
+	}
+	return trees[0], g.live, stats, nil
+}
+
 // runMergePhase drives the protocol session (attach — which negotiates
 // the wire version — then sample → gather → detach), computes the modeled
 // merge time from the gather's traffic, and (in hierarchical mode) remaps
@@ -544,11 +634,12 @@ func (t *Tool) runMergePhase(res *Result) error {
 		return nil
 	}
 
-	t.aliasHits.Store(0)
-	t.aliasMisses.Store(0)
-	t.labelStatsMu.Lock()
-	t.labelStats = trace.LabelStats{}
-	t.labelStatsMu.Unlock()
+	m := t.merge
+	m.aliasHits.Store(0)
+	m.aliasMisses.Store(0)
+	m.labelStatsMu.Lock()
+	m.labelStats = trace.LabelStats{}
+	m.labelStatsMu.Unlock()
 	s := t.newSession()
 	if err := s.attach(); err != nil {
 		return err
@@ -560,70 +651,48 @@ func (t *Tool) runMergePhase(res *Result) error {
 	// keyed walker starts accumulating immediately; the first keyed round
 	// has no previous seal, so round 0 still arrives as whole trees and
 	// deltas flow from round 1 (daemon.sampleTrees).
-	wantDelta := t.streamWantsDelta(s)
-	payload, version, isDelta, live, stats, err := s.gather(proto.TreeBoth, false, wantDelta)
+	g, err := s.gather(proto.TreeBoth, false, t.streamWantsDelta(s))
 	if err != nil {
 		return err
 	}
-	if isDelta {
+	if g.delta {
 		return errors.New("core: first gather round answered with delta frames")
 	}
 
-	res.MergeStats = stats
-	res.WireVersion = version
-	res.Liveness = live
-	if live != nil {
-		res.MissingRanks = t.opts.Tasks - live.Count()
+	res.MergeStats = g.stats
+	res.WireVersion = g.version
+	res.Liveness = g.live
+	if g.live != nil {
+		res.MissingRanks = t.opts.Tasks - g.live.Count()
 		if t.telem != nil {
-			res.FlightDumps = t.flightDumps(live)
+			res.FlightDumps = t.flightDumps(g.live)
 		}
 	}
 	if s.lastFrameOK {
 		frame := s.lastFrame
 		res.Telemetry = &frame
 	}
-	res.AliasDecodeHits = t.aliasHits.Load()
-	res.AliasDecodeMisses = t.aliasMisses.Load()
-	t.labelStatsMu.Lock()
-	res.LabelStats = t.labelStats
-	t.labelStatsMu.Unlock()
+	res.AliasDecodeHits = m.aliasHits.Load()
+	res.AliasDecodeMisses = m.aliasMisses.Load()
+	m.labelStatsMu.Lock()
+	res.LabelStats = m.labelStats
+	m.labelStatsMu.Unlock()
 	for _, leafNode := range t.topo.Leaves {
-		if b := stats.NodeOutBytes[leafNode.ID]; b > res.MaxLeafPayloadBytes {
+		if b := g.stats.NodeOutBytes[leafNode.ID]; b > res.MaxLeafPayloadBytes {
 			res.MaxLeafPayloadBytes = b
 		}
 	}
-	res.FrontEndInBytes = stats.NodeInBytes[t.topo.Root.ID]
+	res.FrontEndInBytes = g.stats.NodeInBytes[t.topo.Root.ID]
 
 	model := tbon.TimingModel{Link: t.mach.TreeLink, CPU: t.mach.MergeCPU, ConstSec: t.mach.MergeConstSec}
-	res.Times.Merge = model.ReduceTime(t.topo, stats, nil)
+	res.Times.Merge = model.ReduceTime(t.topo, g.stats, nil)
 
-	var trees []*trace.Tree
+	trees, err := m.decodeResult(g.payload, g.live)
+	if err != nil {
+		return err
+	}
 	if t.opts.BitVec == Hierarchical {
-		// Decode the gather payload through the compiled rank-order
-		// permutation: each label materializes from the wire already in
-		// rank order — one pass over each word, no separate RemapWith
-		// sweep over the decoded trees. A degraded gather concatenated
-		// only the surviving subtrees, so its permutation lists only the
-		// surviving daemons' ranks (rankRemapperLive).
-		var remapper *bitvec.Remapper
-		if live == nil {
-			remapper, err = t.rankRemapper()
-		} else {
-			remapper, err = t.rankRemapperLive(live)
-		}
-		if err != nil {
-			return err
-		}
-		trees, err = decodeTreesRemapped(payload, remapper)
-		if err != nil {
-			return err
-		}
 		res.Times.Remap = t.mach.RemapPerTaskSec * float64(t.opts.Tasks)
-	} else {
-		trees, err = decodeTrees(payload)
-		if err != nil {
-			return err
-		}
 	}
 	if len(trees) != 2 {
 		return fmt.Errorf("core: gather returned %d trees, want 2", len(trees))

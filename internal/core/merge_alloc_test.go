@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -11,6 +12,56 @@ import (
 	"stat/internal/topology"
 	"stat/internal/trace"
 )
+
+// mergeFilter returns the tree-merge filter for the configured
+// representation, operating on leased encodeTrees bodies: the treeMerger
+// body encode wrapped in a pooled output lease. The output body carries
+// the LOWEST wire version seen among the children — the min-merge rule.
+// In a homogeneous session (the common case) every child agrees after
+// negotiation and the version simply propagates; in a mixed-version fleet
+// (per-daemon caps) a v1-era daemon's subtree downgrades every merge on
+// its path to the root, while disjoint subtrees keep shipping v2 until
+// the join — mirroring how the ack merge's minimum carries the negotiated
+// session version upward.
+func (m *merger) mergeFilter() tbon.Filter {
+	merge := m.treeMerger()
+	return func(children []*tbon.Lease) (*tbon.Lease, error) {
+		version := uint8(0)
+		for _, c := range children {
+			v, err := bodyWireVersion(c.Bytes())
+			if err != nil {
+				return nil, err
+			}
+			if version == 0 || v < version {
+				version = v
+			}
+		}
+		body, err := merge(children, 0, version, nil)
+		if err != nil {
+			return nil, err
+		}
+		return tbon.NewLease(body, recycleOutBuf), nil
+	}
+}
+
+// bodyWireVersion sniffs which framing a tree-list body uses. The
+// layouts are self-evident: the tree magic sits at a fixed offset per
+// version, and an empty body is distinguished by the v2 count padding.
+// An empty v3 body is byte-identical to an empty v2 body and reports 2 —
+// harmless, since with no trees the two framings are the same bytes and
+// gather payloads always carry at least one tree. Delta bodies (the same
+// framing carrying "STD" frames) are rejected here; use bodyFrameInfo
+// where both kinds are admissible.
+func bodyWireVersion(b []byte) (uint8, error) {
+	v, delta, err := bodyFrameInfo(b)
+	if err != nil {
+		return 0, err
+	}
+	if delta {
+		return 0, errors.New("core: delta frames in a whole-tree payload")
+	}
+	return v, nil
+}
 
 // buildFilterChildren encodes two child payloads (each the usual 2D+3D
 // tree pair) the way daemons produce them, under the given wire version,
@@ -74,7 +125,7 @@ func TestFilterCycleZeroAllocs(t *testing.T) {
 	}
 	for _, version := range []uint8{trace.WireV1, trace.WireV2, trace.WireV3} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			filter := newAllocTool(t, Hierarchical).mergeFilter()
+			filter := newAllocTool(t, Hierarchical).merge.mergeFilter()
 			children := buildFilterChildren(t, true, version)
 
 			cycle := func() {
@@ -111,7 +162,7 @@ func TestFilterCycleAliasRate(t *testing.T) {
 	}
 	run := func(version uint8) (hits, misses int64) {
 		tool := newAllocTool(t, Hierarchical)
-		filter := tool.mergeFilter()
+		filter := tool.merge.mergeFilter()
 		children := buildFilterChildren(t, true, version)
 		out, err := filter(children)
 		if err != nil {
@@ -121,7 +172,7 @@ func TestFilterCycleAliasRate(t *testing.T) {
 		for _, c := range children {
 			c.Release()
 		}
-		return tool.aliasHits.Load(), tool.aliasMisses.Load()
+		return tool.merge.aliasHits.Load(), tool.merge.aliasMisses.Load()
 	}
 	for _, version := range []uint8{trace.WireV2, trace.WireV3} {
 		hits, misses := run(version)
@@ -147,7 +198,7 @@ func TestResultFilterCycleZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
-	filter := newAllocTool(t, Hierarchical).resultFilter(false)
+	filter := newAllocTool(t, Hierarchical).merge.resultFilter(false)
 	inner := buildFilterChildren(t, true, trace.WireV2)
 	children := make([]*tbon.Lease, len(inner))
 	for i, b := range inner {
@@ -194,7 +245,7 @@ func BenchmarkFilterCycle(b *testing.B) {
 		{"hierarchical-v1", Hierarchical, trace.WireV1},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			filter := newAllocTool(b, tc.mode).mergeFilter()
+			filter := newAllocTool(b, tc.mode).merge.mergeFilter()
 			children := buildFilterChildren(b, tc.mode == Hierarchical, tc.version)
 			var bytes int64
 			for _, c := range children {
@@ -227,7 +278,7 @@ func TestFilterCycleOriginalModeAllocsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
-	filter := newAllocTool(t, Original).mergeFilter()
+	filter := newAllocTool(t, Original).merge.mergeFilter()
 	children := buildFilterChildren(t, false, trace.WireV2)
 	cycle := func() {
 		out, err := filter(children)

@@ -81,7 +81,7 @@ func TestOverlapDifferentialAcrossTopologies(t *testing.T) {
 						for _, dm := range daemons {
 							dm.epoch += dm.samples
 						}
-						out, _, err := net.ReduceNodeLeasedWith(engine.reduceOpts(), leaf, tool.resultFilter(false))
+						out, _, err := net.ReduceNodeLeasedWith(engine.reduceOpts(), leaf, tool.merge.resultFilter(false))
 						if err != nil {
 							t.Fatalf("%v/v%d/%s/%v round %d: %v", mode, version, tc.name, overlap, round, err)
 						}

@@ -92,7 +92,7 @@ func (t *Tool) runSamplePhase() (float64, error) {
 	for d := 0; d < t.daemons; d++ {
 		d := d
 		r := t.rng.Derive(uint64(d), 0xD43)
-		walk := float64(len(t.taskMap[d])) * float64(t.opts.ThreadsPerTask) *
+		walk := float64(len(t.merge.taskMap[d])) * float64(t.opts.ThreadsPerTask) *
 			t.mach.WalkSec(t.opts.Samples) *
 			t.mach.CPUContention * r.Jitter(t.mach.JitterFrac)
 		if r.Float64() < t.mach.TailProb {
@@ -147,7 +147,7 @@ func (t *Tool) runSamplePhase() (float64, error) {
 func (t *Tool) steadyWalkSec() float64 {
 	var worst float64
 	for d := 0; d < t.daemons; d++ {
-		walk := float64(len(t.taskMap[d])) * float64(t.opts.ThreadsPerTask) *
+		walk := float64(len(t.merge.taskMap[d])) * float64(t.opts.ThreadsPerTask) *
 			t.mach.WalkSecSteady(t.opts.Samples) * t.mach.CPUContention
 		if walk > worst {
 			worst = walk

@@ -32,37 +32,22 @@ func (t *Tool) ProgressCheck() (*ProgressReport, error) {
 	if err := s.attach(); err != nil {
 		return nil, err
 	}
-	// In hierarchical mode the rank-order remap is fused into the decode:
-	// one compiled permutation serves both rounds.
-	var remapper *bitvec.Remapper
-	if t.opts.BitVec == Hierarchical {
-		var err error
-		remapper, err = t.rankRemapper()
-		if err != nil {
-			return nil, err
-		}
-	}
 	round := func() (*trace.Tree, error) {
 		if err := s.sample(t.opts.Samples, t.opts.ThreadsPerTask); err != nil {
 			return nil, err
 		}
-		payload, _, _, live, _, err := s.gather(proto.Tree3D, true, false)
+		g, err := s.gather(proto.Tree3D, true, false)
 		if err != nil {
 			return nil, err
 		}
 		// The stuck-task comparison needs every task's paths in both
 		// rounds; a degraded round would turn lost ranks into false
 		// "stuck" negatives, so refuse rather than mislead.
-		if live != nil {
+		if g.live != nil {
 			return nil, fmt.Errorf("core: progress check ran degraded: %d ranks missing from the gather",
-				t.opts.Tasks-live.Count())
+				t.opts.Tasks-g.live.Count())
 		}
-		var trees []*trace.Tree
-		if remapper != nil {
-			trees, err = decodeTreesRemapped(payload, remapper)
-		} else {
-			trees, err = decodeTrees(payload)
-		}
+		trees, err := t.merge.decodeResult(g.payload, nil)
 		if err != nil {
 			return nil, err
 		}

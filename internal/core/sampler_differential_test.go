@@ -78,7 +78,7 @@ func TestSamplerDifferentialAcrossTopologies(t *testing.T) {
 					leaf := func(i int) (*tbon.Lease, error) {
 						return daemons[i].gatherPacket(greq)
 					}
-					out, _, err := net.ReduceNodeLeasedWith(tbon.ReduceOptions{}, leaf, tool.resultFilter(false))
+					out, _, err := net.ReduceNodeLeasedWith(tbon.ReduceOptions{}, leaf, tool.merge.resultFilter(false))
 					if err != nil {
 						t.Fatalf("%v/v%d/%s: %v", mode, version, tc.name, err)
 					}
@@ -354,7 +354,7 @@ func TestSamplePhaseZeroAllocs(t *testing.T) {
 // stack that differs from the same (task, thread, sample) stack of its
 // previous one.
 func stacksDrift(d *daemon) bool {
-	for _, rank := range d.tool.taskMap[d.leaf] {
+	for _, rank := range d.tool.merge.taskMap[d.leaf] {
 		for thread := 0; thread < d.threads; thread++ {
 			for s := 0; s < d.samples; s++ {
 				if !slices.Equal(d.tool.app.StackPCs(rank, thread, d.epoch+s),

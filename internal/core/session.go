@@ -125,7 +125,7 @@ func (s *session) control(typ proto.MsgType, body []byte) (proto.Ack, error) {
 // with the front end. An ack without a version (a pre-handshake build)
 // degrades the session to the baseline.
 func (s *session) attach() error {
-	req := proto.AttachRequest{MaxVersion: s.t.maxWireVersion()}
+	req := proto.AttachRequest{MaxVersion: maxWireVersion(s.t.opts.BitVec, s.t.opts.WireVersion)}
 	ack, err := s.control(proto.MsgAttach, req.Encode())
 	if err != nil {
 		return err
@@ -155,14 +155,28 @@ func (s *session) detach() error {
 	return err
 }
 
+// gathered is one gather round's unwrapped root packet.
+type gathered struct {
+	// payload is the merged tree-list body, with the telemetry section
+	// and any partial-liveness prefix stripped.
+	payload []byte
+	// version is the wire version the body is encoded in.
+	version uint8
+	// delta marks a MsgDelta body — only possible when delta frames were
+	// requested and every daemon qualified.
+	delta bool
+	// live is the set of ranks the body covers; nil when the gather
+	// completed in full (the only outcome unless the reduction ran with
+	// Partial set).
+	live *bitvec.Vector
+	// stats are the reduction's traffic counters, which the timing model
+	// prices.
+	stats *tbon.Stats
+}
+
 // gather broadcasts the gather command and runs the data-stream reduction
-// whose filter performs the real prefix-tree merges. It returns the
-// merged tree payload, the wire version it is encoded in, whether the
-// payload is a delta body (MsgDelta — only possible when delta was
-// requested and every daemon qualified), the liveness set of the ranks
-// the payload covers (nil when the gather completed in full — the only
-// outcome unless Options.FaultTolerant is set), and the traffic
-// statistics the timing model needs. detail selects function+offset frame
+// whose filter performs the real prefix-tree merges, returning the root
+// packet unwrapped (see gathered). detail selects function+offset frame
 // granularity; delta invites daemons to answer with delta frames against
 // their previous round (streaming sessions). Leaf payloads are minted by
 // the daemons from the shared buffer pool behind leases
@@ -171,16 +185,16 @@ func (s *session) detach() error {
 // through outBufs. The gather is the only reduction that runs under the
 // fault-tolerance options (gatherReduceOpts): control acks stay
 // fault-free.
-func (s *session) gather(which proto.TreeKind, detail, delta bool) ([]byte, uint8, bool, *bitvec.Vector, *tbon.Stats, error) {
+func (s *session) gather(which proto.TreeKind, detail, delta bool) (gathered, error) {
 	s.lastFrameOK = false
 	req := proto.GatherRequest{Which: which, Detail: detail, Delta: delta, Telemetry: s.telem}
 	cmd := proto.Packet{Stream: proto.DataStream, Type: proto.MsgGather, Payload: req.Encode()}
 	delivered, _, err := s.net.Broadcast(cmd.Encode())
 	if err != nil {
-		return nil, 0, false, nil, nil, err
+		return gathered{}, err
 	}
 
-	filter := s.t.resultFilter(s.telem)
+	filter := s.t.merge.resultFilter(s.telem)
 	leaf := func(leaf int) (*tbon.Lease, error) {
 		p, err := proto.Decode(delivered[leaf])
 		if err != nil {
@@ -203,56 +217,71 @@ func (s *session) gather(which proto.TreeKind, detail, delta bool) ([]byte, uint
 	}
 	out, stats, err := s.net.ReduceNodeLeasedWith(ropts, leaf, filter)
 	if err != nil {
-		return nil, 0, false, nil, nil, err
+		return gathered{}, err
 	}
-	p, err := proto.Decode(out)
+	var frame *telemetry.Frame
+	if s.telem {
+		frame = &s.lastFrame
+	}
+	g, err := unwrapRoot(out, s.wireVersion, delta, frame)
 	if err != nil {
-		return nil, 0, false, nil, nil, err
+		return gathered{}, err
 	}
-	if p.Type != proto.MsgResult && p.Type != proto.MsgPartialResult &&
-		!(delta && p.Type == proto.MsgDelta) {
-		return nil, 0, false, nil, nil, fmt.Errorf("core: gather returned %v", p.Type)
-	}
-	// The data stream must carry exactly the version attach negotiated:
-	// daemons encode at their handshake result and the filters propagate
-	// it, so a mismatch here means a filter or daemon ignored the
-	// negotiation.
-	if p.Version != s.wireVersion {
-		return nil, 0, false, nil, nil, fmt.Errorf("core: result packet carries wire version %d, session negotiated %d", p.Version, s.wireVersion)
-	}
-	payload := p.Payload
-	// The telemetry section is the outermost body trailer — pop it before
-	// the partial-liveness split sees the payload. A v2+ session that
-	// requested telemetry must find one on every result packet: daemons
-	// append unconditionally when asked and filters re-append the fold, so
-	// a bare body here means a filter or daemon dropped the section.
-	if s.telem && p.Version >= trace.WireV2 {
-		tree, sect, err := proto.SplitTelemetrySection(payload)
-		if err != nil {
-			return nil, 0, false, nil, nil, err
-		}
-		if !telemetry.DecodeFrameInto(&s.lastFrame, sect) {
-			return nil, 0, false, nil, nil, errors.New("core: malformed telemetry section on result packet")
-		}
+	if frame != nil && g.version >= trace.WireV2 {
 		wait := s.t.telem.takeWait()
 		s.lastFrame.Spans[telemetry.SpanReduceWait].Merge(&wait)
 		s.lastFrameOK = true
 		s.t.telem.publish(&s.lastFrame)
-		payload = tree
 	}
-	var live *bitvec.Vector
+	g.stats = stats
+	return g, nil
+}
+
+// unwrapRoot checks and unwraps a gather reduction's root packet. It must
+// be a MsgResult or MsgPartialResult (or MsgDelta, when delta frames were
+// requested) carrying exactly the wire version the leaves were asked to
+// encode: daemons encode at their handshake result and the filters
+// propagate it, so a mismatch means a filter or daemon ignored the
+// negotiation. With a non-nil frame, a v2+ packet must carry a telemetry
+// section — daemons append unconditionally when asked and filters
+// re-append the fold, so a bare body means one of them dropped it — which
+// is popped (it is the outermost trailer) and decoded into frame. A
+// partial result's liveness prefix is split off last. The returned stats
+// are left for the caller to fill.
+func unwrapRoot(out []byte, version uint8, delta bool, frame *telemetry.Frame) (gathered, error) {
+	p, err := proto.Decode(out)
+	if err != nil {
+		return gathered{}, err
+	}
+	if p.Type != proto.MsgResult && p.Type != proto.MsgPartialResult &&
+		!(delta && p.Type == proto.MsgDelta) {
+		return gathered{}, fmt.Errorf("core: gather returned %v", p.Type)
+	}
+	if p.Version != version {
+		return gathered{}, fmt.Errorf("core: result packet carries wire version %d, leaves were asked for %d", p.Version, version)
+	}
+	g := gathered{payload: p.Payload, version: p.Version, delta: p.Type == proto.MsgDelta}
+	if frame != nil && p.Version >= trace.WireV2 {
+		tree, sect, err := proto.SplitTelemetrySection(g.payload)
+		if err != nil {
+			return gathered{}, err
+		}
+		if !telemetry.DecodeFrameInto(frame, sect) {
+			return gathered{}, errors.New("core: malformed telemetry section on result packet")
+		}
+		g.payload = tree
+	}
 	if p.Type == proto.MsgPartialResult {
-		lv, body, err := proto.SplitPartialPayload(payload, p.Version)
+		lv, body, err := proto.SplitPartialPayload(g.payload, p.Version)
 		if err != nil {
-			return nil, 0, false, nil, nil, err
+			return gathered{}, err
 		}
-		live, _, err = bitvec.UnmarshalBinary(lv)
-		if err != nil {
-			return nil, 0, false, nil, nil, err
+		if g.live, _, err = bitvec.UnmarshalBinary(lv); err != nil {
+			return gathered{}, err
 		}
-		payload = body
+		g.payload = body
 	}
-	return payload, p.Version, p.Type == proto.MsgDelta, live, stats, nil
+	return g, nil
 }
 
 // resultFilter merges MsgResult packets: unwrap, merge the carried trees
@@ -297,9 +326,9 @@ var bodySlicePool = sync.Pool{New: func() any {
 	return &s
 }}
 
-func (t *Tool) resultFilter(telem bool) tbon.NodeFilter {
-	merge := t.treeMerger()
-	mergeDelta := t.deltaMerger()
+func (m *merger) resultFilter(telem bool) tbon.NodeFilter {
+	merge := m.treeMerger()
+	mergeDelta := m.deltaMerger()
 	return func(ctx *tbon.FilterCtx, children []*tbon.Lease) (*tbon.Lease, error) {
 		bp := bodySlicePool.Get().(*[]*tbon.Lease)
 		if cap(*bp) < len(children) {
@@ -402,7 +431,7 @@ func (t *Tool) resultFilter(telem bool) tbon.NodeFilter {
 				release(len(bodies))
 				return nil, errMixedDeltaRound
 			}
-			return t.mergePartial(ctx, children, bodies, merge, version, hdr, frame)
+			return m.mergePartial(ctx, children, bodies, merge, version, hdr, frame)
 		}
 		outType := proto.MsgResult
 		doMerge := merge
@@ -415,7 +444,6 @@ func (t *Tool) resultFilter(telem bool) tbon.NodeFilter {
 		if err != nil {
 			return nil, err
 		}
-		proto.PutHeaderV(packet, version, proto.DataStream, outType, len(packet)-hdr)
-		return tbon.NewLease(packet, recycleOutBuf), nil
+		return mintPacket(packet, version, outType), nil
 	}
 }

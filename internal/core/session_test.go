@@ -35,20 +35,20 @@ func TestSessionFullCycle(t *testing.T) {
 	if err := s.sample(3, 1); err != nil {
 		t.Fatalf("sample: %v", err)
 	}
-	payload, version, _, live, stats, err := s.gather(proto.TreeBoth, false, false)
+	g, err := s.gather(proto.TreeBoth, false, false)
 	if err != nil {
 		t.Fatalf("gather: %v", err)
 	}
-	if live != nil {
+	if g.live != nil {
 		t.Errorf("fault-free gather reported a liveness set")
 	}
-	if version != proto.MaxVersion {
-		t.Errorf("negotiated wire version %d, want %d", version, proto.MaxVersion)
+	if g.version != proto.MaxVersion {
+		t.Errorf("negotiated wire version %d, want %d", g.version, proto.MaxVersion)
 	}
-	if stats.Packets == 0 {
+	if g.stats.Packets == 0 {
 		t.Error("gather recorded no traffic")
 	}
-	trees, err := decodeTrees(payload)
+	trees, err := decodeTrees(g.payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestSessionGatherSingleTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []proto.TreeKind{proto.Tree2D, proto.Tree3D} {
-		payload, _, _, _, _, err := s.gather(kind, false, false)
+		g, err := s.gather(kind, false, false)
 		if err != nil {
 			t.Fatalf("gather(%d): %v", kind, err)
 		}
-		trees, err := decodeTrees(payload)
+		trees, err := decodeTrees(g.payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestSessionProtocolStateMachine(t *testing.T) {
 	if err := s2.attach(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, _, _, err := s2.gather(proto.TreeBoth, false, false); err == nil {
+	if _, err := s2.gather(proto.TreeBoth, false, false); err == nil {
 		t.Error("gather before sample succeeded")
 	}
 

@@ -47,7 +47,7 @@ func (t *Tool) runStreamPhase(res *Result, s *session) error {
 	var remapper *bitvec.Remapper
 	if hier {
 		var err error
-		if remapper, err = t.rankRemapper(); err != nil {
+		if remapper, err = t.merge.rankRemapper(); err != nil {
 			return err
 		}
 	}
@@ -69,33 +69,33 @@ func (t *Tool) runStreamPhase(res *Result, s *session) error {
 			return err
 		}
 		wantDelta := t.streamWantsDelta(s)
-		payload, _, isDelta, live, stats, err := s.gather(proto.TreeBoth, false, wantDelta)
+		g, err := s.gather(proto.TreeBoth, false, wantDelta)
 		if wantDelta && isMixedDeltaRound(err) {
 			res.StreamMixedRetries++
-			payload, _, isDelta, live, stats, err = s.gather(proto.TreeBoth, false, false)
+			g, err = s.gather(proto.TreeBoth, false, false)
 		}
 		if err != nil {
 			return fmt.Errorf("core: stream round %d: %w", round, err)
 		}
-		if live != nil {
+		if g.live != nil {
 			return fmt.Errorf("core: stream round %d returned a partial result", round)
 		}
 		res.StreamRounds++
-		res.Times.Stream += model.ReduceTime(t.topo, stats, nil)
-		ingress := stats.NodeInBytes[t.topo.Root.ID]
-		if isDelta {
+		res.Times.Stream += model.ReduceTime(t.topo, g.stats, nil)
+		ingress := g.stats.NodeInBytes[t.topo.Root.ID]
+		if g.delta {
 			res.StreamDeltaRounds++
 			res.StreamDeltaBytes += ingress
-			if err := t.foldStreamDelta(res, payload, remapper); err != nil {
+			if err := t.foldStreamDelta(res, g.payload, remapper); err != nil {
 				return fmt.Errorf("core: stream round %d: %w", round, err)
 			}
 		} else {
 			res.StreamWholeBytes += ingress
 			var trees []*trace.Tree
 			if hier {
-				trees, err = decodeTreesRemapped(payload, remapper)
+				trees, err = decodeTreesRemapped(g.payload, remapper)
 			} else {
-				trees, err = decodeTrees(payload)
+				trees, err = decodeTrees(g.payload)
 			}
 			if err != nil {
 				return fmt.Errorf("core: stream round %d: %w", round, err)
@@ -118,7 +118,7 @@ func (t *Tool) runStreamPhase(res *Result, s *session) error {
 		}
 		sig, classes = nsig, nclasses
 		if hook := t.opts.StreamRound; hook != nil {
-			hook(round, isDelta, res.Tree2D, res.Tree3D)
+			hook(round, g.delta, res.Tree2D, res.Tree3D)
 		}
 		if hook := t.opts.StreamRoundTelemetry; hook != nil && s.lastFrameOK {
 			// s.lastFrame is overwritten by the next gather, so the hook

@@ -339,7 +339,7 @@ func mkResultChild(t testing.TB, delta bool, width, task int) *tbon.Lease {
 // join whose children mix delta frames with whole trees must abort with
 // errMixedDeltaRound rather than combine incomparable payloads.
 func TestResultFilterMixedDeltaRound(t *testing.T) {
-	filter := newAllocTool(t, Hierarchical).resultFilter(false)
+	filter := newAllocTool(t, Hierarchical).merge.resultFilter(false)
 	children := []*tbon.Lease{
 		mkResultChild(t, true, 4, 0),
 		mkResultChild(t, false, 4, 1),
@@ -359,7 +359,7 @@ func TestResultFilterMixedDeltaRound(t *testing.T) {
 // TestResultFilterUniformDelta: uniform delta children merge into a
 // MsgDelta packet whose body concatenates the frames like whole trees.
 func TestResultFilterUniformDelta(t *testing.T) {
-	filter := newAllocTool(t, Hierarchical).resultFilter(false)
+	filter := newAllocTool(t, Hierarchical).merge.resultFilter(false)
 	children := []*tbon.Lease{
 		mkResultChild(t, true, 3, 0),
 		mkResultChild(t, true, 5, 2),
@@ -403,7 +403,7 @@ func TestDeltaFilterCycleZeroAllocs(t *testing.T) {
 	}
 	for _, version := range []uint8{trace.WireV2, trace.WireV3} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			merge := newAllocTool(t, Hierarchical).deltaMerger()
+			merge := newAllocTool(t, Hierarchical).merge.deltaMerger()
 			children := make([]*tbon.Lease, 2)
 			for ci := range children {
 				width := 5 + ci*3

@@ -220,7 +220,7 @@ type FlightDump struct {
 // off the steady-state budget by construction.
 func (t *Tool) flightDumps(live *bitvec.Vector) []FlightDump {
 	var dumps []FlightDump
-	for leaf, ranks := range t.taskMap {
+	for leaf, ranks := range t.merge.taskMap {
 		missing := false
 		for _, r := range ranks {
 			if !live.Get(r) {

@@ -71,7 +71,7 @@ func TestTelemetryDifferentialAcrossTopologies(t *testing.T) {
 					leaf := func(i int) (*tbon.Lease, error) {
 						return daemons[i].gatherPacket(greq)
 					}
-					out, _, err := net.ReduceNodeLeasedWith(engine.reduceOpts(), leaf, tool.resultFilter(telem))
+					out, _, err := net.ReduceNodeLeasedWith(engine.reduceOpts(), leaf, tool.merge.resultFilter(telem))
 					if err != nil {
 						t.Fatalf("%v/v%d/%s/%v: %v", mode, version, tc.name, engine, err)
 					}
@@ -306,7 +306,7 @@ func TestResultFilterTelemetryZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
-	filter := newAllocTool(t, Hierarchical).resultFilter(true)
+	filter := newAllocTool(t, Hierarchical).merge.resultFilter(true)
 	children := buildTelemetryChildren(t, trace.WireV2)
 	cycle := func() {
 		out, err := filter(nil, children)
@@ -450,7 +450,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			filter := tool.resultFilter(tc.telem)
+			filter := tool.merge.resultFilter(tc.telem)
 			children := benchTelemetryChildren(b, tc.telem, trace.WireV2)
 			var total int64
 			for _, c := range children {

@@ -2,14 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"stat/internal/bitvec"
 	"stat/internal/fsim"
 	"stat/internal/machine"
 	"stat/internal/mpisim"
-	"stat/internal/proto"
 	"stat/internal/sample"
 	"stat/internal/sbrs"
 	"stat/internal/sim"
@@ -27,7 +24,6 @@ type Tool struct {
 	eng     *sim.Engine
 	daemons int
 	topo    *topology.Tree
-	taskMap [][]int // per daemon: global ranks in local order
 	fs      *fsim.FS
 	app     *mpisim.App
 	symtab  *stackwalk.SymbolTable
@@ -36,45 +32,13 @@ type Tool struct {
 	// every daemon of this tool; nil when Options.Sampler selects the
 	// legacy per-sample loop.
 	sampler *sample.Engine
-	// aliasHits / aliasMisses aggregate the pooled codecs' zero-copy
-	// decode counters across a merge phase's filter workers (hence
-	// atomic); runMergePhase resets them and copies the totals into the
-	// Result.
-	aliasHits   atomic.Int64
-	aliasMisses atomic.Int64
-	// labelStats aggregates the pooled codecs' per-container-kind v3 label
-	// decode counters across a merge phase's filter workers; a struct of
-	// six counters, so a mutex instead of atomics. runMergePhase resets it
-	// and copies the totals into the Result.
-	labelStatsMu sync.Mutex
-	labelStats   trace.LabelStats
-	// cov caches per-node subtree rank coverage for the fault-tolerant
-	// merge's liveness accounting (see coverage); populated lazily, only
-	// when a gather actually degrades. Guarded by covMu because the
-	// concurrent and pipelined engines run filters from many goroutines.
-	covMu sync.Mutex
-	cov   map[int]*bitvec.Vector
+	// merge is the gather's merge state: representation, task layout
+	// (merge.taskMap: per daemon, global ranks in local order), coverage
+	// cache and decode counters.
+	merge *merger
 	// telem is the observability plane (registry, per-daemon flight
 	// recorders, reduce-wait aggregation); nil unless Options.Telemetry.
 	telem *toolTelemetry
-}
-
-// maxWireVersion is the highest wire version this tool's processes
-// advertise: the build's maximum, unless Options.WireVersion pins one
-// explicitly. Original-representation sessions advertise at most v2:
-// the original mode models the paper's pre-optimization tool, whose
-// defining cost is full-job-width dense labels on the wire (the
-// Figure 5/7 blowup) — the v3 adaptive containers would compress away
-// exactly the behaviour the mode exists to reproduce. Pinning
-// Options.WireVersion to 3 still overrides.
-func (t *Tool) maxWireVersion() uint8 {
-	if v := t.opts.WireVersion; v != 0 {
-		return v
-	}
-	if t.opts.BitVec == Original {
-		return trace.WireV2
-	}
-	return proto.MaxVersion
 }
 
 // Result reports one run.
@@ -216,7 +180,7 @@ func New(opts Options) (*Tool, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.taskMap = t.mach.TaskMap(opts.Tasks, t.daemons)
+	t.merge = &merger{mode: opts.BitVec, tasks: opts.Tasks, taskMap: t.mach.TaskMap(opts.Tasks, t.daemons)}
 
 	t.app = opts.App
 	if t.app == nil {
@@ -322,7 +286,7 @@ func (t *Tool) Daemons() int { return t.daemons }
 func (t *Tool) Topology() *topology.Tree { return t.topo }
 
 // TaskMap reports the daemon→ranks assignment.
-func (t *Tool) TaskMap() [][]int { return t.taskMap }
+func (t *Tool) TaskMap() [][]int { return t.merge.taskMap }
 
 // Run executes all phases and assembles the result. Environment failures
 // (launch, merge fan-in) are reported in the Result, not as errors; an

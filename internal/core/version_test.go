@@ -41,7 +41,7 @@ func TestCrossVersionMergeDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		filter := tool.mergeFilter()
+		filter := tool.merge.mergeFilter()
 		for _, tc := range topos {
 			topo, err := tc.build()
 			if err != nil {

@@ -362,7 +362,7 @@ func TestWireDifferentialAcrossTopologies(t *testing.T) {
 			want := refFold(t, topo, leafBodies, mode == Original)
 			wantTrees := refDecodeTrees(t, want)
 
-			filter := tool.mergeFilter()
+			filter := tool.merge.mergeFilter()
 			net := tbon.New(topo, nil)
 			leaf := func(i int) ([]byte, error) { return leafBodies[i], nil }
 			for _, eng := range engines {

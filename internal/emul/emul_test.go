@@ -8,7 +8,6 @@ import (
 
 	"stat/internal/sim"
 	"stat/internal/tbon"
-	"stat/internal/telemetry"
 	"stat/internal/topology"
 )
 
@@ -94,8 +93,70 @@ func TestRunModesAgree(t *testing.T) {
 	if !orig.Tree.Equal(hier.Tree) {
 		t.Error("original and hierarchical emulations disagree after remap")
 	}
+
+	// Subtree-local labels must make the leaf payload smaller once the job
+	// is wide enough for full-width labels to cost more than the wire's
+	// 8-byte label granularity: at 128 tasks both modes' labels fit the
+	// same words, at 256 over 8 daemons they no longer do.
+	s.Tasks = 256
+	if orig, err = Run(s, 8, topology.Spec{Kind: topology.KindFlat}, false, model()); err != nil {
+		t.Fatal(err)
+	}
+	if hier, err = Run(s, 8, topology.Spec{Kind: topology.KindFlat}, true, model()); err != nil {
+		t.Fatal(err)
+	}
 	if hier.MaxLeafBytes >= orig.MaxLeafBytes {
 		t.Errorf("hierarchical leaf payload %d >= original %d", hier.MaxLeafBytes, orig.MaxLeafBytes)
+	}
+}
+
+// TestRunMatchesDirectMerge: every run, whatever the representation,
+// overlay shape or reduction engine, yields exactly the tree one process
+// builds by adding every task's stack to a single job-width tree — the
+// reference involves no overlay, no wire and no remap.
+func TestRunMatchesDirectMerge(t *testing.T) {
+	topos := []topology.Spec{
+		{Kind: topology.KindFlat},
+		{Kind: topology.KindBalanced, Depth: 2},
+		{Kind: topology.KindBGL2Deep},
+	}
+	engines := []struct {
+		name string
+		opts tbon.ReduceOptions
+	}{
+		{"pipelined", tbon.ReduceOptions{}},
+		{"one-worker", tbon.ReduceOptions{Workers: 1}},
+		{"concurrent", tbon.ReduceOptions{Engine: tbon.EngineConcurrent}},
+	}
+	for _, seed := range []uint64{1, 2, 3} {
+		r := sim.NewRNG(seed)
+		s := Spec{
+			Tasks:     16 + r.Intn(240),
+			Depth:     1 + r.Intn(8),
+			Branch:    1 + r.Intn(5),
+			EqClasses: 1 + r.Intn(24),
+			Seed:      seed,
+		}
+		daemons := 1 + r.Intn(s.Tasks/2)
+		all := make([]int, s.Tasks)
+		for i := range all {
+			all[i] = i
+		}
+		want := s.DaemonTree(all, false)
+		for _, hier := range []bool{false, true} {
+			for _, topo := range topos {
+				for _, eng := range engines {
+					res, err := RunEngine(s, daemons, topo, hier, model(), eng.opts)
+					if err != nil {
+						t.Fatalf("seed %d hier=%v %v %s: %v", seed, hier, topo, eng.name, err)
+					}
+					if !res.Tree.Equal(want) {
+						t.Errorf("seed %d hier=%v %v %s: merged tree differs from the direct merge",
+							seed, hier, topo, eng.name)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -173,55 +234,4 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// TestRunInstrumented: the instrumented run returns the same tree as the
-// bare run (the telemetry plane must not perturb the reduction) and its
-// fleet frame accounts for every daemon and at least one filter call,
-// with non-zero span and byte tallies.
-func TestRunInstrumented(t *testing.T) {
-	s := Spec{Tasks: 128, Depth: 4, Branch: 4, EqClasses: 7, Seed: 11}
-	topo := topology.Spec{Kind: topology.KindBalanced, Depth: 2}
-	for _, hier := range []bool{false, true} {
-		bare, err := Run(s, 16, topo, hier, model())
-		if err != nil {
-			t.Fatalf("hier=%v bare: %v", hier, err)
-		}
-		inst, err := RunInstrumented(s, 16, topo, hier, model(), tbon.ReduceOptions{})
-		if err != nil {
-			t.Fatalf("hier=%v instrumented: %v", hier, err)
-		}
-		if !bare.Tree.Equal(inst.Tree) {
-			t.Errorf("hier=%v: instrumented run produced a different tree", hier)
-		}
-		f := inst.Telemetry
-		if f == nil {
-			t.Fatalf("hier=%v: no telemetry frame", hier)
-		}
-		if f.Daemons != 16 {
-			t.Errorf("hier=%v: frame counts %d daemons, want 16", hier, f.Daemons)
-		}
-		if f.Filters < 1 {
-			t.Errorf("hier=%v: frame counts no filter calls", hier)
-		}
-		if f.Spans[telemetry.SpanWalk].Count != 16 || f.Spans[telemetry.SpanEncode].Count != 16 {
-			t.Errorf("hier=%v: walk/encode span counts %d/%d, want 16/16",
-				hier, f.Spans[telemetry.SpanWalk].Count, f.Spans[telemetry.SpanEncode].Count)
-		}
-		if f.Spans[telemetry.SpanMerge].Count != int64(f.Filters) {
-			t.Errorf("hier=%v: %d merge spans for %d filter calls",
-				hier, f.Spans[telemetry.SpanMerge].Count, f.Filters)
-		}
-		if f.PayloadBytes <= 0 || f.MergedBytes <= 0 {
-			t.Errorf("hier=%v: byte counters %d/%d, want positive",
-				hier, f.PayloadBytes, f.MergedBytes)
-		}
-		if f.QueueDepth < 2 {
-			t.Errorf("hier=%v: max fan-in %d, want >= 2", hier, f.QueueDepth)
-		}
-	}
-	// Bare runs stay frame-free.
-	if bare, err := Run(s, 8, topology.Spec{Kind: topology.KindFlat}, false, model()); err != nil || bare.Telemetry != nil {
-		t.Errorf("bare run: err=%v telemetry=%v, want nil/nil", err, bare.Telemetry)
-	}
 }

@@ -11,13 +11,22 @@ import (
 
 // faultSpec and the fixed daemon count give every fault test the same
 // synthetic population; topology builds are deterministic, so rebuilding
-// the spec here yields the same node IDs RunFaulty sees internally.
+// the spec here yields the same node IDs RunEngine sees internally.
 var faultSpec = Spec{Tasks: 128, Depth: 4, Branch: 4, EqClasses: 7, Seed: 11}
 
 const faultDaemons = 9
 
+// faultOpts is engine with the reduction degrading instead of failing:
+// the plan's faults wired in and every subtree wait bounded by timeout.
+func faultOpts(engine tbon.ReduceOptions, plan *tbon.FaultPlan, timeout time.Duration) tbon.ReduceOptions {
+	engine.Partial = true
+	engine.Faults = plan
+	engine.SubtreeTimeout = timeout
+	return engine
+}
+
 // expectLive is the rank set left after the given daemons crash, under
-// RunFaulty's round-robin task assignment.
+// RunEngine's round-robin task assignment.
 func expectLive(s Spec, daemons int, crashed ...int) *bitvec.Vector {
 	dead := map[int]bool{}
 	for _, d := range crashed {
@@ -32,7 +41,7 @@ func expectLive(s Spec, daemons int, crashed ...int) *bitvec.Vector {
 	return live
 }
 
-func TestRunFaultyDegradesToSurvivors(t *testing.T) {
+func TestRunEngineFaultDegradesToSurvivors(t *testing.T) {
 	topoSpec := topology.Spec{Kind: topology.KindBalanced, Depth: 2}
 	topo, err := topoSpec.Build(faultDaemons)
 	if err != nil {
@@ -48,8 +57,8 @@ func TestRunFaultyDegradesToSurvivors(t *testing.T) {
 		for _, d := range crashed {
 			plan.Crash[topo.Leaves[d].ID] = true
 		}
-		res, err := RunFaulty(faultSpec, faultDaemons, topoSpec, hier, model(),
-			tbon.ReduceOptions{}, plan, time.Second)
+		res, err := RunEngine(faultSpec, faultDaemons, topoSpec, hier, model(),
+			faultOpts(tbon.ReduceOptions{}, plan, time.Second))
 		if err != nil {
 			t.Fatalf("hier=%v: %v", hier, err)
 		}
@@ -67,32 +76,33 @@ func TestRunFaultyDegradesToSurvivors(t *testing.T) {
 	}
 }
 
-func TestRunFaultyFaultFreeMatchesRun(t *testing.T) {
+func TestRunEngineFaultFreeMatchesRun(t *testing.T) {
 	topoSpec := topology.Spec{Kind: topology.KindBalanced, Depth: 2}
 	for _, hier := range []bool{false, true} {
 		full, err := Run(faultSpec, faultDaemons, topoSpec, hier, model())
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunFaulty(faultSpec, faultDaemons, topoSpec, hier, model(),
-			tbon.ReduceOptions{}, nil, time.Second)
+		res, err := RunEngine(faultSpec, faultDaemons, topoSpec, hier, model(),
+			faultOpts(tbon.ReduceOptions{}, nil, time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Live != nil {
-			t.Errorf("hier=%v: fault-free RunFaulty reported a liveness set", hier)
+			t.Errorf("hier=%v: fault-free partial run reported a liveness set", hier)
 		}
 		if !res.Tree.Equal(full.Tree) {
-			t.Errorf("hier=%v: fault-free RunFaulty tree differs from Run", hier)
+			t.Errorf("hier=%v: fault-free partial run tree differs from Run", hier)
 		}
 	}
 }
 
-// TestRunFaultyAdoptionRecovers: under the concurrent engine a crashed
-// interior node's children are re-parented, and because liveness rides in
-// every payload the recovered ranks count as surviving — Live comes back
-// nil, which a static reading of the fault plan could not produce.
-func TestRunFaultyAdoptionRecovers(t *testing.T) {
+// TestRunEngineFaultAdoptionRecovers: under the concurrent engine a
+// crashed interior node's children are re-parented, and because the
+// result filter accounts liveness from what actually arrives, the
+// recovered ranks count as surviving — Live comes back nil, which a
+// static reading of the fault plan could not produce.
+func TestRunEngineFaultAdoptionRecovers(t *testing.T) {
 	topoSpec := topology.Spec{Kind: topology.KindBalanced, Depth: 2}
 	topo, err := topoSpec.Build(faultDaemons)
 	if err != nil {
@@ -106,8 +116,8 @@ func TestRunFaultyAdoptionRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := &tbon.FaultPlan{Crash: map[int]bool{topo.Levels[1][1].ID: true}}
-	res, err := RunFaulty(faultSpec, faultDaemons, topoSpec, true, model(),
-		tbon.ReduceOptions{Engine: tbon.EngineConcurrent}, plan, 500*time.Millisecond)
+	res, err := RunEngine(faultSpec, faultDaemons, topoSpec, true, model(),
+		faultOpts(tbon.ReduceOptions{Engine: tbon.EngineConcurrent}, plan, 500*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

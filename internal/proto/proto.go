@@ -149,12 +149,6 @@ func HeaderSizeV(version uint8) int {
 	return HeaderSize
 }
 
-// PutHeader writes a v1 packet frame header for a payload of n bytes into
-// b; see PutHeaderV.
-func PutHeader(b []byte, stream uint16, typ MsgType, n int) {
-	PutHeaderV(b, Version, stream, typ, n)
-}
-
 // PutHeaderV writes a packet frame header under the given version for a
 // payload of n bytes into b, which must hold at least HeaderSizeV(version)
 // bytes. It exists for callers that encode a payload in place directly

@@ -10,8 +10,10 @@ import (
 )
 
 // Ablation experiments: not figures from the paper, but sweeps over the
-// design choices DESIGN.md calls out, run through the STATBench-style
-// emulator so tree shape is controlled independently of the ring app.
+// tool's design choices (label representation, overlay depth, reduction
+// engine), run through the STATBench-style emulator so tree shape is
+// controlled independently of the ring app. The emulator only generates
+// the daemons' trees; the merge is the tool's own (core.MergeTrees).
 
 func bglModel() tbon.TimingModel {
 	m := machine.BGL()
@@ -100,10 +102,11 @@ func AblationFanout(c Config) (*Figure, error) {
 // AblationEngines compares the reduction engines on identical emulated
 // workloads. The modeled time is engine-independent (same traffic, same
 // machine model); what the sweep exposes is the real wall-clock of the
-// in-process reduction — the one-worker sequential fold against the
-// pipelined engine's subtree concurrency — plus the memory knob: the
-// bounded-budget series shows the pipelined engine trading peak
-// in-flight bytes for speed.
+// in-process reduction (emul.Result.MeasuredSec) — core's gather, with
+// its result filter and fused root decode, under the one-worker
+// sequential fold against the pipelined engine's subtree concurrency —
+// plus the memory knob: the bounded-budget series shows the pipelined
+// engine trading peak in-flight bytes for speed.
 func AblationEngines(c Config) (*Figure, error) {
 	fig := &Figure{
 		ID:     "AblD",

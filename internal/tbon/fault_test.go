@@ -81,8 +81,8 @@ func livenessFilter(t *testing.T) NodeFilter {
 	}
 }
 
-func leafIndexData(leaf int) ([]byte, error) {
-	return []byte(strconv.Itoa(leaf)), nil
+func leafIndexData(leaf int) (*Lease, error) {
+	return NewLease([]byte(strconv.Itoa(leaf)), nil), nil
 }
 
 // wantLiveness renders the expected root payload: the surviving leaf
@@ -142,7 +142,7 @@ func runFaulty(t *testing.T, topo *topology.Tree, e faultEngine, plan *FaultPlan
 	t.Helper()
 	before := LiveLeases()
 	n := New(topo, nil)
-	out, _, err := n.ReduceNodeWith(ReduceOptions{
+	out, _, err := n.ReduceNodeLeasedWith(ReduceOptions{
 		Engine: e.engine, Workers: e.workers, Partial: true, Faults: plan, SubtreeTimeout: timeout,
 	}, leafIndexData, livenessFilter(t))
 	if after := LiveLeases(); after != before {
@@ -285,7 +285,7 @@ func TestFaultFatalWithoutPartial(t *testing.T) {
 		t.Run(e.name, func(t *testing.T) {
 			before := LiveLeases()
 			n := New(topo, nil)
-			_, _, err := n.ReduceNodeWith(ReduceOptions{
+			_, _, err := n.ReduceNodeLeasedWith(ReduceOptions{
 				Engine: e.engine, Workers: e.workers, Faults: &FaultPlan{Crash: map[int]bool{4: true}}, SubtreeTimeout: 200 * time.Millisecond,
 			}, leafIndexData, livenessFilter(t))
 			if err == nil {
@@ -351,11 +351,11 @@ func TestFaultFreePartialIdentical(t *testing.T) {
 		}
 		for _, e := range faultEngines {
 			n := New(topo, nil)
-			base, _, err := n.ReduceNodeWith(ReduceOptions{Engine: e.engine, Workers: e.workers}, leafIndexData, livenessFilter(t))
+			base, _, err := n.ReduceNodeLeasedWith(ReduceOptions{Engine: e.engine, Workers: e.workers}, leafIndexData, livenessFilter(t))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := New(topo, nil).ReduceNodeWith(
+			got, _, err := New(topo, nil).ReduceNodeLeasedWith(
 				ReduceOptions{Engine: e.engine, Workers: e.workers, Partial: true, SubtreeTimeout: time.Second},
 				leafIndexData, livenessFilter(t))
 			if err != nil {
@@ -378,7 +378,7 @@ func TestFaultFilterErrorIsFatal(t *testing.T) {
 		t.Run(e.name, func(t *testing.T) {
 			before := LiveLeases()
 			n := New(topo, nil)
-			_, _, err := n.ReduceNodeWith(ReduceOptions{Engine: e.engine, Workers: e.workers, Partial: true},
+			_, _, err := n.ReduceNodeLeasedWith(ReduceOptions{Engine: e.engine, Workers: e.workers, Partial: true},
 				leafIndexData,
 				func(ctx *FilterCtx, children []*Lease) (*Lease, error) {
 					if ctx.Node.ID == 2 {

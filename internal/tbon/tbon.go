@@ -99,7 +99,7 @@
 //     it indicts the data, not the fabric.
 //
 //   - Filters see what is missing. Partial reductions require a
-//     position-aware NodeFilter (ReduceNodeWith/ReduceNodeLeasedWith):
+//     position-aware NodeFilter (ReduceNodeLeasedWith):
 //     each call carries a FilterCtx naming the topology node, the child
 //     span each input covers, and the missing positions, which is what
 //     lets core's result filter attach an explicit liveness set to a
@@ -140,7 +140,7 @@ const (
 	// EnginePipelined is the worker-pool fold with a gated in-flight
 	// payload bound; see ReduceOptions.Workers and BudgetBytes.
 	EnginePipelined Engine = iota
-	// EngineConcurrent runs one goroutine per overlay process (Reduce).
+	// EngineConcurrent runs one goroutine per overlay process.
 	EngineConcurrent
 )
 
@@ -237,15 +237,10 @@ func (n *Network) ReduceLeasedWith(opts ReduceOptions, leaf LeafFunc, filter Fil
 	return n.ReduceNodeLeasedWith(opts, leaf, asNodeFilter(filter))
 }
 
-// ReduceNodeWith runs one upstream reduction through a position-aware
-// NodeFilter — required for partial-result reductions, where the filter
-// must know which children each input covers (FilterCtx).
-func (n *Network) ReduceNodeWith(opts ReduceOptions, leafData func(leaf int) ([]byte, error), filter NodeFilter) ([]byte, *Stats, error) {
-	return n.ReduceNodeLeasedWith(opts, wrapLeafBytes(leafData), filter)
-}
-
-// ReduceNodeLeasedWith is ReduceNodeWith for leaves that produce leased
-// payloads; see LeafFunc.
+// ReduceNodeLeasedWith runs one upstream reduction through a
+// position-aware NodeFilter — required for partial-result reductions,
+// where the filter must know which children each input covers
+// (FilterCtx) — with leaves that produce leased payloads; see LeafFunc.
 func (n *Network) ReduceNodeLeasedWith(opts ReduceOptions, leaf LeafFunc, filter NodeFilter) ([]byte, *Stats, error) {
 	switch opts.Engine {
 	case EnginePipelined:
@@ -326,14 +321,6 @@ func (s *Stats) MaxInBytesAtLevel(topo *topology.Tree, d int) int64 {
 type result struct {
 	data *Lease
 	err  error
-}
-
-// Reduce runs one upstream reduction. leafData supplies each daemon's
-// payload by leaf index; filter merges child payloads at every interior
-// node (including the root). The returned Stats describe exactly what
-// moved where.
-func (n *Network) Reduce(leafData func(leaf int) ([]byte, error), filter Filter) ([]byte, *Stats, error) {
-	return n.reduceConcurrent(wrapLeafBytes(leafData), asNodeFilter(filter), ReduceOptions{})
 }
 
 func (n *Network) reduceConcurrent(leaf LeafFunc, filter NodeFilter, opts ReduceOptions) ([]byte, *Stats, error) {

@@ -50,7 +50,7 @@ func TestReduceSum(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := New(topo, nil)
-			out, stats, err := n.Reduce(leafValue, sumFilter)
+			out, stats, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leafValue, sumFilter)
 			if err != nil {
 				t.Fatalf("d=%d: %v", d, err)
 			}
@@ -73,7 +73,7 @@ func TestReduceSeqMatchesReduce(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := New(topo, nil)
-	outP, statsP, err := n.Reduce(leafValue, sumFilter)
+	outP, statsP, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leafValue, sumFilter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestReduceChildOrderDeterministic(t *testing.T) {
 	}
 	want := "abcdefghijklmnop"
 	for i := 0; i < 20; i++ { // concurrency must not reorder children
-		out, _, err := n.Reduce(leafLetter, concatFilter)
+		out, _, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leafLetter, concatFilter)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestReduceLeafError(t *testing.T) {
 		}
 		return leafValue(l)
 	}
-	if _, _, err := n.Reduce(leaf, sumFilter); err == nil {
+	if _, _, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leaf, sumFilter); err == nil {
 		t.Error("parallel reduce swallowed leaf error")
 	}
 	if _, _, err := n.ReduceWith(seqFold, leaf, sumFilter); !errors.Is(err, boom) {
@@ -156,7 +156,7 @@ func TestReduceFailureReleasesStrandedLeases(t *testing.T) {
 		outs.Add(1)
 		return NewLease([]byte{1}, func([]byte) { freed.Add(1) }), nil
 	}
-	if _, _, err := n.Reduce(leafValue, filter); !errors.Is(err, boom) {
+	if _, _, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leafValue, filter); !errors.Is(err, boom) {
 		t.Fatalf("error %v does not wrap the filter error", err)
 	}
 	if f, p := freed.Load(), outs.Load(); f != p {
@@ -168,7 +168,7 @@ func TestReduceFilterError(t *testing.T) {
 	topo, _ := topology.Flat(4)
 	n := New(topo, nil)
 	bad := func([]*Lease) (*Lease, error) { return nil, errors.New("filter died") }
-	if _, _, err := n.Reduce(leafValue, bad); err == nil {
+	if _, _, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leafValue, bad); err == nil {
 		t.Error("parallel reduce swallowed filter error")
 	}
 	if _, _, err := n.ReduceWith(seqFold, leafValue, bad); err == nil {
@@ -184,7 +184,7 @@ func TestReduceStatsBytes(t *testing.T) {
 	n := New(topo, nil)
 	leaf := func(l int) ([]byte, error) { return []byte("xxxx"), nil } // 4 bytes each
 	fixed := func([]*Lease) (*Lease, error) { return NewLease([]byte("yy"), nil), nil }
-	_, stats, err := n.Reduce(leaf, fixed)
+	_, stats, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leaf, fixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestReduceOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := New(topo, tr)
-	out, _, err := n.Reduce(leafValue, sumFilter)
+	out, _, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leafValue, sumFilter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestBroadcastTimePipelines(t *testing.T) {
 	}
 }
 
-// TestReduceManyShapes cross-checks Reduce and the sequential fold over a
+// TestReduceManyShapes cross-checks the concurrent engine and the sequential fold over a
 // sweep of topology shapes and daemon counts with an order-sensitive
 // filter.
 func TestReduceManyShapes(t *testing.T) {
@@ -392,7 +392,7 @@ func TestReduceManyShapes(t *testing.T) {
 				want[i] = fmt.Sprintf("<%d>", i)
 			}
 			leaf := func(l int) ([]byte, error) { return []byte(fmt.Sprintf("<%d>", l)), nil }
-			outP, _, err := n.Reduce(leaf, concatFilter)
+			outP, _, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leaf, concatFilter)
 			if err != nil {
 				t.Fatalf("depth=%d d=%d: %v", depth, d, err)
 			}
@@ -412,7 +412,7 @@ func TestReduceManyShapes(t *testing.T) {
 func TestStatsLevelConsistency(t *testing.T) {
 	topo, _ := topology.Balanced(3, 27)
 	n := New(topo, nil)
-	_, stats, err := n.Reduce(leafValue, sumFilter)
+	_, stats, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leafValue, sumFilter)
 	if err != nil {
 		t.Fatal(err)
 	}

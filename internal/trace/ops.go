@@ -47,18 +47,6 @@ func (t *Tree) Focus(tasks *bitvec.Vector) (*Tree, error) {
 	return out, nil
 }
 
-// FocusTasks is a convenience wrapper taking rank numbers.
-func (t *Tree) FocusTasks(ranks ...int) (*Tree, error) {
-	v := bitvec.New(t.NumTasks)
-	for _, r := range ranks {
-		if r < 0 || r >= t.NumTasks {
-			return nil, fmt.Errorf("trace: rank %d out of range [0,%d)", r, t.NumTasks)
-		}
-		v.Set(r)
-	}
-	return t.Focus(v)
-}
-
 // PathTo returns the deepest call path containing the task — in a 2D
 // tree, the task's sampled stack. The sentinel root is excluded. A task
 // with no trace returns nil.

@@ -22,7 +22,7 @@ func buildHangTree(t *testing.T) *Tree {
 
 func TestFocus(t *testing.T) {
 	tr := buildHangTree(t)
-	focused, err := tr.FocusTasks(1, 2)
+	focused, err := tr.Focus(bitvec.FromMembers(8, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +56,6 @@ func TestFocusEmptyAndErrors(t *testing.T) {
 	}
 	if _, err := tr.Focus(bitvec.New(9)); err == nil {
 		t.Error("width mismatch accepted")
-	}
-	if _, err := tr.FocusTasks(99); err == nil {
-		t.Error("out-of-range rank accepted")
 	}
 }
 
