@@ -372,17 +372,15 @@ func BenchmarkThreadsExtension(b *testing.B) {
 }
 
 // BenchmarkSessionMergeEngines compares whole merge phases on identical
-// real workloads under the one-worker sequential fold, the default
-// pipelined worker pool, and the concurrent goroutine-per-process engine.
+// real workloads under the one-worker sequential fold and the default
+// worker pool.
 func BenchmarkSessionMergeEngines(b *testing.B) {
 	for _, eng := range []struct {
 		name    string
-		engine  tbon.Engine
 		workers int
 	}{
-		{"pipelined-w1", tbon.EnginePipelined, 1},
-		{"pipelined", tbon.EnginePipelined, 0},
-		{"concurrent", tbon.EngineConcurrent, 0},
+		{"pipelined-w1", 1},
+		{"pipelined", 0},
 	} {
 		b.Run(eng.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -392,7 +390,6 @@ func BenchmarkSessionMergeEngines(b *testing.B) {
 					Topology:      topology.Spec{Kind: topology.KindBalanced, Depth: 2},
 					BitVec:        core.Hierarchical,
 					Samples:       3,
-					Engine:        eng.engine,
 					ReduceWorkers: eng.workers,
 				})
 				if err != nil {
@@ -408,12 +405,13 @@ func BenchmarkSessionMergeEngines(b *testing.B) {
 
 // BenchmarkReduceEngines is the reduction-engine shootout: identical
 // leaf payloads and an identical CPU-bearing associative filter, swept
-// across topology shapes, engines and pipelined byte budgets. On a
-// multi-core host the pipelined engine's wide-topology rows should beat
-// seq by roughly the core count (the filter work on sibling subtrees is
-// independent); the budget rows show how much of that survives a memory
-// cap. Chain is the adversarial floor: no available parallelism, so
-// pipelined should match seq there, not lose to it.
+// across topology shapes, worker counts and byte budgets. On a
+// multi-core host the worker pool's wide-topology rows should beat seq
+// by up to the core count (the filter work on sibling subtrees is
+// independent); the budget rows show what a memory cap costs, and — with
+// room to defer — what folding each node's children in one call saves.
+// Chain is the adversarial floor: no available parallelism, so the pool
+// should match seq there, not lose to it.
 //
 // Smoke run (CI): go test -bench=ReduceEngines -benchtime=1x
 func BenchmarkReduceEngines(b *testing.B) {
@@ -450,18 +448,17 @@ func BenchmarkReduceEngines(b *testing.B) {
 		name string
 		opts tbon.ReduceOptions
 	}{
-		{"seq", tbon.ReduceOptions{Engine: tbon.EnginePipelined, Workers: 1}},
-		{"concurrent", tbon.ReduceOptions{Engine: tbon.EngineConcurrent}},
-		{"pipelined", tbon.ReduceOptions{Engine: tbon.EnginePipelined}},
-		{"pipelined-budget=1MiB", tbon.ReduceOptions{Engine: tbon.EnginePipelined, BudgetBytes: 1 << 20}},
-		{"pipelined-budget=64KiB", tbon.ReduceOptions{Engine: tbon.EnginePipelined, BudgetBytes: 64 << 10}},
+		{"seq", tbon.ReduceOptions{Workers: 1}},
+		{"pipelined", tbon.ReduceOptions{}},
+		{"pipelined-budget=1MiB", tbon.ReduceOptions{BudgetBytes: 1 << 20}},
+		{"pipelined-budget=64KiB", tbon.ReduceOptions{BudgetBytes: 64 << 10}},
 	}
 	for _, tc := range topos {
 		topo, err := tc.build()
 		if err != nil {
 			b.Fatal(err)
 		}
-		net := tbon.New(topo, nil)
+		net := tbon.New(topo)
 		payloads := make([][]byte, topo.NumLeaves())
 		for i := range payloads {
 			payloads[i] = make([]byte, payloadBytes)
@@ -756,14 +753,14 @@ func BenchmarkStackSampling(b *testing.B) {
 	}
 }
 
-// BenchmarkTBONReduceOverlay measures the raw overlay (channel transport)
-// on a 256-leaf, 2-deep tree with a byte-concat filter.
+// BenchmarkTBONReduceOverlay measures the raw overlay on a 256-leaf,
+// 2-deep tree with a pass-through filter.
 func BenchmarkTBONReduceOverlay(b *testing.B) {
 	topo, err := topology.Balanced(2, 256)
 	if err != nil {
 		b.Fatal(err)
 	}
-	net := tbon.New(topo, nil)
+	net := tbon.New(topo)
 	payload := make([]byte, 1024)
 	// Ownership of a leaf buffer transfers to the engine, so each call
 	// hands out its own copy rather than sharing one slice.
@@ -774,7 +771,7 @@ func BenchmarkTBONReduceOverlay(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := net.ReduceWith(tbon.ReduceOptions{Engine: tbon.EngineConcurrent}, leaf, filter); err != nil {
+		if _, _, err := net.ReduceWith(tbon.ReduceOptions{}, leaf, filter); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -236,7 +236,7 @@ var flagGroups = []struct {
 	{"session (application, sampling, reduction)", []string{
 		"machine", "mode", "tasks", "topology", "bitvec", "samples", "threads",
 		"sbrs", "unpatched", "seed", "sampler", "sample-workers", "overlap",
-		"engine", "reduce-workers", "reduce-budget",
+		"reduce-workers", "reduce-budget",
 	}},
 	{"wire (negotiated data-stream format)", []string{"wire"}},
 	{"fault tolerance & injection", []string{
@@ -373,9 +373,8 @@ func run() error {
 		showTree    = flag.Bool("tree", false, "print the merged 3D prefix tree")
 		maxClasses  = flag.Int("classes", 10, "max equivalence classes to print")
 		progress    = flag.Bool("progress", false, "run a two-round progress check and report wedged tasks")
-		engineName  = flag.String("engine", "pipelined", "TBON reduction engine: pipelined (worker-pool fold; -reduce-workers 1 folds sequentially) or concurrent (goroutine per overlay process)")
-		workers     = flag.Int("reduce-workers", 0, "pipelined engine worker count (0 = GOMAXPROCS)")
-		budget      = flag.Int64("reduce-budget", 0, "pipelined engine in-flight payload byte budget (0 = at most one unfolded payload per worker)")
+		workers     = flag.Int("reduce-workers", 0, "TBON reduction worker count (0 = GOMAXPROCS; 1 = sequential pairwise fold)")
+		budget      = flag.Int64("reduce-budget", 0, "TBON reduction in-flight payload byte budget (0 = at most one unfolded payload per worker); while a budget has room, comm processes fold all their children in one call")
 		wireVersion = flag.Uint("wire", 0, "cap the negotiated wire format version (0 = build maximum; 1 = compact STR1, 2 = 8-aligned STR2, 3 = compressed-label STR3)")
 		samplerName = flag.String("sampler", "batched", "daemon sampling engine: batched (direct-to-tree trie) or legacy (per-sample loop)")
 		sampWorkers = flag.Int("sample-workers", 0, "batched sampler's concurrent daemon-walker bound (0 = GOMAXPROCS)")
@@ -461,7 +460,7 @@ func run() error {
 			return fmt.Errorf("fault injection flags require -fault-tolerant")
 		}
 		// The plan's node IDs depend on the topology, which core.New
-		// builds; the engines read the plan at gather time, so an empty
+		// builds; the engine reads the plan at gather time, so an empty
 		// plan registered now is filled in below.
 		opts.GatherFaults = &tbon.FaultPlan{}
 	}
@@ -480,14 +479,6 @@ func run() error {
 		opts.Overlap = core.OverlapQuiesced
 	default:
 		return fmt.Errorf("unknown overlap mode %q (snapshot|quiesced)", *overlapName)
-	}
-	switch *engineName {
-	case "pipelined":
-		opts.Engine = tbon.EnginePipelined
-	case "concurrent", "parallel":
-		opts.Engine = tbon.EngineConcurrent
-	default:
-		return fmt.Errorf("unknown engine %q (pipelined|concurrent)", *engineName)
 	}
 
 	switch *machineName {

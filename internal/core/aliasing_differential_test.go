@@ -90,8 +90,8 @@ func TestAliasingDecodeMatchesCopyingAcrossEngines(t *testing.T) {
 		{"seq", seqEngine.reduceOpts()},
 		{"concurrent", concurrentEngine.reduceOpts()},
 		{"pipelined", pipelinedEngine.reduceOpts()},
-		{"pipelined-w4", tbon.ReduceOptions{Engine: tbon.EnginePipelined, Workers: 4}},
-		{"pipelined-1B", tbon.ReduceOptions{Engine: tbon.EnginePipelined, BudgetBytes: 1}},
+		{"pipelined-w4", tbon.ReduceOptions{Workers: 4}},
+		{"pipelined-1B", tbon.ReduceOptions{BudgetBytes: 1}},
 	}
 	// Odd-length names force label words onto every alignment class, so
 	// both the aliasing fast path and the copy fallback run.
@@ -154,7 +154,7 @@ func TestAliasingDecodeMatchesCopyingAcrossEngines(t *testing.T) {
 				}
 
 				leaf := func(i int) ([]byte, error) { return leafBodies[i], nil }
-				net := tbon.New(topo, nil)
+				net := tbon.New(topo)
 				production := tool.merge.mergeFilter()
 				reference := copyingMergeFilter(mode != Original, version)
 				for _, eng := range engines {

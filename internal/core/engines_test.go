@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"stat/internal/machine"
@@ -9,49 +10,51 @@ import (
 )
 
 // testEngine is one reduction-engine configuration the core differentials
-// sweep. "seq" is the pipelined engine on one worker: the sequential fold
-// every other configuration must match byte for byte.
+// sweep. "seq" is one worker: the pairwise sequential fold every other
+// configuration must match byte for byte. "pipelined" is the default pool.
+// "concurrent" has as much in flight as the engine allows — eight workers
+// under a budget no test session reaches, so no producer waits and every
+// comm process folds all its children in one filter call.
 type testEngine struct {
 	name    string
-	engine  tbon.Engine
 	workers int
+	budget  int64
 }
 
 func (e testEngine) String() string { return e.name }
 
 // apply selects the engine configuration on o.
 func (e testEngine) apply(o *Options) {
-	o.Engine, o.ReduceWorkers = e.engine, e.workers
+	o.ReduceWorkers, o.ReduceBudgetBytes = e.workers, e.budget
 }
 
 // reduceOpts is the engine configuration as tbon options, for tests that
 // drive a reduction directly.
 func (e testEngine) reduceOpts() tbon.ReduceOptions {
-	return tbon.ReduceOptions{Engine: e.engine, Workers: e.workers}
+	return tbon.ReduceOptions{Workers: e.workers, BudgetBytes: e.budget}
 }
 
 var (
-	seqEngine        = testEngine{"seq", tbon.EnginePipelined, 1}
-	concurrentEngine = testEngine{"concurrent", tbon.EngineConcurrent, 0}
-	pipelinedEngine  = testEngine{"pipelined", tbon.EnginePipelined, 0}
+	seqEngine        = testEngine{"seq", 1, 0}
+	concurrentEngine = testEngine{"concurrent", 8, 1 << 30}
+	pipelinedEngine  = testEngine{"pipelined", 0, 0}
 	allEngines       = []testEngine{seqEngine, concurrentEngine, pipelinedEngine}
 )
 
 // TestMergeEnginesAgree runs the full tool merge phase under every
 // reduction engine and representation and requires identical analysis
 // results: same trees, same traffic statistics. This is the end-to-end
-// differential check — everything below Options.Engine (session
-// protocol, daemons, trace merges, remap) must be engine-invariant.
+// differential check — everything below the reduction options (session
+// protocol, daemons, trace merges, remap) must be invariant under them.
 func TestMergeEnginesAgree(t *testing.T) {
 	for _, mode := range []BitVecMode{Original, Hierarchical} {
-		newTool := func(engine testEngine, budget int64) *Tool {
+		newTool := func(engine testEngine) *Tool {
 			opts := Options{
-				Machine:           machine.Atlas(),
-				Tasks:             96,
-				Topology:          topology.Spec{Kind: topology.KindBalanced, Depth: 2},
-				BitVec:            mode,
-				Samples:           3,
-				ReduceBudgetBytes: budget,
+				Machine:  machine.Atlas(),
+				Tasks:    96,
+				Topology: topology.Spec{Kind: topology.KindBalanced, Depth: 2},
+				BitVec:   mode,
+				Samples:  3,
 			}
 			engine.apply(&opts)
 			tool, err := New(opts)
@@ -60,25 +63,21 @@ func TestMergeEnginesAgree(t *testing.T) {
 			}
 			return tool
 		}
-		base, err := newTool(seqEngine, 0).MeasureMerge()
+		base, err := newTool(seqEngine).MeasureMerge()
 		if err != nil {
 			t.Fatalf("%v/seq: %v", mode, err)
 		}
 		if base.MergeErr != nil {
 			t.Fatalf("%v/seq: %v", mode, base.MergeErr)
 		}
-		for _, tc := range []struct {
-			name   string
-			engine testEngine
-			budget int64
-		}{
-			{"concurrent", concurrentEngine, 0},
-			{"pipelined", pipelinedEngine, 0},
-			{"pipelined-w4", testEngine{"pipelined-w4", tbon.EnginePipelined, 4}, 0},
-			{"pipelined-64KiB", pipelinedEngine, 64 << 10},
-			{"pipelined-1B", pipelinedEngine, 1},
+		for _, tc := range []testEngine{
+			concurrentEngine,
+			pipelinedEngine,
+			{"pipelined-w4", 4, 0},
+			{"pipelined-64KiB", 0, 64 << 10},
+			{"pipelined-1B", 0, 1},
 		} {
-			res, err := newTool(tc.engine, tc.budget).MeasureMerge()
+			res, err := newTool(tc).MeasureMerge()
 			if err != nil {
 				t.Fatalf("%v/%s: %v", mode, tc.name, err)
 			}
@@ -108,5 +107,19 @@ func TestMergeEnginesAgree(t *testing.T) {
 					mode, tc.name, res.Times.Merge, base.Times.Merge)
 			}
 		}
+	}
+}
+
+// TestOnlyPipelinedEngineAccepted: the deprecated Engine option accepts
+// only its zero value, the worker pool every reduction runs on.
+func TestOnlyPipelinedEngineAccepted(t *testing.T) {
+	opts := atlasOpts(16)
+	opts.Engine = tbon.EnginePipelined
+	if _, err := New(opts); err != nil {
+		t.Fatalf("Engine = EnginePipelined rejected: %v", err)
+	}
+	opts.Engine = 1
+	if _, err := New(opts); err == nil || !strings.Contains(err.Error(), "unknown reduction engine") {
+		t.Fatalf("Engine = 1: err = %v, want unknown reduction engine", err)
 	}
 }

@@ -244,15 +244,15 @@ func TestFaultBGLDaemonCrashAcceptance(t *testing.T) {
 	}
 }
 
-// TestFaultAdoptionRecoversInteriorCrash: under the concurrent engine a
-// crashed communication process's children are re-parented, so the run
-// completes with no missing ranks and trees identical to the fault-free
-// result — the crash is invisible in the output.
+// TestFaultAdoptionRecoversInteriorCrash: a crashed communication
+// process's children are re-parented, so the run completes with no
+// missing ranks and trees identical to the fault-free result — the crash
+// is invisible in the output.
 func TestFaultAdoptionRecoversInteriorCrash(t *testing.T) {
 	topoSpec := topology.Spec{Kind: topology.KindBalanced, Depth: 2}
-	baseline := mustMerge(t, faultCaseOpts(topoSpec, Hierarchical, 2, concurrentEngine))
+	baseline := mustMerge(t, faultCaseOpts(topoSpec, Hierarchical, 2, pipelinedEngine))
 
-	opts := faultCaseOpts(topoSpec, Hierarchical, 2, concurrentEngine)
+	opts := faultCaseOpts(topoSpec, Hierarchical, 2, pipelinedEngine)
 	opts.FaultTolerant = true
 	opts.SubtreeTimeout = 200 * time.Millisecond
 	opts.GatherFaults = &tbon.FaultPlan{Crash: map[int]bool{}}

@@ -325,7 +325,7 @@ type merger struct {
 	// cov caches per-node subtree rank coverage for the fault-tolerant
 	// merge's liveness accounting (see coverage); populated lazily, only
 	// when a gather actually degrades. Guarded by covMu because the
-	// concurrent and pipelined engines run filters from many goroutines.
+	// reduction runs filters from many worker goroutines.
 	covMu sync.Mutex
 	cov   map[int]*bitvec.Vector
 }

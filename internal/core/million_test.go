@@ -5,7 +5,6 @@ import (
 
 	"stat/internal/bitvec"
 	"stat/internal/machine"
-	"stat/internal/tbon"
 	"stat/internal/topology"
 	"stat/internal/trace"
 )
@@ -14,8 +13,8 @@ import (
 // full merge phase over one million tasks on a 5x-scaled BG/L (8,192 VN
 // daemons, balanced 3-deep tree — the paper's BGL3Deep rule tops out at
 // 24 communication processes, whose 342-way leaf fan-in exceeds the
-// login nodes' 192 limit at this scale) with the pipelined engine's
-// payload budget bounding in-flight memory. The session must complete, negotiate v3,
+// login nodes' 192 limit at this scale) with a payload budget bounding
+// in-flight memory. The session must complete, negotiate v3,
 // account for every rank, and carry its labels predominantly as run
 // containers — the per-node label bytes that make million-task trees
 // affordable on the wire.
@@ -116,7 +115,6 @@ func run1M(t *testing.T, wire uint8) (*Result, error) {
 		Topology:          topology.Spec{Kind: topology.KindBalanced, Depth: 3},
 		BitVec:            Hierarchical,
 		Samples:           2,
-		Engine:            tbon.EnginePipelined,
 		ReduceBudgetBytes: 8 << 20,
 		WireVersion:       wire,
 	})

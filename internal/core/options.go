@@ -17,7 +17,7 @@
 //
 // A fault-tolerant gather drops subtrees lost to a crash, a partitioned
 // link, or a per-subtree timeout (Options.SubtreeTimeout), re-parents
-// orphaned subtrees where the engine supports it, and merges what
+// the children of a crashed communication process, and merges what
 // survives. The result filter attaches an explicit liveness set to every
 // partial packet (proto.MsgPartialResult): full subtrees contribute the
 // task coverage of their topology span, partial subtrees contribute the
@@ -192,18 +192,21 @@ type Options struct {
 	ThreadsPerTask int
 	// Seed drives all pseudo-random variation.
 	Seed uint64
-	// Engine selects the TBON reduction engine for every session
-	// reduction (control acks and the gather merge). The zero value is
-	// the pipelined worker-pool fold; see the tbon package docs for the
-	// trade-offs. Transport applies only to tbon.EngineConcurrent.
-	Engine tbon.Engine
-	// ReduceWorkers bounds tbon.EnginePipelined's worker pool; 0 means
-	// GOMAXPROCS, and 1 is the single-threaded sequential fold (same
-	// result bytes and traffic at any worker count).
+	// Engine names the TBON reduction engine; only the zero value,
+	// tbon.EnginePipelined, is valid.
+	//
+	// Deprecated: the pipelined pool is the only engine.
+	Engine int
+	// ReduceWorkers bounds the TBON reduction's worker pool (every session
+	// reduction: control acks and the gather merge); 0 means GOMAXPROCS,
+	// and 1 is the single-threaded sequential fold (same result bytes and
+	// traffic at any worker count).
 	ReduceWorkers int
-	// ReduceBudgetBytes bounds tbon.EnginePipelined's in-flight payload
-	// bytes; 0 bounds payloads instead, admitting at most one
-	// produced-but-unfolded payload per worker ahead of the fold.
+	// ReduceBudgetBytes bounds the reduction's in-flight payload bytes; 0
+	// bounds payloads instead, admitting at most one produced-but-unfolded
+	// payload per worker ahead of the fold. While a byte budget has room,
+	// comm processes defer their folds to merge all their children in one
+	// filter call; the default bound folds as payloads arrive.
 	ReduceBudgetBytes int64
 	// WireVersion caps the data-stream wire version this tool's front end
 	// and daemons advertise during the attach handshake; the session
@@ -234,9 +237,6 @@ type Options struct {
 	// absent from the map advertise the build maximum (still subject to
 	// WireVersion).
 	DaemonWireCaps map[int]uint8
-	// Transport carries tbon.EngineConcurrent's overlay edges; nil means
-	// the in-process channel transport.
-	Transport tbon.Transport
 	// App overrides the default buggy ring application.
 	App *mpisim.App
 	// Stream runs N additional steady-state gather rounds after the
@@ -284,8 +284,8 @@ type Options struct {
 	// FaultTolerant makes the gather degrade gracefully instead of failing
 	// whole-run: subtrees lost to a crash, partition, or timeout are
 	// dropped, the merged result carries a liveness set of the surviving
-	// ranks (Result.Liveness), and orphaned subtrees are re-parented where
-	// the engine supports it. Control traffic (attach/sample/detach) stays
+	// ranks (Result.Liveness), and the children of a crashed communication
+	// process are re-parented. Control traffic (attach/sample/detach) stays
 	// fault-free — fault tolerance is a property of the data gather.
 	FaultTolerant bool
 	// SubtreeTimeout bounds how long a gather node waits on any one child
@@ -344,6 +344,9 @@ func (o *Options) fillDefaults() error {
 	if o.GatherFaults != nil && !o.FaultTolerant {
 		return fmt.Errorf("core: GatherFaults requires FaultTolerant")
 	}
+	if o.Engine != 0 {
+		return fmt.Errorf("core: unknown reduction engine %d (the pipelined pool is the only engine)", o.Engine)
+	}
 	if o.Stream < 0 {
 		return fmt.Errorf("core: Stream must be >= 0, got %d", o.Stream)
 	}
@@ -359,12 +362,11 @@ func (o *Options) fillDefaults() error {
 	return nil
 }
 
-// reduceOpts assembles the tbon engine selection from the options. Control
+// reduceOpts assembles the tbon reduction options. Control
 // reductions (attach acks, sample acks, detach) use it directly: they run
 // fault-free so a scripted gather fault never strands the session protocol.
 func (o *Options) reduceOpts() tbon.ReduceOptions {
 	return tbon.ReduceOptions{
-		Engine:      o.Engine,
 		Workers:     o.ReduceWorkers,
 		BudgetBytes: o.ReduceBudgetBytes,
 	}

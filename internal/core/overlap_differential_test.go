@@ -18,7 +18,7 @@ import (
 // wire v1/v2/v3. Round 1 pipelines cold (nothing to claim), rounds 2+
 // claim the previous round's background walk, so both halves of the
 // claim protocol are on the differential. The overlapped leg also runs
-// under the multi-worker pipelined and the concurrent reduction engines,
+// under the multi-worker pool and its roomy-budget k-way configuration,
 // where many daemons' pipelines interleave — under -race this doubles as
 // the snapshot-stress test.
 func TestOverlapDifferentialAcrossTopologies(t *testing.T) {
@@ -72,7 +72,7 @@ func TestOverlapDifferentialAcrossTopologies(t *testing.T) {
 							samples: 3, threads: 2, wireVersion: version,
 						}
 					}
-					net := tbon.New(topo, nil)
+					net := tbon.New(topo)
 					leaf := func(i int) (*tbon.Lease, error) {
 						return daemons[i].gatherPacket(greq)
 					}

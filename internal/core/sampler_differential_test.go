@@ -74,7 +74,7 @@ func TestSamplerDifferentialAcrossTopologies(t *testing.T) {
 							samples: 3, threads: 2, epoch: 3, wireVersion: version,
 						}
 					}
-					net := tbon.New(topo, nil)
+					net := tbon.New(topo)
 					leaf := func(i int) (*tbon.Lease, error) {
 						return daemons[i].gatherPacket(greq)
 					}

@@ -44,7 +44,7 @@ type session struct {
 }
 
 func (t *Tool) newSession() *session {
-	s := &session{t: t, net: tbon.New(t.topo, t.opts.Transport), wireVersion: proto.Version}
+	s := &session{t: t, net: tbon.New(t.topo), wireVersion: proto.Version}
 	s.daemons = make([]*daemon, t.daemons)
 	for i := range s.daemons {
 		s.daemons[i] = &daemon{leaf: i, tool: t, capVersion: t.opts.DaemonWireCaps[i]}

@@ -6,7 +6,6 @@ import (
 
 	"stat/internal/machine"
 	"stat/internal/proto"
-	"stat/internal/tbon"
 	"stat/internal/topology"
 	"stat/internal/trace"
 )
@@ -139,46 +138,6 @@ func TestSessionRejectsZeroSampleRequest(t *testing.T) {
 	}
 	if err := s.sample(0, 1); err == nil {
 		t.Error("zero samples accepted")
-	}
-}
-
-func TestSessionOverTCPTransport(t *testing.T) {
-	tr, err := tbon.NewTCPTransport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	tool, err := New(Options{
-		Machine:   machine.Atlas(),
-		Tasks:     64,
-		Topology:  topology.Spec{Kind: topology.KindBalanced, Depth: 2},
-		BitVec:    Hierarchical,
-		Samples:   2,
-		Engine:    tbon.EngineConcurrent,
-		Transport: tr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := tool.MeasureMerge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MergeErr != nil {
-		t.Fatal(res.MergeErr)
-	}
-	if res.Tree3D == nil || res.Tree3D.NodeCount() == 0 {
-		t.Error("empty result over TCP")
-	}
-	// Identical to the channel-transport run.
-	tool2 := newTestTool(t, 64)
-	tool2.opts.Samples = 2
-	res2, err := tool2.MeasureMerge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Tree3D.Equal(res2.Tree3D) {
-		t.Error("TCP and channel transports produced different trees")
 	}
 }
 

@@ -95,7 +95,7 @@ func newToolTelemetry(daemons int) *toolTelemetry {
 	tt.liveLeases = tt.reg.Gauge("stat_live_leases_max",
 		"High-water process-wide leased-buffer count observed during gathers.")
 	tt.fanin = tt.reg.Gauge("stat_filter_fanin_max",
-		"Largest child fan-in folded by a single filter call.")
+		"Most inputs (fan-in, accumulator included) folded by a single filter call.")
 	tt.waitMin.Store(-1)
 	tt.waitFn = tt.observeWait
 	return tt

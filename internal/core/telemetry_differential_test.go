@@ -67,7 +67,7 @@ func TestTelemetryDifferentialAcrossTopologies(t *testing.T) {
 						}
 					}
 					greq := proto.GatherRequest{Which: proto.TreeBoth, Telemetry: telem}
-					net := tbon.New(topo, nil)
+					net := tbon.New(topo)
 					leaf := func(i int) (*tbon.Lease, error) {
 						return daemons[i].gatherPacket(greq)
 					}
@@ -112,10 +112,10 @@ func TestTelemetryDifferentialAcrossTopologies(t *testing.T) {
 						t.Errorf("%v/v%d/%s/%v: frame counts %d daemons, topology has %d leaves",
 							mode, version, tc.name, engine, f.Daemons, nLeaves)
 					}
-					// Filters counts filter *calls*, and the incremental
-					// pipelined engine (one worker or many) folds pairwise — several calls
-					// per node — so the census is a lower bound: at least one
-					// call per interior node (root included).
+					// Filters counts filter *calls*, and a node folds in one
+					// call per arrived prefix — pairwise when the gate has no
+					// room to defer — so the census is a lower bound: at least
+					// one call per interior node (root included).
 					minFilters := topo.CommProcesses() + 1
 					if int(f.Filters) < minFilters {
 						t.Errorf("%v/v%d/%s/%v: frame counts %d filter calls, topology has %d interior nodes",

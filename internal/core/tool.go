@@ -73,10 +73,10 @@ type Result struct {
 	// miss count is zero by construction; original (union) mode decodes
 	// each filter call's accumulator (child 0) by copy, uncounted, and
 	// aliases the rest. The totals are a process metric, not a data
-	// metric: the pipelined engine's incremental folds decode their
-	// accumulator again at every step, so absolute counts vary by
-	// reduction engine even though the merged trees are byte-identical —
-	// compare rates, not counts, across engines.
+	// metric: a node that folds in several calls decodes its accumulator
+	// again at every step, so absolute counts vary with the reduction's
+	// worker count and budget even though the merged trees are
+	// byte-identical — compare rates, not counts, across configurations.
 	AliasDecodeHits   int64
 	AliasDecodeMisses int64
 	// LabelStats counts the labels the merge phase decoded from v3 (STR3)

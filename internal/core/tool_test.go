@@ -124,7 +124,7 @@ func TestHierarchicalPayloadsSmaller(t *testing.T) {
 	}
 }
 
-// TestParallelReduceMatchesSequential: the concurrent TBON and the
+// TestParallelReduceMatchesSequential: the default worker pool and the
 // one-worker sequential fold must produce identical trees and identical
 // traffic.
 func TestParallelReduceMatchesSequential(t *testing.T) {
@@ -135,7 +135,7 @@ func TestParallelReduceMatchesSequential(t *testing.T) {
 		opts.Topology = topology.Spec{Kind: topology.KindBalanced, Depth: 2}
 		engine := seqEngine
 		if parallel {
-			engine = concurrentEngine
+			engine = pipelinedEngine
 		}
 		engine.apply(&opts)
 		tool, err := New(opts)

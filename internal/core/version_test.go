@@ -89,7 +89,7 @@ func TestCrossVersionMergeDifferential(t *testing.T) {
 					}
 				}
 			}
-			net := tbon.New(topo, nil)
+			net := tbon.New(topo)
 			run := func(bodies [][]byte) []*trace.Tree {
 				out, _, err := net.ReduceWith(tbon.ReduceOptions{}, func(i int) ([]byte, error) { return bodies[i], nil }, filter)
 				if err != nil {

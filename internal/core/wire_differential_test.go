@@ -281,9 +281,9 @@ func TestWireDifferentialAcrossTopologies(t *testing.T) {
 		opts tbon.ReduceOptions
 	}{
 		{"seq", seqEngine.reduceOpts()},
-		{"concurrent", tbon.ReduceOptions{Engine: tbon.EngineConcurrent}},
-		{"pipelined", tbon.ReduceOptions{Engine: tbon.EnginePipelined}},
-		{"pipelined-1B", tbon.ReduceOptions{Engine: tbon.EnginePipelined, BudgetBytes: 1}},
+		{"concurrent", concurrentEngine.reduceOpts()},
+		{"pipelined", pipelinedEngine.reduceOpts()},
+		{"pipelined-1B", tbon.ReduceOptions{BudgetBytes: 1}},
 	}
 	funcs := []string{"main", "solve", "mpi_wait", "mpi_send", "compute", "barrier"}
 
@@ -363,7 +363,7 @@ func TestWireDifferentialAcrossTopologies(t *testing.T) {
 			wantTrees := refDecodeTrees(t, want)
 
 			filter := tool.merge.mergeFilter()
-			net := tbon.New(topo, nil)
+			net := tbon.New(topo)
 			leaf := func(i int) ([]byte, error) { return leafBodies[i], nil }
 			for _, eng := range engines {
 				got, _, err := net.ReduceWith(eng.opts, leaf, filter)

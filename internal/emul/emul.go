@@ -130,8 +130,8 @@ func Run(spec Spec, daemons int, topoSpec topology.Spec, hierarchical bool, mode
 	return RunEngine(spec, daemons, topoSpec, hierarchical, model, tbon.ReduceOptions{})
 }
 
-// RunEngine is Run with explicit reduction options: the engine selection
-// the engine ablation sweeps (worker counts, budgets, concurrent), and the
+// RunEngine is Run with explicit reduction options: the configurations
+// the engine ablation sweeps (worker counts, budgets), and the
 // fault knobs — Partial, Faults and SubtreeTimeout — that wire a
 // tbon.FaultPlan's crashes, cut links and slow links into the reduction
 // and report the survivors on Result.Live.
@@ -161,7 +161,7 @@ func RunEngine(spec Spec, daemons int, topoSpec topology.Spec, hierarchical bool
 	}
 
 	start := time.Now()
-	tree, live, stats, err := core.MergeTrees(tbon.New(topo, nil), engine, mode, taskMap, spec.Tasks, leaf)
+	tree, live, stats, err := core.MergeTrees(tbon.New(topo), engine, mode, taskMap, spec.Tasks, leaf)
 	measured := time.Since(start).Seconds()
 	if err != nil {
 		return nil, err

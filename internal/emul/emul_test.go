@@ -126,7 +126,7 @@ func TestRunMatchesDirectMerge(t *testing.T) {
 	}{
 		{"pipelined", tbon.ReduceOptions{}},
 		{"one-worker", tbon.ReduceOptions{Workers: 1}},
-		{"concurrent", tbon.ReduceOptions{Engine: tbon.EngineConcurrent}},
+		{"kway", tbon.ReduceOptions{Workers: 8, BudgetBytes: 1 << 30}},
 	}
 	for _, seed := range []uint64{1, 2, 3} {
 		r := sim.NewRNG(seed)

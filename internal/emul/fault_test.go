@@ -97,10 +97,9 @@ func TestRunEngineFaultFreeMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunEngineFaultAdoptionRecovers: under the concurrent engine a
-// crashed interior node's children are re-parented, and because the
-// result filter accounts liveness from what actually arrives, the
-// recovered ranks count as surviving — Live comes back nil, which a
+// TestRunEngineFaultAdoptionRecovers: a crashed interior node's children
+// are re-parented, and because the result filter accounts liveness from
+// what actually arrives, the recovered ranks count as surviving — Live comes back nil, which a
 // static reading of the fault plan could not produce.
 func TestRunEngineFaultAdoptionRecovers(t *testing.T) {
 	topoSpec := topology.Spec{Kind: topology.KindBalanced, Depth: 2}
@@ -117,7 +116,7 @@ func TestRunEngineFaultAdoptionRecovers(t *testing.T) {
 	}
 	plan := &tbon.FaultPlan{Crash: map[int]bool{topo.Levels[1][1].ID: true}}
 	res, err := RunEngine(faultSpec, faultDaemons, topoSpec, true, model(),
-		faultOpts(tbon.ReduceOptions{Engine: tbon.EngineConcurrent}, plan, 500*time.Millisecond))
+		faultOpts(tbon.ReduceOptions{}, plan, 500*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ type Service struct {
 // tree. The tree is used as the broadcast fabric, exactly as STAT's
 // integration used LaunchMON's back-end communication API.
 func New(cfg Config, fs *fsim.FS, topo *topology.Tree) *Service {
-	return &Service{cfg: cfg, fs: fs, topo: topo, net: tbon.New(topo, nil)}
+	return &Service{cfg: cfg, fs: fs, topo: topo, net: tbon.New(topo)}
 }
 
 // shouldRelocate consults the mount table: only files on globally-shared

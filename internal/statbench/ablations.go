@@ -99,14 +99,15 @@ func AblationFanout(c Config) (*Figure, error) {
 	return fig, nil
 }
 
-// AblationEngines compares the reduction engines on identical emulated
-// workloads. The modeled time is engine-independent (same traffic, same
-// machine model); what the sweep exposes is the real wall-clock of the
-// in-process reduction (emul.Result.MeasuredSec) — core's gather, with
-// its result filter and fused root decode, under the one-worker
-// sequential fold against the pipelined engine's subtree concurrency —
-// plus the memory knob: the bounded-budget series shows the pipelined
-// engine trading peak in-flight bytes for speed.
+// AblationEngines compares reduction-engine configurations on identical
+// emulated workloads. The modeled time is configuration-independent (same
+// traffic, same machine model); what the sweep exposes is the real
+// wall-clock of the in-process reduction (emul.Result.MeasuredSec) —
+// core's gather, with its result filter and fused root decode, under the
+// one-worker pairwise fold against the worker pool's subtree concurrency
+// — plus the memory knob: the byte-budget series trades peak in-flight
+// bytes for fold width, since comm processes defer their folds to take
+// all children in one call only while the budget has room.
 func AblationEngines(c Config) (*Figure, error) {
 	fig := &Figure{
 		ID:     "AblD",
@@ -117,10 +118,9 @@ func AblationEngines(c Config) (*Figure, error) {
 		name string
 		opts tbon.ReduceOptions
 	}{
-		{"sequential fold (1 worker) measured", tbon.ReduceOptions{Engine: tbon.EnginePipelined, Workers: 1}},
-		{"concurrent measured", tbon.ReduceOptions{Engine: tbon.EngineConcurrent}},
-		{"pipelined measured", tbon.ReduceOptions{Engine: tbon.EnginePipelined}},
-		{"pipelined 256KiB budget", tbon.ReduceOptions{Engine: tbon.EnginePipelined, BudgetBytes: 256 << 10}},
+		{"sequential fold (1 worker) measured", tbon.ReduceOptions{Workers: 1}},
+		{"pipelined measured", tbon.ReduceOptions{}},
+		{"pipelined 256KiB budget", tbon.ReduceOptions{BudgetBytes: 256 << 10}},
 	}
 	scales := []int{32, 64, 128, 256}
 	if c.Quick {
@@ -150,7 +150,7 @@ func AblationEngines(c Config) (*Figure, error) {
 	}
 	fig.Series = append(fig.Series, modeled)
 	fig.Notes = append(fig.Notes,
-		"modeled time is engine-independent: all engines move the same bytes over the same edges")
+		"modeled time is configuration-independent: every configuration moves the same bytes over the same edges")
 	return fig, nil
 }
 

@@ -11,10 +11,10 @@ import (
 	"stat/internal/trace"
 )
 
-// The differential harness: every engine must produce byte-identical
+// The differential harness: every configuration must produce byte-identical
 // output and identical traffic statistics on the same reduction, for any
 // filter associative over ordered inputs, on any topology shape. The
-// topology generator covers the adversarial corners the ISSUE names —
+// topology generator covers the adversarial corners —
 // fanout 1, a single leaf, deep chains, ragged trees — plus the paper's
 // machine layouts.
 
@@ -88,26 +88,29 @@ func assertStatsMatch(t *testing.T, label string, want, got *Stats) {
 	}
 }
 
-// seqFold is the differential reference: the pipelined engine on one
+// seqFold is the differential reference: the engine on one
 // worker produces and folds every payload strictly in post-order — the
 // plain sequential fold.
-var seqFold = ReduceOptions{Engine: EnginePipelined, Workers: 1}
+var seqFold = ReduceOptions{Workers: 1}
 
 // engineVariants are the configurations every differential case checks
-// against seqFold: the concurrent engine, the pipelined engine at several
-// worker counts under its default per-worker payload bound, a moderate
-// byte budget, and a pathological 1-byte budget (fully serialized by
-// head-of-line admission) on one and on several workers.
+// against seqFold: several worker counts under the default per-worker
+// payload bound, a roomy byte budget on one and on eight workers (every
+// node defers until its whole child row arrives and folds it k-way), a
+// moderate byte budget, and a pathological 1-byte budget (fully
+// serialized by head-of-line admission, pairwise folds) on one and on
+// several workers.
 func engineVariants() map[string]ReduceOptions {
 	return map[string]ReduceOptions{
-		"concurrent":             {Engine: EngineConcurrent},
-		"pipelined":              {Engine: EnginePipelined},
-		"pipelined/w=2":          {Engine: EnginePipelined, Workers: 2},
-		"pipelined/w=4":          {Engine: EnginePipelined, Workers: 4},
-		"pipelined/w=8":          {Engine: EnginePipelined, Workers: 8},
-		"pipelined/w=1/budget=1": {Engine: EnginePipelined, Workers: 1, BudgetBytes: 1},
-		"pipelined/budget=1":     {Engine: EnginePipelined, Workers: 4, BudgetBytes: 1},
-		"pipelined/b=4KiB":       {Engine: EnginePipelined, Workers: 8, BudgetBytes: 4 << 10},
+		"kway/w=1":               {Workers: 1, BudgetBytes: 1 << 30},
+		"kway/w=8":               {Workers: 8, BudgetBytes: 1 << 30},
+		"pipelined":              {},
+		"pipelined/w=2":          {Workers: 2},
+		"pipelined/w=4":          {Workers: 4},
+		"pipelined/w=8":          {Workers: 8},
+		"pipelined/w=1/budget=1": {Workers: 1, BudgetBytes: 1},
+		"pipelined/budget=1":     {Workers: 4, BudgetBytes: 1},
+		"pipelined/b=4KiB":       {Workers: 8, BudgetBytes: 4 << 10},
 	}
 }
 
@@ -143,7 +146,7 @@ func TestDifferentialConcatFilter(t *testing.T) {
 		for trial := int64(0); trial < 3; trial++ {
 			payloads := randomPayloads(trial*977+int64(len(name)), topo.NumLeaves())
 			leaf := func(i int) ([]byte, error) { return payloads[i], nil }
-			net := New(topo, nil)
+			net := New(topo)
 
 			assertVariantsMatch(t, fmt.Sprintf("%s trial %d", name, trial), net, leaf, concat)
 		}
@@ -153,7 +156,7 @@ func TestDifferentialConcatFilter(t *testing.T) {
 func TestDifferentialTraceMergeFilter(t *testing.T) {
 	// The real workload: every leaf contributes a subtree-local prefix
 	// tree, interior nodes merge by hierarchical concatenation. This is
-	// the paper's optimized representation running through all engines.
+	// the paper's optimized representation running through every variant.
 	const tasksPerLeaf = 3
 	mergeFilter := BytesFilter(func(children [][]byte) ([]byte, error) {
 		trees := make([]*trace.Tree, len(children))
@@ -199,7 +202,7 @@ func TestDifferentialTraceMergeFilter(t *testing.T) {
 			tr.Release()
 			return b, err
 		}
-		net := New(topo, nil)
+		net := New(topo)
 
 		wantOut := assertVariantsMatch(t, name, net, leaf, mergeFilter)
 		wantTree, err := trace.UnmarshalBinary(wantOut)
@@ -246,6 +249,6 @@ func TestDifferentialUnionMergeFilter(t *testing.T) {
 		tr.Release()
 		return b, err
 	}
-	net := New(topo, nil)
+	net := New(topo)
 	assertVariantsMatch(t, "ragged-99", net, leaf, unionFilter)
 }

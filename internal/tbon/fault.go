@@ -1,7 +1,6 @@
 package tbon
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"time"
@@ -9,35 +8,37 @@ import (
 	"stat/internal/topology"
 )
 
-// errSubtreeTimeout is the engines' uniform expiry error; it matches
-// errors.Is(err, os.ErrDeadlineExceeded) just like a transport deadline.
+// errSubtreeTimeout is the engine's uniform expiry error; it matches
+// errors.Is(err, os.ErrDeadlineExceeded).
 var errSubtreeTimeout = fmt.Errorf("tbon: subtree timed out: %w", os.ErrDeadlineExceeded)
 
 // FaultPlan scripts per-node failures injected into one reduction — the
 // overlay's fault-injection harness. Every failure mode the paper's scale
 // makes routine is reproducible from a plan: a daemon or communication
 // process crashing mid-gather (Crash), a congested uplink (SlowLinks), and
-// a partitioned uplink (CutLinks). Keys are topology node IDs; a fault on
-// an interior node affects its whole subtree.
+// a partitioned uplink (CutLinks). Keys are topology node IDs.
 //
-// How a fault surfaces depends on the engine. EngineConcurrent injects at
-// the transport: a crashed node's goroutine closes its uplink without
-// participating, a slow uplink delays every send, and a cut uplink
-// swallows traffic in both directions so the parent's recv deadline is
-// what detects it (plans with SlowLinks or CutLinks therefore need
-// ReduceOptions.SubtreeTimeout set). EnginePipelined runs in process with
-// no per-edge transport: Crash and CutLinks both drop the subtree
-// synchronously, and SlowLinks delays leaf payload production, where the
-// leaf-call timeout can turn it into a drop.
+// Without ReduceOptions.Partial any crashed or cut node fails the run.
+// Under Partial:
+//
+//   - A crashed leaf delivers nothing: its position is missing at its
+//     parent. A crashed interior node's children are re-parented — they
+//     fold on the dead node's behalf (FilterCtx.Node is the dead node) and
+//     the result is delivered at its position — so the crash loses
+//     nothing. A crashed front end fails the run in every mode.
+//   - A cut uplink drops the node's whole subtree: the partitioned node
+//     consumed its children's payloads before its uplink failed, so
+//     nothing behind it is recoverable.
+//   - A slow uplink delays the node's payload on its way to the parent.
+//     A delay beyond ReduceOptions.SubtreeTimeout drops the subtree after
+//     the timeout, exactly like a partitioned one.
 type FaultPlan struct {
 	// Crash marks nodes that die before participating in the reduction.
 	Crash map[int]bool
-	// SlowLinks adds the given delay to each message sent on a node's
-	// uplink (concurrent engine) or to the node's payload production
-	// (EnginePipelined, leaves only).
+	// SlowLinks adds the given delay to the payload a node sends up its
+	// uplink, leaf or interior.
 	SlowLinks map[int]time.Duration
-	// CutLinks partitions a node's uplink: traffic is silently lost in
-	// both directions.
+	// CutLinks partitions a node's uplink: its subtree's payload is lost.
 	CutLinks map[int]bool
 }
 
@@ -56,33 +57,24 @@ func (p *FaultPlan) slow(id int) time.Duration {
 	return p.SlowLinks[id]
 }
 
-// dead reports whether the node's subtree cannot deliver a payload at all:
-// the node crashed or its uplink is partitioned. Used by EnginePipelined,
-// which surfaces both the same way.
-func (p *FaultPlan) dead(id int) bool {
-	return p.crashed(id) || p.cut(id)
-}
-
 // Span is a half-open range [From, To) of child positions at a node.
 type Span struct{ From, To int }
 
 // FilterCtx describes one NodeFilter call: where in the topology it runs
-// and which children each input payload covers. Engines reuse FilterCtx
-// values across calls — a filter must not retain the struct or its slices
-// past the call.
+// and which children each input payload covers. The engine reuses
+// FilterCtx values across calls — a filter must not retain the struct or
+// its slices past the call.
 type FilterCtx struct {
-	// Node is the topology node the filter is merging at. In the normal
-	// case it is the node whose children produced the inputs; during
-	// orphan adoption it is the dead node whose children the adopter is
-	// merging on its behalf.
+	// Node is the topology node whose children produced the inputs —
+	// also when that node crashed and its orphans fold on its behalf.
 	Node *topology.Node
 	// Spans, when non-nil, gives the half-open range of Node.Children
 	// positions input i covers — {i, i+1} for a fresh child payload,
-	// {0, i} for an incremental fold's accumulator. nil means input i is
-	// exactly child i's payload (the concurrent engine's full-row call).
+	// {0, i} for the fold's accumulator. nil means input i is exactly
+	// child i's payload.
 	Spans []Span
 	// Missing lists child positions whose subtrees delivered nothing —
-	// timed out, crashed, partitioned, or unrecoverable after adoption.
+	// timed out, crashed, partitioned, or behind a too-slow uplink.
 	// Positions in Missing are excluded from whatever span contains them.
 	// nil on a clean call, so a fault-free reduction pays nothing for the
 	// machinery.
@@ -99,76 +91,6 @@ func (c *FilterCtx) Incomplete() bool { return c != nil && len(c.Missing) > 0 }
 // (core's result filter attaches an explicit liveness set). The lease
 // contract is identical to Filter's.
 type NodeFilter func(ctx *FilterCtx, children []*Lease) (*Lease, error)
-
-// asNodeFilter adapts a position-blind Filter.
-func asNodeFilter(f Filter) NodeFilter {
-	return func(_ *FilterCtx, children []*Lease) (*Lease, error) {
-		return f(children)
-	}
-}
-
-// faultConn injects link faults on one end of an edge: a cut link swallows
-// every send (the payload is released, the peer simply never hears it —
-// detection is the receiver's deadline), a slow link sleeps before
-// delivering. Recv and deadlines pass through untouched.
-type faultConn struct {
-	Conn
-	delay time.Duration
-	cut   bool
-}
-
-func (f *faultConn) Send(l *Lease) error {
-	if f.cut {
-		l.Release()
-		return nil
-	}
-	if f.delay > 0 {
-		time.Sleep(f.delay)
-	}
-	return f.Conn.Send(l)
-}
-
-// Adoption wire format, carried over the otherwise-unused downstream
-// direction of the overlay's edges. An adoption order asks a surviving
-// sibling to gather a dead node's orphaned children; the reply is a status
-// message optionally followed by the adoption's merged payload.
-const (
-	adoptOrderLen  = 6 // 'A' 'D' u32 dead-node ID
-	adoptReplyLen  = 3 // 'A' 'R' ok
-	adoptReplyOK   = 1
-	adoptReplyFail = 0
-)
-
-func encodeAdoptOrder(deadID int) *Lease {
-	b := make([]byte, adoptOrderLen)
-	b[0], b[1] = 'A', 'D'
-	binary.LittleEndian.PutUint32(b[2:], uint32(deadID))
-	return NewLease(b, nil)
-}
-
-// decodeAdoptOrder returns the dead node's ID, or ok=false if the message
-// is not an adoption order.
-func decodeAdoptOrder(b []byte) (int, bool) {
-	if len(b) != adoptOrderLen || b[0] != 'A' || b[1] != 'D' {
-		return 0, false
-	}
-	return int(binary.LittleEndian.Uint32(b[2:])), true
-}
-
-func encodeAdoptReply(ok bool) *Lease {
-	status := byte(adoptReplyFail)
-	if ok {
-		status = adoptReplyOK
-	}
-	return NewLease([]byte{'A', 'R', status}, nil)
-}
-
-func decodeAdoptReply(b []byte) (ok bool, valid bool) {
-	if len(b) != adoptReplyLen || b[0] != 'A' || b[1] != 'R' {
-		return false, false
-	}
-	return b[2] == adoptReplyOK, true
-}
 
 // callLeafTimed runs a leaf callback under the subtree timeout. On expiry
 // the call is abandoned: the watcher goroutine releases the late payload

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,18 +104,22 @@ func wantLiveness(total int, lost ...int) string {
 	return s
 }
 
-// faultEngine is one engine configuration the fault scenarios run under;
-// "seq" is the pipelined engine on one worker, the sequential fold.
+// faultEngine is one engine configuration the fault scenarios run under:
+// "seq" is one worker, the pairwise sequential fold; "pipelined" is the
+// default pool; "concurrent" has as much in flight as the engine allows —
+// eight workers under a budget no scenario's payloads reach, so no
+// producer waits and every node folds its whole child row, tombstones
+// included, in one call.
 type faultEngine struct {
 	name    string
-	engine  Engine
 	workers int
+	budget  int64
 }
 
 var faultEngines = []faultEngine{
-	{"seq", EnginePipelined, 1},
-	{"concurrent", EngineConcurrent, 0},
-	{"pipelined", EnginePipelined, 0},
+	{"seq", 1, 0},
+	{"concurrent", 8, 1 << 30},
+	{"pipelined", 0, 0},
 }
 
 // balanced29 builds the fixed scenario topology: Balanced(2, 9) has fanout
@@ -137,13 +140,13 @@ func balanced29(t *testing.T) *topology.Tree {
 
 // runFaulty drives one partial-mode reduction and verifies the lease
 // population returns to its baseline — the leak check guarding the
-// stranded-lease sweeps on every engine's fault paths.
+// stranded-lease sweeps on the engine's fault paths.
 func runFaulty(t *testing.T, topo *topology.Tree, e faultEngine, plan *FaultPlan, timeout time.Duration) (string, error) {
 	t.Helper()
 	before := LiveLeases()
-	n := New(topo, nil)
+	n := New(topo)
 	out, _, err := n.ReduceNodeLeasedWith(ReduceOptions{
-		Engine: e.engine, Workers: e.workers, Partial: true, Faults: plan, SubtreeTimeout: timeout,
+		Workers: e.workers, BudgetBytes: e.budget, Partial: true, Faults: plan, SubtreeTimeout: timeout,
 	}, leafIndexData, livenessFilter(t))
 	if after := LiveLeases(); after != before {
 		t.Errorf("%d leases live after reduction, %d before", after, before)
@@ -186,6 +189,9 @@ func TestFaultCrashTrailingLeaf(t *testing.T) {
 	}
 }
 
+// TestFaultCrashInterior: a crashed communication process's children are
+// re-parented — they still fold on the dead node's behalf — so nothing is
+// lost.
 func TestFaultCrashInterior(t *testing.T) {
 	topo := balanced29(t)
 	for _, e := range faultEngines {
@@ -194,18 +200,7 @@ func TestFaultCrashInterior(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want string
-			if e.engine == EngineConcurrent {
-				// A crashed communication process's children are orphaned
-				// with their payloads still buffered; a sibling interior
-				// node adopts them, so nothing is lost.
-				want = wantLiveness(9)
-			} else {
-				// The pipelined engine has no adoption: the subtree
-				// (leaves 0..2) is gone.
-				want = wantLiveness(9, 0, 1, 2)
-			}
-			if out != want {
+			if want := wantLiveness(9); out != want {
 				t.Errorf("got %q, want %q", out, want)
 			}
 		})
@@ -217,8 +212,7 @@ func TestFaultCutInterior(t *testing.T) {
 	for _, e := range faultEngines {
 		t.Run(e.name, func(t *testing.T) {
 			// A partitioned node consumed its children's payloads before
-			// its uplink failed — unlike a crash, nothing is recoverable,
-			// in every engine.
+			// its uplink failed — unlike a crash, nothing is recoverable.
 			out, err := runFaulty(t, topo, e, &FaultPlan{CutLinks: map[int]bool{2: true}}, 200*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
@@ -284,9 +278,9 @@ func TestFaultFatalWithoutPartial(t *testing.T) {
 	for _, e := range faultEngines {
 		t.Run(e.name, func(t *testing.T) {
 			before := LiveLeases()
-			n := New(topo, nil)
+			n := New(topo)
 			_, _, err := n.ReduceNodeLeasedWith(ReduceOptions{
-				Engine: e.engine, Workers: e.workers, Faults: &FaultPlan{Crash: map[int]bool{4: true}}, SubtreeTimeout: 200 * time.Millisecond,
+				Workers: e.workers, BudgetBytes: e.budget, Faults: &FaultPlan{Crash: map[int]bool{4: true}}, SubtreeTimeout: 200 * time.Millisecond,
 			}, leafIndexData, livenessFilter(t))
 			if err == nil {
 				t.Fatal("crash without Partial mode succeeded")
@@ -317,8 +311,7 @@ func TestFaultSlowLinkWithinTimeout(t *testing.T) {
 }
 
 // TestFaultSlowLinkTimesOut: a delay beyond the subtree timeout drops the
-// subtree. This is the deadline path — chanEnd.SetRecvDeadline under the
-// concurrent engine, the leaf-call watchdog under the pipelined one.
+// subtree.
 func TestFaultSlowLinkTimesOut(t *testing.T) {
 	topo := balanced29(t)
 	for _, e := range faultEngines {
@@ -329,6 +322,48 @@ func TestFaultSlowLinkTimesOut(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := wantLiveness(9, 0); out != want {
+				t.Errorf("got %q, want %q", out, want)
+			}
+		})
+	}
+}
+
+// TestFaultSlowInteriorWithinTimeout: a slow interior uplink (node 1,
+// parent of leaves 0..2) below the subtree timeout only delays the
+// subtree's payload — the result stays complete.
+func TestFaultSlowInteriorWithinTimeout(t *testing.T) {
+	topo := balanced29(t)
+	for _, e := range faultEngines {
+		t.Run(e.name, func(t *testing.T) {
+			start := time.Now()
+			out, err := runFaulty(t, topo, e,
+				&FaultPlan{SlowLinks: map[int]time.Duration{1: 20 * time.Millisecond}}, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := wantLiveness(9); out != want {
+				t.Errorf("got %q, want %q", out, want)
+			}
+			if took := time.Since(start); took < 20*time.Millisecond {
+				t.Errorf("reduction took %v; the slow uplink was not delayed", took)
+			}
+		})
+	}
+}
+
+// TestFaultSlowInteriorTimesOut: a slow interior uplink beyond the subtree
+// timeout drops the whole subtree behind it, and its payload's lease is
+// released (runFaulty checks the balance).
+func TestFaultSlowInteriorTimesOut(t *testing.T) {
+	topo := balanced29(t)
+	for _, e := range faultEngines {
+		t.Run(e.name, func(t *testing.T) {
+			out, err := runFaulty(t, topo, e,
+				&FaultPlan{SlowLinks: map[int]time.Duration{2: 500 * time.Millisecond}}, 30*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := wantLiveness(9, 3, 4, 5); out != want {
 				t.Errorf("got %q, want %q", out, want)
 			}
 		})
@@ -350,13 +385,13 @@ func TestFaultFreePartialIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range faultEngines {
-			n := New(topo, nil)
-			base, _, err := n.ReduceNodeLeasedWith(ReduceOptions{Engine: e.engine, Workers: e.workers}, leafIndexData, livenessFilter(t))
+			n := New(topo)
+			base, _, err := n.ReduceNodeLeasedWith(ReduceOptions{Workers: e.workers, BudgetBytes: e.budget}, leafIndexData, livenessFilter(t))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := New(topo, nil).ReduceNodeLeasedWith(
-				ReduceOptions{Engine: e.engine, Workers: e.workers, Partial: true, SubtreeTimeout: time.Second},
+			got, _, err := New(topo).ReduceNodeLeasedWith(
+				ReduceOptions{Workers: e.workers, BudgetBytes: e.budget, Partial: true, SubtreeTimeout: time.Second},
 				leafIndexData, livenessFilter(t))
 			if err != nil {
 				t.Fatal(err)
@@ -377,8 +412,8 @@ func TestFaultFilterErrorIsFatal(t *testing.T) {
 	for _, e := range faultEngines {
 		t.Run(e.name, func(t *testing.T) {
 			before := LiveLeases()
-			n := New(topo, nil)
-			_, _, err := n.ReduceNodeLeasedWith(ReduceOptions{Engine: e.engine, Workers: e.workers, Partial: true},
+			n := New(topo)
+			_, _, err := n.ReduceNodeLeasedWith(ReduceOptions{Workers: e.workers, BudgetBytes: e.budget, Partial: true},
 				leafIndexData,
 				func(ctx *FilterCtx, children []*Lease) (*Lease, error) {
 					if ctx.Node.ID == 2 {
@@ -432,43 +467,9 @@ func TestFaultManyShapes(t *testing.T) {
 	}
 }
 
-// TestSetRecvDeadline pins the transport deadline contract both transports
-// share: expiry errors match os.ErrDeadlineExceeded, and clearing the
-// deadline restores blocking receives.
-func TestSetRecvDeadline(t *testing.T) {
-	a, b, err := ChannelTransport{}.Pair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	defer b.Close()
-	if err := b.SetRecvDeadline(time.Now().Add(20 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Recv(); !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("recv past deadline = %v, want deadline error", err)
-	}
-	// Clearing the deadline makes the next recv block until data arrives.
-	if err := b.SetRecvDeadline(time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		a.Send(NewLease([]byte("hi"), nil))
-	}()
-	l, err := b.Recv()
-	if err != nil {
-		t.Fatalf("recv after clearing deadline: %v", err)
-	}
-	if got := string(l.Bytes()); got != "hi" {
-		t.Errorf("payload %q", got)
-	}
-	l.Release()
-}
-
 func TestFaultPlanNilSafe(t *testing.T) {
 	var p *FaultPlan
-	if p.crashed(1) || p.cut(1) || p.dead(1) || p.slow(1) != 0 {
+	if p.crashed(1) || p.cut(1) || p.slow(1) != 0 {
 		t.Error("nil plan reports faults")
 	}
 	_ = fmt.Sprint(p) // must not panic

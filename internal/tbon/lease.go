@@ -9,8 +9,8 @@ import (
 // everywhere the overlay moves bytes. The network hands filters leased
 // packet buffers instead of throwaway []byte, which is what lets a
 // zero-copy decoder keep viewing a wire buffer after the filter returns —
-// the decoder retains the lease and the buffer stays alive (and, under
-// EnginePipelined, stays charged against the byte budget) until the last
+// the decoder retains the lease and the buffer stays alive (and stays
+// charged against the engine's in-flight bound) until the last
 // reference is released.
 //
 // Rules:
@@ -37,14 +37,14 @@ type Lease struct {
 	b    []byte
 	refs atomic.Int32
 	// free, when non-nil, runs once with the buffer when the count hits
-	// zero — transports and filters use it to recycle pooled buffers.
+	// zero — leaves and filters use it to recycle pooled buffers.
 	// Must be a plain func value (package-level function or a long-lived
 	// closure); it is invoked exactly once.
 	free func([]byte)
 	// parent, when non-nil, is the lease this one is a Sub view into; it
 	// holds one reference that is released when this lease dies.
 	parent *Lease
-	// gate, when non-nil, is the pipelined engine's byte-budget charge on
+	// gate, when non-nil, is the engine's in-flight charge on
 	// this payload, refunded (gateSize bytes) when the count hits zero.
 	// Plain fields rather than a chained hook so the per-payload
 	// accounting costs no closure allocations. Rank consumption is the
@@ -198,7 +198,7 @@ func (l *Lease) dropGate() {
 // The adapted function's output must be a buffer it owns — NOT one of the
 // child slices or a sub-slice of one. The adapter cannot pin a child
 // buffer under the output lease, so an aliasing output would view memory
-// the engine releases (and a pooling transport recycles) right after the
+// the engine releases (and a pooling leaf recycles) right after the
 // call. A pass-through filter must be written against the Filter
 // signature directly, retaining the child lease it returns.
 func BytesFilter(f func(children [][]byte) ([]byte, error)) Filter {

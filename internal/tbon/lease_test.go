@@ -2,7 +2,6 @@ package tbon
 
 import (
 	"bytes"
-	"strconv"
 	"sync"
 	"testing"
 )
@@ -110,43 +109,4 @@ func TestBytesFilterAdapter(t *testing.T) {
 	out.Release()
 	a.Release()
 	b.Release()
-}
-
-// TestTCPRecvBufferRecycles checks the transport's receive pool: after a
-// message lease is released, the next similarly-sized Recv reuses its
-// buffer instead of allocating a fresh one.
-func TestTCPRecvBufferRecycles(t *testing.T) {
-	tr, err := NewTCPTransport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	p, c, err := tr.Pair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	defer c.Close()
-
-	var first []byte
-	for i := 0; i < 3; i++ {
-		msg := bytes.Repeat([]byte(strconv.Itoa(i)), 1024)
-		if err := c.Send(NewLease(bytes.Clone(msg), nil)); err != nil {
-			t.Fatal(err)
-		}
-		got, err := p.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), msg) {
-			t.Fatalf("round %d payload mismatch", i)
-		}
-		b := got.Bytes()
-		if i == 0 {
-			first = b[:1]
-		} else if &b[0] != &first[0] {
-			t.Fatalf("round %d did not reuse the released receive buffer", i)
-		}
-		got.Release()
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,7 +19,7 @@ func TestPipelinedMatchesSeqBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := New(topo, nil)
+	net := New(topo)
 	want, _, err := net.ReduceWith(seqFold, leafValue, sumFilter)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +45,7 @@ func TestPipelinedDefaultGateBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := New(topo, nil)
+	net := New(topo)
 	leaf := func(i int) ([]byte, error) {
 		b := make([]byte, payloadBytes)
 		b[0] = byte(i)
@@ -89,7 +90,7 @@ func TestPipelinedRespectsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := New(topo, nil)
+	net := New(topo)
 	const payload = 1024
 	leaf := func(i int) ([]byte, error) { return make([]byte, payload), nil }
 	concat := concatFilter
@@ -102,7 +103,7 @@ func TestPipelinedRespectsBudget(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		for _, budget := range []int64{1, 512, payload, 4 * payload, 64 * payload} {
 			out, stats, err := net.ReduceWith(
-				ReduceOptions{Engine: EnginePipelined, Workers: workers, BudgetBytes: budget}, leaf, concat)
+				ReduceOptions{Workers: workers, BudgetBytes: budget}, leaf, concat)
 			if err != nil {
 				t.Fatalf("w=%d budget %d: %v", workers, budget, err)
 			}
@@ -121,7 +122,7 @@ func TestPipelinedRespectsBudget(t *testing.T) {
 
 	// One worker is the tightest configuration: peak must stay within
 	// budget + a single payload, and a starved budget must keep it there.
-	_, tight, err := net.ReduceWith(ReduceOptions{Engine: EnginePipelined, Workers: 1, BudgetBytes: 1}, leaf, concat)
+	_, tight, err := net.ReduceWith(ReduceOptions{Workers: 1, BudgetBytes: 1}, leaf, concat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestPipelinedLeafError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := New(topo, nil)
+	net := New(topo)
 	boom := errors.New("boom")
 	leaf := func(i int) ([]byte, error) {
 		if i == 11 {
@@ -144,9 +145,9 @@ func TestPipelinedLeafError(t *testing.T) {
 		return []byte{byte(i)}, nil
 	}
 	for _, opts := range []ReduceOptions{
-		{Engine: EnginePipelined},
-		{Engine: EnginePipelined, Workers: 1},
-		{Engine: EnginePipelined, Workers: 4, BudgetBytes: 1},
+		{},
+		{Workers: 1},
+		{Workers: 4, BudgetBytes: 1},
 	} {
 		_, _, err = net.ReduceWith(opts, leaf, concatFilter)
 		if !errors.Is(err, boom) {
@@ -163,7 +164,7 @@ func TestPipelinedFilterError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := New(topo, nil)
+	net := New(topo)
 	boom := errors.New("merge exploded")
 	calls := 0
 	var mu sync.Mutex
@@ -177,7 +178,7 @@ func TestPipelinedFilterError(t *testing.T) {
 		}
 		return concatFilter(children)
 	}
-	_, _, err = net.ReduceWith(ReduceOptions{Engine: EnginePipelined, Workers: 4}, leafValue, filter)
+	_, _, err = net.ReduceWith(ReduceOptions{Workers: 4}, leafValue, filter)
 	if !errors.Is(err, boom) {
 		t.Fatalf("error %v does not wrap filter error", err)
 	}
@@ -200,13 +201,13 @@ func TestPipelinedTinyBudgetDeepTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net := New(topo, nil)
+		net := New(topo)
 		want, _, err := net.ReduceWith(seqFold, leafValue, concatFilter)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, _, err := net.ReduceWith(
-			ReduceOptions{Engine: EnginePipelined, Workers: 8, BudgetBytes: 1}, leafValue, concatFilter)
+			ReduceOptions{Workers: 8, BudgetBytes: 1}, leafValue, concatFilter)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +240,7 @@ func TestPipelinedPassThroughFilterBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net := New(topo, nil)
+		net := New(topo)
 		leaf := func(i int) ([]byte, error) {
 			b := make([]byte, 128)
 			b[0] = byte(i)
@@ -251,7 +252,7 @@ func TestPipelinedPassThroughFilterBudget(t *testing.T) {
 		}
 		for _, budget := range []int64{1, 64, 1 << 20} {
 			got, _, err := net.ReduceWith(
-				ReduceOptions{Engine: EnginePipelined, Workers: 4, BudgetBytes: budget}, leaf, passThrough)
+				ReduceOptions{Workers: 4, BudgetBytes: budget}, leaf, passThrough)
 			if err != nil {
 				t.Fatalf("budget %d: %v", budget, err)
 			}
@@ -271,7 +272,7 @@ func TestPipelinedFailureReleasesStrandedLeases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := New(topo, nil)
+	net := New(topo)
 	leaf := func(i int) ([]byte, error) { return []byte{byte(i)}, nil }
 	boom := errors.New("boom")
 	var calls, outs, freed atomic.Int64
@@ -282,7 +283,7 @@ func TestPipelinedFailureReleasesStrandedLeases(t *testing.T) {
 		outs.Add(1)
 		return NewLease([]byte{1}, func([]byte) { freed.Add(1) }), nil
 	}
-	_, _, err = net.ReduceWith(ReduceOptions{Engine: EnginePipelined, Workers: 4, BudgetBytes: 8}, leaf, filter)
+	_, _, err = net.ReduceWith(ReduceOptions{Workers: 4, BudgetBytes: 8}, leaf, filter)
 	if !errors.Is(err, boom) {
 		t.Fatalf("error %v does not wrap the filter error", err)
 	}
@@ -293,24 +294,76 @@ func TestPipelinedFailureReleasesStrandedLeases(t *testing.T) {
 	}
 }
 
-func TestReduceWithUnknownEngine(t *testing.T) {
-	topo, err := topology.Flat(2)
+// TestKWayFoldCalls pins the fold width. On a fan-in-k balanced tree under
+// a roomy byte budget every interior node defers until its whole child row
+// has arrived and makes exactly one filter call with all k children; with
+// no room to defer (a 1-byte budget, or one worker under the default
+// bound) every call folds at most [acc, child]. Every configuration's
+// output matches the one-worker fold byte for byte, and no lease outlives
+// a reduction.
+func TestKWayFoldCalls(t *testing.T) {
+	const fanout = 8
+	topo, err := topology.Balanced(2, fanout*fanout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := New(topo, nil)
-	_, _, err = net.ReduceWith(ReduceOptions{Engine: Engine(42)}, leafValue, concatFilter)
-	if err == nil || !strings.Contains(err.Error(), "unknown reduction engine") {
-		t.Fatalf("unexpected error %v", err)
+	if len(topo.Levels) != 3 || len(topo.Root.Children) != fanout {
+		t.Fatalf("unexpected Balanced(2, %d) shape", fanout*fanout)
 	}
-}
-
-func TestEngineString(t *testing.T) {
-	for e, want := range map[Engine]string{
-		EnginePipelined: "pipelined", EngineConcurrent: "concurrent",
-	} {
-		if e.String() != want {
-			t.Errorf("Engine(%d).String() = %q, want %q", int(e), e.String(), want)
+	leaf := func(i int) (*Lease, error) { return NewLease([]byte(fmt.Sprintf("<%02d>", i)), nil), nil }
+	run := func(label string, opts ReduceOptions) ([]byte, map[int][]int) {
+		t.Helper()
+		var mu sync.Mutex
+		calls := map[int][]int{} // inputs per call, by node ID
+		filter := func(ctx *FilterCtx, children []*Lease) (*Lease, error) {
+			mu.Lock()
+			calls[ctx.Node.ID] = append(calls[ctx.Node.ID], len(children))
+			mu.Unlock()
+			var out []byte
+			for _, c := range children {
+				out = append(out, c.Bytes()...)
+			}
+			return NewLease(out, nil), nil
+		}
+		before := LiveLeases()
+		out, _, err := New(topo).ReduceNodeLeasedWith(opts, leaf, filter)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if after := LiveLeases(); after != before {
+			t.Errorf("%s: %d leases live after reduction, %d before", label, after, before)
+		}
+		return out, calls
+	}
+	interior := append([]*topology.Node{topo.Root}, topo.Levels[1]...)
+	want, _ := run("seq", seqFold)
+	for _, workers := range []int{1, 2, 4, 8} {
+		label := fmt.Sprintf("w=%d/roomy", workers)
+		out, calls := run(label, ReduceOptions{Workers: workers, BudgetBytes: 1 << 30})
+		if !bytes.Equal(out, want) {
+			t.Fatalf("%s: output differs from the sequential fold", label)
+		}
+		for _, nd := range interior {
+			if got := calls[nd.ID]; len(got) != 1 || got[0] != fanout {
+				t.Errorf("%s: node %d folded in calls of %v inputs, want one call of %d", label, nd.ID, got, fanout)
+			}
+		}
+		for _, opts := range []ReduceOptions{{Workers: workers, BudgetBytes: 1}, {Workers: 1}} {
+			label := fmt.Sprintf("w=%d/budget=%d", opts.Workers, opts.BudgetBytes)
+			out, calls := run(label, opts)
+			if !bytes.Equal(out, want) {
+				t.Fatalf("%s: output differs from the sequential fold", label)
+			}
+			for _, nd := range interior {
+				if got := calls[nd.ID]; len(got) != fanout || slices.Max(got) > 2 {
+					t.Errorf("%s: node %d folded in calls of %v inputs, want %d calls of at most 2", label, nd.ID, got, fanout)
+				}
+			}
+		}
+	}
+	for name, opts := range engineVariants() {
+		if out, _ := run(name, opts); !bytes.Equal(out, want) {
+			t.Errorf("%s: output differs from the sequential fold", name)
 		}
 	}
 }
@@ -423,7 +476,7 @@ func TestPipelinedStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := New(topo, nil)
+	net := New(topo)
 	want, _, err := net.ReduceWith(seqFold, leafValue, concatFilter)
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +489,7 @@ func TestPipelinedStress(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 10; i++ {
 					got, _, err := net.ReduceWith(
-						ReduceOptions{Engine: EnginePipelined, Workers: w, BudgetBytes: budget},
+						ReduceOptions{Workers: w, BudgetBytes: budget},
 						leafValue, concatFilter)
 					if err != nil {
 						t.Errorf("w=%d budget=%d: %v", w, budget, err)
@@ -455,7 +508,7 @@ func TestPipelinedStress(t *testing.T) {
 
 func ExampleNetwork_ReduceWith() {
 	topo, _ := topology.Balanced(2, 9)
-	net := New(topo, nil)
+	net := New(topo)
 	leaf := func(i int) ([]byte, error) { return []byte{byte(i)}, nil }
 	concat := BytesFilter(func(children [][]byte) ([]byte, error) {
 		var out []byte
@@ -465,7 +518,6 @@ func ExampleNetwork_ReduceWith() {
 		return out, nil
 	})
 	out, _, _ := net.ReduceWith(ReduceOptions{
-		Engine:      EnginePipelined,
 		BudgetBytes: 1 << 20, // keep at most ~1 MiB of payloads in flight
 	}, leaf, concat)
 	fmt.Println(out)

@@ -15,7 +15,7 @@ import (
 )
 
 // sumFilter parses child payloads as integers and sums them — an
-// associative reduction suitable for every engine.
+// associative reduction suitable for any fold grouping.
 var sumFilter = BytesFilter(func(children [][]byte) ([]byte, error) {
 	total := 0
 	for _, c := range children {
@@ -49,8 +49,8 @@ func TestReduceSum(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := New(topo, nil)
-			out, stats, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leafValue, sumFilter)
+			n := New(topo)
+			out, stats, err := n.ReduceWith(ReduceOptions{}, leafValue, sumFilter)
 			if err != nil {
 				t.Fatalf("d=%d: %v", d, err)
 			}
@@ -66,14 +66,14 @@ func TestReduceSum(t *testing.T) {
 }
 
 // TestReduceSeqMatchesReduce: the one-worker sequential fold and the
-// concurrent engine agree on the result and on per-node ingress.
+// default worker pool agree on the result and on per-node ingress.
 func TestReduceSeqMatchesReduce(t *testing.T) {
 	topo, err := topology.Balanced(3, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := New(topo, nil)
-	outP, statsP, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leafValue, sumFilter)
+	n := New(topo)
+	outP, statsP, err := n.ReduceWith(ReduceOptions{}, leafValue, sumFilter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +96,13 @@ func TestReduceChildOrderDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := New(topo, nil)
+	n := New(topo)
 	leafLetter := func(leaf int) ([]byte, error) {
 		return []byte{byte('a' + leaf)}, nil
 	}
 	want := "abcdefghijklmnop"
 	for i := 0; i < 20; i++ { // concurrency must not reorder children
-		out, _, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leafLetter, concatFilter)
+		out, _, err := n.ReduceWith(ReduceOptions{}, leafLetter, concatFilter)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestReduceChildOrderDeterministic(t *testing.T) {
 
 func TestReduceLeafError(t *testing.T) {
 	topo, _ := topology.Balanced(2, 9)
-	n := New(topo, nil)
+	n := New(topo)
 	boom := errors.New("boom")
 	leaf := func(l int) ([]byte, error) {
 		if l == 5 {
@@ -129,7 +129,7 @@ func TestReduceLeafError(t *testing.T) {
 		}
 		return leafValue(l)
 	}
-	if _, _, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leaf, sumFilter); err == nil {
+	if _, _, err := n.ReduceWith(ReduceOptions{}, leaf, sumFilter); err == nil {
 		t.Error("parallel reduce swallowed leaf error")
 	}
 	if _, _, err := n.ReduceWith(seqFold, leaf, sumFilter); !errors.Is(err, boom) {
@@ -137,16 +137,16 @@ func TestReduceLeafError(t *testing.T) {
 	}
 }
 
-// TestReduceFailureReleasesStrandedLeases pins the concurrent engine's
-// failure drain: output leases already sent into transport buffers, or
-// riding on late results, must still see their free hooks run after a
-// failed reduction, or pooled buffers would leak from their pools.
+// TestReduceFailureReleasesStrandedLeases pins the failure sweep on the
+// default worker pool: output leases buffered at a parent or held as a
+// partial accumulator must still see their free hooks run after a failed
+// reduction, or pooled buffers would leak from their pools.
 func TestReduceFailureReleasesStrandedLeases(t *testing.T) {
 	topo, err := topology.Balanced(2, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := New(topo, nil)
+	n := New(topo)
 	boom := errors.New("boom")
 	var calls, outs, freed atomic.Int64
 	filter := func(children []*Lease) (*Lease, error) {
@@ -156,7 +156,7 @@ func TestReduceFailureReleasesStrandedLeases(t *testing.T) {
 		outs.Add(1)
 		return NewLease([]byte{1}, func([]byte) { freed.Add(1) }), nil
 	}
-	if _, _, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leafValue, filter); !errors.Is(err, boom) {
+	if _, _, err := n.ReduceWith(ReduceOptions{}, leafValue, filter); !errors.Is(err, boom) {
 		t.Fatalf("error %v does not wrap the filter error", err)
 	}
 	if f, p := freed.Load(), outs.Load(); f != p {
@@ -166,9 +166,9 @@ func TestReduceFailureReleasesStrandedLeases(t *testing.T) {
 
 func TestReduceFilterError(t *testing.T) {
 	topo, _ := topology.Flat(4)
-	n := New(topo, nil)
+	n := New(topo)
 	bad := func([]*Lease) (*Lease, error) { return nil, errors.New("filter died") }
-	if _, _, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leafValue, bad); err == nil {
+	if _, _, err := n.ReduceWith(ReduceOptions{}, leafValue, bad); err == nil {
 		t.Error("parallel reduce swallowed filter error")
 	}
 	if _, _, err := n.ReduceWith(seqFold, leafValue, bad); err == nil {
@@ -181,10 +181,10 @@ func TestReduceStatsBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := New(topo, nil)
+	n := New(topo)
 	leaf := func(l int) ([]byte, error) { return []byte("xxxx"), nil } // 4 bytes each
 	fixed := func([]*Lease) (*Lease, error) { return NewLease([]byte("yy"), nil), nil }
-	_, stats, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leaf, fixed)
+	_, stats, err := n.ReduceWith(ReduceOptions{}, leaf, fixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := New(topo, nil)
+	n := New(topo)
 	payload := []byte("relocated-binary-image")
 	got, stats, err := n.Broadcast(payload)
 	if err != nil {
@@ -224,81 +224,6 @@ func TestBroadcast(t *testing.T) {
 	}
 	if stats.Packets == 0 {
 		t.Error("broadcast recorded no packets")
-	}
-}
-
-func TestTCPTransportPair(t *testing.T) {
-	tr, err := NewTCPTransport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	p, c, err := tr.Pair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	defer c.Close()
-
-	msgs := [][]byte{[]byte("hello"), {}, bytes.Repeat([]byte("x"), 100000)}
-	for _, m := range msgs {
-		if err := c.Send(NewLease(bytes.Clone(m), nil)); err != nil {
-			t.Fatal(err)
-		}
-		got, err := p.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), m) {
-			t.Errorf("round trip mismatch at %d bytes", len(m))
-		}
-		got.Release()
-	}
-	// Duplex.
-	if err := p.Send(NewLease([]byte("down"), nil)); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := c.Recv(); err != nil || string(got.Bytes()) != "down" {
-		t.Errorf("downstream: %v", err)
-	}
-}
-
-func TestReduceOverTCP(t *testing.T) {
-	tr, err := NewTCPTransport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	topo, err := topology.Balanced(2, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := New(topo, tr)
-	out, _, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leafValue, sumFilter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := strconv.Atoi(string(out)); got != 45 {
-		t.Errorf("sum over TCP = %d, want 45", got)
-	}
-}
-
-func TestChannelConnCloseUnblocks(t *testing.T) {
-	p, c, err := ChannelTransport{}.Pair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := p.Recv()
-		done <- err
-	}()
-	c.Close()
-	if err := <-done; !errors.Is(err, ErrClosed) {
-		t.Errorf("Recv after close = %v, want ErrClosed", err)
-	}
-	if err := c.Send(NewLease([]byte("x"), nil)); !errors.Is(err, ErrClosed) {
-		t.Errorf("Send after close = %v, want ErrClosed", err)
 	}
 }
 
@@ -376,7 +301,7 @@ func TestBroadcastTimePipelines(t *testing.T) {
 	}
 }
 
-// TestReduceManyShapes cross-checks the concurrent engine and the sequential fold over a
+// TestReduceManyShapes cross-checks the default worker pool and the sequential fold over a
 // sweep of topology shapes and daemon counts with an order-sensitive
 // filter.
 func TestReduceManyShapes(t *testing.T) {
@@ -386,13 +311,13 @@ func TestReduceManyShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := New(topo, nil)
+			n := New(topo)
 			want := make([]string, d)
 			for i := range want {
 				want[i] = fmt.Sprintf("<%d>", i)
 			}
 			leaf := func(l int) ([]byte, error) { return []byte(fmt.Sprintf("<%d>", l)), nil }
-			outP, _, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leaf, concatFilter)
+			outP, _, err := n.ReduceWith(ReduceOptions{}, leaf, concatFilter)
 			if err != nil {
 				t.Fatalf("depth=%d d=%d: %v", depth, d, err)
 			}
@@ -411,8 +336,8 @@ func TestReduceManyShapes(t *testing.T) {
 // TestStatsLevelConsistency: level sums equal the per-node sums.
 func TestStatsLevelConsistency(t *testing.T) {
 	topo, _ := topology.Balanced(3, 27)
-	n := New(topo, nil)
-	_, stats, err := n.ReduceWith(ReduceOptions{Engine: EngineConcurrent}, leafValue, sumFilter)
+	n := New(topo)
+	_, stats, err := n.ReduceWith(ReduceOptions{}, leafValue, sumFilter)
 	if err != nil {
 		t.Fatal(err)
 	}

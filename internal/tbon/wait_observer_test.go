@@ -9,51 +9,48 @@ import (
 	"stat/internal/topology"
 )
 
-// TestWaitObserverFires checks that each engine reports reduce-wait
+// TestWaitObserverFires checks that the engine reports reduce-wait
 // observations and that observing changes nothing about the result.
 func TestWaitObserverFires(t *testing.T) {
 	topo, err := topology.Balanced(4, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := New(topo, nil)
-	for _, engine := range []Engine{EngineConcurrent, EnginePipelined} {
-		var calls, total atomic.Int64
-		opts := ReduceOptions{
-			Engine: engine,
-			WaitObserver: func(ns int64) {
-				calls.Add(1)
-				total.Add(ns)
-			},
-		}
-		out, _, err := n.ReduceWith(opts, leafValue, sumFilter)
-		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
-		}
-		if got, _ := strconv.Atoi(string(out)); got != 16*17/2 {
-			t.Errorf("%v: sum = %d, want %d", engine, got, 16*17/2)
-		}
-		if calls.Load() == 0 {
-			t.Errorf("%v: wait observer never fired", engine)
-		}
-		if total.Load() < 0 {
-			t.Errorf("%v: negative total wait", engine)
-		}
+	n := New(topo)
+	var calls, total atomic.Int64
+	opts := ReduceOptions{
+		WaitObserver: func(ns int64) {
+			calls.Add(1)
+			total.Add(ns)
+		},
+	}
+	out, _, err := n.ReduceWith(opts, leafValue, sumFilter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := strconv.Atoi(string(out)); got != 16*17/2 {
+		t.Errorf("sum = %d, want %d", got, 16*17/2)
+	}
+	if calls.Load() == 0 {
+		t.Error("wait observer never fired")
+	}
+	if total.Load() < 0 {
+		t.Error("negative total wait")
+	}
 
-		// And without the observer, the same reduction still works (the
-		// nil-observer fast path).
-		opts.WaitObserver = nil
-		out2, _, err := n.ReduceWith(opts, leafValue, sumFilter)
-		if err != nil {
-			t.Fatalf("%v unobserved: %v", engine, err)
-		}
-		if string(out2) != string(out) {
-			t.Errorf("%v: observed %q, unobserved %q", engine, out, out2)
-		}
+	// And without the observer, the same reduction still works (the
+	// nil-observer fast path).
+	opts.WaitObserver = nil
+	out2, _, err := n.ReduceWith(opts, leafValue, sumFilter)
+	if err != nil {
+		t.Fatalf("unobserved: %v", err)
+	}
+	if string(out2) != string(out) {
+		t.Errorf("observed %q, unobserved %q", out, out2)
 	}
 }
 
-// TestWaitObserverIsGateAdmission pins what the pipelined engine's
+// TestWaitObserverIsGateAdmission pins what the engine's
 // reduce-wait measures: one observation per payload admitted through the
 // gate (every node but the root), timing only the admission. On one
 // worker every payload is the head of line, so admission never blocks —
@@ -73,7 +70,7 @@ func TestWaitObserverIsGateAdmission(t *testing.T) {
 		time.Sleep(leafDelay)
 		return leafValue(i)
 	}
-	n := New(topo, nil)
+	n := New(topo)
 	for _, workers := range []int{1, 4} {
 		var calls, total atomic.Int64
 		_, _, err := n.ReduceWith(ReduceOptions{

@@ -79,7 +79,10 @@ type Frame struct {
 	// LiveLeases is the max leased-buffer count observed at any node
 	// during the round (a high-water memory proxy).
 	LiveLeases int64
-	// QueueDepth is the max child fan-in a single filter call folded.
+	// QueueDepth is the max number of inputs one filter call folded
+	// (accumulator included). It reads a comm process's fan-in when the
+	// reduction had room to fold whole child rows at once, and 2 when
+	// every call folded [accumulator, child].
 	QueueDepth int64
 
 	// WalkHist is the fleet-wide histogram of leaf walk durations

@@ -19,10 +19,10 @@ const (
 	SpanSeal
 	// SpanEncode is wire-encoding the round's trees at a leaf.
 	SpanEncode
-	// SpanReduceWait is the time one child payload spent blocked before
-	// its parent could take it: gate admission under the pipelined
-	// engine, the transport receive (production included) under the
-	// concurrent one. Compare its shape across engines, not its totals.
+	// SpanReduceWait is the time one child payload spent blocked at the
+	// reduction's in-flight gate before its parent could take it — gate
+	// admission time only, with neither payload production nor merge
+	// work included (see tbon.ReduceOptions.WaitObserver).
 	SpanReduceWait
 	// SpanMerge is an interior filter's tree-merge (decode + fold +
 	// re-encode) for one call.
