@@ -344,9 +344,10 @@ func (r *pipeRun) unwedge(head int) {
 // {j,j+1}), with tombstones recorded missing. While the node still waits
 // for children and the gate has room (see hasRoom), the fold is deferred
 // instead (force overrides that once), so a node usually folds all its
-// children in one call. Filter calls run outside the node lock so late siblings can buffer
-// their payloads without waiting for a merge in progress. A node whose
-// children were all tombstones propagates a tombstone of its own.
+// children in one call. Filter calls run outside the node lock so late
+// siblings can buffer their payloads without waiting for a merge in
+// progress. A node whose children were all tombstones propagates a
+// tombstone of its own.
 //
 // Called with pp.mu held; returns with it released.
 func (r *pipeRun) drain(pp *pipeNode, force bool) {
