@@ -204,29 +204,6 @@ func BenchmarkFig6BitVectorOps(b *testing.B) {
 			arena.Reset()
 		}
 	})
-	b.Run("frontend_remap_inplace", func(b *testing.B) {
-		// The cycle-walking in-place form Tree.RemapWith falls back to:
-		// zero allocation, bits rotated along the permutation's cycles
-		// inside the vector's own words.
-		v := bitvec.New(n)
-		for i := 0; i < n; i += 2 {
-			v.Set(i)
-		}
-		perm := make([]int, n)
-		for i := range perm {
-			perm[i] = (i*7919 + 13) % n
-		}
-		r, err := bitvec.NewRemapper(perm, n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := r.ApplyInPlace(v); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkFig7OptimizedMerge regenerates the headline comparison:
@@ -547,7 +524,7 @@ func BenchmarkTreeMergeUnion(b *testing.B) {
 
 // BenchmarkTreeMergeConcat measures the concatenation merge of 26
 // subtree-local trees (one BG/L communication process's filter work in
-// hierarchical mode).
+// hierarchical mode) on a warm codec, as the filters run it.
 func BenchmarkTreeMergeConcat(b *testing.B) {
 	app, err := mpisim.NewRing(4096)
 	if err != nil {
@@ -564,21 +541,21 @@ func BenchmarkTreeMergeConcat(b *testing.B) {
 		}
 		parts = append(parts, t)
 	}
+	c := trace.NewCodec()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := trace.MergeConcat(parts...)
+		m := c.MergeConcat(parts...)
 		if m.NumTasks != 26*64 {
 			b.Fatal("bad merge")
 		}
+		m.Release()
 	}
 }
 
 // BenchmarkTreeSerialize measures the wire encode/decode of a daemon
-// payload in both representations and both wire formats. The wire_bytes
-// metric is the wire-size-vs-alias tradeoff at BG/L widths: STR2's
-// 8-byte padding costs a few percent on the narrow hierarchical payloads
-// whose labels are small, and a fraction of a percent at full job width
-// where labels dwarf names — the price of a 100% zero-copy alias rate.
+// payload in both representations and both live wire formats. The
+// wire_bytes metric is what each format ships at BG/L widths: STR2's
+// dense labels versus STR3's adaptive containers.
 func BenchmarkTreeSerialize(b *testing.B) {
 	app, err := mpisim.NewRing(212992)
 	if err != nil {
@@ -595,7 +572,6 @@ func BenchmarkTreeSerialize(b *testing.B) {
 			name string
 			v    uint8
 		}{
-			{"", trace.WireV1}, // unsuffixed = v1, keeping the gated series stable
 			{"_v2", trace.WireV2},
 			{"_v3", trace.WireV3},
 		} {

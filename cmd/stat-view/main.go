@@ -15,8 +15,10 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"stat/internal/bitvec"
@@ -24,9 +26,10 @@ import (
 )
 
 // replayStream folds an STSM capture (see cmd/stat's streamCapture) back
-// into a live tree, printing one line per round and flagging class
-// transitions. Returns the final folded tree.
-func replayStream(data []byte, quiet bool) (*trace.Tree, error) {
+// into a live tree, printing one line per round to w and flagging class
+// transitions (nothing is printed when quiet). Returns the final folded
+// tree.
+func replayStream(w io.Writer, data []byte, quiet bool) (*trace.Tree, error) {
 	if len(data) < 5 || data[4] != 1 {
 		return nil, fmt.Errorf("unsupported stream capture header")
 	}
@@ -52,7 +55,7 @@ func replayStream(data []byte, quiet bool) (*trace.Tree, error) {
 			// A post-mortem record: UTF-8 flight-recorder dumps attached to
 			// a degraded capture. Not a round — print and keep folding.
 			if !quiet {
-				fmt.Printf("post-mortem record (%d bytes):\n%s", n, frame)
+				fmt.Fprintf(w, "post-mortem record (%d bytes):\n%s", n, frame)
 			}
 			round--
 			continue
@@ -72,7 +75,7 @@ func replayStream(data []byte, quiet bool) (*trace.Tree, error) {
 			if live == nil {
 				return nil, fmt.Errorf("round %d: delta frame with no preceding whole tree", round)
 			}
-			d, err := trace.UnmarshalDelta(frame)
+			d, err := trace.Decode(frame, trace.DecodeOpts{Delta: true})
 			if err != nil {
 				return nil, fmt.Errorf("round %d: %w", round, err)
 			}
@@ -93,7 +96,7 @@ func replayStream(data []byte, quiet bool) (*trace.Tree, error) {
 		}
 		prevClasses = sig
 		if !quiet {
-			fmt.Printf("round %3d: %s, %d bytes, %d nodes, %d classes%s\n",
+			fmt.Fprintf(w, "round %3d: %s, %d bytes, %d nodes, %d classes%s\n",
 				round, what, n, live.NodeCount(), len(cs), note)
 		}
 	}
@@ -104,68 +107,78 @@ func replayStream(data []byte, quiet bool) (*trace.Tree, error) {
 }
 
 func main() {
-	dot := flag.Bool("dot", false, "emit Graphviz DOT on stdout")
-	classes := flag.Bool("classes", true, "print equivalence classes")
-	outline := flag.Bool("outline", true, "print the tree outline")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: stat-view [-dot] [-classes] [-outline] <tree or stream-capture file>")
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	data, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
+	default:
 		fmt.Fprintln(os.Stderr, "stat-view:", err)
 		os.Exit(1)
 	}
+}
+
+var errUsage = errors.New("usage: stat-view [-dot] [-classes] [-outline] <tree or stream-capture file>")
+
+// run renders the capture named in args to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("stat-view", flag.ContinueOnError)
+	dot := fs.Bool("dot", false, "emit Graphviz DOT on stdout")
+	classes := fs.Bool("classes", true, "print equivalence classes")
+	outline := fs.Bool("outline", true, "print the tree outline")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	if fs.NArg() != 1 {
+		return errUsage
+	}
+	name := fs.Arg(0)
+	data, err := os.ReadFile(name)
+	if err != nil {
+		return err
+	}
+	var tree *trace.Tree
 	if len(data) >= 4 && string(data[:4]) == "STSM" {
 		// -dot keeps stdout clean for the graph, so the replay runs silent.
-		tree, err := replayStream(data, *dot)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stat-view:", err)
-			os.Exit(1)
+		if tree, err = replayStream(w, data, *dot); err != nil {
+			return err
 		}
 		if !*dot {
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
-		render(flag.Arg(0), tree, *dot, *classes, *outline)
-		return
-	}
-	// The decoder dispatches on the magic, so v1 captures from old builds,
-	// 8-aligned v2 saves, and compressed-label v3 saves open alike; sniff
-	// first only to report it. Decoding through a codec additionally
-	// collects the v3 container mix for the header line.
-	version, err := trace.SniffWireVersion(data)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stat-view:", err)
-		os.Exit(1)
-	}
-	codec := trace.NewCodec()
-	tree, err := codec.DecodeTree(data)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stat-view:", err)
-		os.Exit(1)
-	}
-
-	if !*dot {
-		fmt.Printf("%s: wire format v%d\n", flag.Arg(0), version)
-		if ls := codec.LabelStats(); ls.Labels() > 0 {
-			fmt.Printf("label containers: %d run, %d array, %d dense (%d label bytes on the wire)\n",
-				ls.Run, ls.Array, ls.Dense, ls.Bytes())
+	} else {
+		// The decoder dispatches on the magic, so v1 captures from earlier
+		// builds, 8-aligned v2 saves, and compressed-label v3 saves open
+		// alike; sniff first only to report it. Decoding through a codec
+		// additionally collects the v3 container mix for the header line.
+		version, err := trace.SniffWireVersion(data)
+		if err != nil {
+			return err
+		}
+		codec := trace.NewCodec()
+		if tree, err = trace.Decode(data, trace.DecodeOpts{Codec: codec}); err != nil {
+			return err
+		}
+		if !*dot {
+			fmt.Fprintf(w, "%s: wire format v%d\n", name, version)
+			if ls := codec.LabelStats(); ls.Labels() > 0 {
+				fmt.Fprintf(w, "label containers: %d run, %d array, %d dense (%d label bytes on the wire)\n",
+					ls.Run, ls.Array, ls.Dense, ls.Bytes())
+			}
 		}
 	}
-	render(flag.Arg(0), tree, *dot, *classes, *outline)
+	return render(w, name, tree, *dot, *classes, *outline)
 }
 
 // render emits the common views of a loaded (or replayed) tree.
-func render(name string, tree *trace.Tree, dot, classes, outline bool) {
+func render(w io.Writer, name string, tree *trace.Tree, dot, classes, outline bool) error {
 	if dot {
-		if err := tree.WriteDOT(os.Stdout, name); err != nil {
-			fmt.Fprintln(os.Stderr, "stat-view:", err)
-			os.Exit(1)
-		}
-		return
+		return tree.WriteDOT(w, name)
 	}
-	fmt.Printf("%d tasks, %d nodes, depth %d\n", tree.NumTasks, tree.NodeCount(), tree.Depth())
+	fmt.Fprintf(w, "%d tasks, %d nodes, depth %d\n", tree.NumTasks, tree.NodeCount(), tree.Depth())
 	// The root sentinel's label holds every task that contributed a trace,
 	// so it doubles as the capture's coverage record: a tree saved from a
 	// degraded (fault-tolerant) gather covers only the surviving ranks.
@@ -176,19 +189,20 @@ func render(name string, tree *trace.Tree, dot, classes, outline bool) {
 				missing = append(missing, r)
 			}
 		}
-		fmt.Printf("coverage: PARTIAL — %d of %d ranks (missing %s)\n",
+		fmt.Fprintf(w, "coverage: PARTIAL — %d of %d ranks (missing %s)\n",
 			covered, tree.NumTasks, bitvec.FormatRanges(missing))
 	} else {
-		fmt.Printf("coverage: complete (%d ranks)\n", covered)
+		fmt.Fprintf(w, "coverage: complete (%d ranks)\n", covered)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	if outline {
-		fmt.Print(tree)
+		fmt.Fprint(w, tree)
 	}
 	if classes {
-		fmt.Println("\nequivalence classes:")
+		fmt.Fprintln(w, "\nequivalence classes:")
 		for _, c := range tree.EquivalenceClasses() {
-			fmt.Printf("  %s\n", c)
+			fmt.Fprintf(w, "  %s\n", c)
 		}
 	}
+	return nil
 }

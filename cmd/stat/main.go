@@ -375,7 +375,7 @@ func run() error {
 		progress    = flag.Bool("progress", false, "run a two-round progress check and report wedged tasks")
 		workers     = flag.Int("reduce-workers", 0, "TBON reduction worker count (0 = GOMAXPROCS; 1 = sequential pairwise fold)")
 		budget      = flag.Int64("reduce-budget", 0, "TBON reduction in-flight payload byte budget (0 = at most one unfolded payload per worker); while a budget has room, comm processes fold all their children in one call")
-		wireVersion = flag.Uint("wire", 0, "cap the negotiated wire format version (0 = build maximum; 1 = compact STR1, 2 = 8-aligned STR2, 3 = compressed-label STR3)")
+		wireVersion = flag.Uint("wire", 0, "cap the negotiated wire format version (0 = build maximum, else 2..3: 2 = 8-aligned STR2, 3 = compressed-label STR3)")
 		samplerName = flag.String("sampler", "batched", "daemon sampling engine: batched (direct-to-tree trie) or legacy (per-sample loop)")
 		sampWorkers = flag.Int("sample-workers", 0, "batched sampler's concurrent daemon-walker bound (0 = GOMAXPROCS)")
 		overlapName = flag.String("overlap", "snapshot", "walk/gather overlap: snapshot (emit round N while walking N+1) or quiesced (strict sequence)")
@@ -389,14 +389,14 @@ func run() error {
 		cutNodes    = flag.String("cut-nodes", "", "inject: partition these overlay nodes' uplinks (node-ID ranges); requires -fault-tolerant")
 		slowNodes   = flag.String("slow-nodes", "", "inject: delay these overlay nodes' uplinks (node-ID ranges); requires -fault-tolerant")
 		slowLink    = flag.Duration("slow-link", 50*time.Millisecond, "delay applied to -slow-nodes uplinks")
-		telem       = flag.Bool("telemetry", false, "enable the in-band telemetry plane: per-round span frames folded up the TBON, session metrics, and per-daemon flight recorders (inert on a v1-negotiated wire)")
+		telem       = flag.Bool("telemetry", false, "enable the in-band telemetry plane: per-round span frames folded up the TBON, session metrics, and per-daemon flight recorders")
 		debugAddr   = flag.String("debug-addr", "", "serve live Prometheus metrics at /metrics and net/http/pprof at /debug/pprof/ on this address (implies -telemetry)")
 	)
 	flag.Usage = groupedUsage
 	flag.Parse()
 
-	if *wireVersion > proto.MaxVersion {
-		return fmt.Errorf("unknown wire version %d (this build speaks 1..%d)", *wireVersion, proto.MaxVersion)
+	if *wireVersion != 0 && (*wireVersion < proto.Version || *wireVersion > proto.MaxVersion) {
+		return fmt.Errorf("unknown wire version %d (this build speaks %d..%d)", *wireVersion, proto.Version, proto.MaxVersion)
 	}
 	opts := core.Options{
 		Tasks:             *tasks,
@@ -691,19 +691,16 @@ func run() error {
 	}
 	if *savePath != "" {
 		// Save in the session's negotiated format; stat-view dispatches on
-		// the magic, and v1 captures stay readable forever.
-		saveVersion := res.WireVersion
-		if saveVersion == 0 {
-			saveVersion = proto.Version
-		}
-		data, err := res.Tree3D.MarshalBinaryV(saveVersion)
+		// the magic, so captures of any version (v1 from earlier builds
+		// included) open alike.
+		data, err := res.Tree3D.MarshalBinaryV(res.WireVersion)
 		if err != nil {
 			return err
 		}
 		if err := os.WriteFile(*savePath, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("saved merged tree to %s (%d bytes, wire format v%d)\n", *savePath, len(data), saveVersion)
+		fmt.Printf("saved merged tree to %s (%d bytes, wire format v%d)\n", *savePath, len(data), res.WireVersion)
 	}
 	return nil
 }

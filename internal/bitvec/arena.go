@@ -243,7 +243,7 @@ func (a *Arena) RemapBinary(b []byte, r *Remapper) (*Vector, int, error) {
 //
 // An aliased vector is a read-only view: mutating it would scribble on the
 // wire buffer, and its words live only as long as b's backing array — the
-// caller must pin the buffer (see trace.Codec.DecodeTreeAliasing) until
+// caller must pin the buffer (see trace.DecodeOpts.Pin) until
 // the vector is dead.
 func (a *Arena) AliasBinary(b []byte) (v *Vector, used int, aliased bool, err error) {
 	n, nw, need, err := parseWireHeader(b)

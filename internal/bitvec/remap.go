@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
 )
 
 // Remapper is a compiled permutation from a source task space onto a target
@@ -16,14 +15,10 @@ import (
 // end remaps every node of two merged trees through the same permutation,
 // which is exactly the shape this type exists for.
 //
-// Three apply forms cover the front end's decode shapes:
+// Two apply forms cover the front end's shapes:
 //
 //   - Apply/ApplyInto: scattered stores into a fresh (or caller-owned)
 //     target vector — the classic two-pass form.
-//   - ApplyInPlace: cycle-walking, for square permutations only. The bits
-//     rotate along the permutation's cycles inside the vector's own words,
-//     so no second buffer exists at all; Tree.RemapWith uses it as the
-//     fallback for trees that were decoded by copying.
 //   - ScatterWire (via Arena.RemapBinary): the decode-fused form. Each wire
 //     word is loaded once — a direct word view when the bytes land 8-byte
 //     aligned, as the STR2 wire format guarantees — and its set bits
@@ -36,13 +31,6 @@ import (
 type Remapper struct {
 	perm  []int
 	width int
-	// starts holds one entry per non-trivial permutation cycle, compiled
-	// lazily (walking the cycles costs one cache-hostile pass over perm,
-	// which callers that never ApplyInPlace should not pay) and only for
-	// square permutations. Guarded by startsOnce so the lazy compile
-	// preserves the concurrent-Apply contract.
-	starts     []int32
-	startsOnce sync.Once
 }
 
 // NewRemapper compiles and validates a permutation. perm maps source bit i
@@ -65,37 +53,11 @@ func NewRemapper(perm []int, width int) (*Remapper, error) {
 	return &Remapper{perm: perm, width: width}, nil
 }
 
-// cycleStarts decomposes a bijective perm into its non-trivial cycles and
-// returns one starting index per cycle. Fixed points are skipped: walking
-// them would be a no-op.
-func cycleStarts(perm []int) []int32 {
-	visited := New(len(perm))
-	var starts []int32
-	for i, t := range perm {
-		if visited.Get(i) {
-			continue
-		}
-		if t == i {
-			visited.Set(i)
-			continue
-		}
-		starts = append(starts, int32(i))
-		for j := i; !visited.Get(j); j = perm[j] {
-			visited.Set(j)
-		}
-	}
-	return starts
-}
-
 // Width reports the target task-space width.
 func (r *Remapper) Width() int { return r.width }
 
 // SourceLen reports the source task-space width (the permutation's length).
 func (r *Remapper) SourceLen() int { return len(r.perm) }
-
-// Square reports whether the permutation is a bijection on one task space
-// (source and target widths equal), the precondition of ApplyInPlace.
-func (r *Remapper) Square() bool { return len(r.perm) == r.width }
 
 // Apply returns a new vector of width r.Width() holding v's members pushed
 // through the permutation. v's width must equal the permutation's length.
@@ -127,50 +89,6 @@ func (r *Remapper) ApplyInto(dst, v *Vector) error {
 			w &= w - 1
 			target := r.perm[wi<<6+b]
 			dw[target>>6] |= 1 << (uint(target) & 63)
-		}
-	}
-	return nil
-}
-
-// ApplyInPlace rewrites v through the permutation inside v's own word
-// storage by walking the permutation's cycles: the bit values rotate along
-// each cycle, carried one step at a time, so no second buffer is ever
-// allocated or zeroed. It requires a square permutation (source width ==
-// target width) and a vector the caller owns outright — remapping a label
-// that aliases a wire buffer would scribble on the buffer.
-func (r *Remapper) ApplyInPlace(v *Vector) error {
-	if len(r.perm) != r.width {
-		return fmt.Errorf("bitvec: ApplyInPlace requires a square permutation (%d source bits onto %d)", len(r.perm), r.width)
-	}
-	if v.n != r.width {
-		return fmt.Errorf("%w: ApplyInPlace vector width %d, Remapper width %d", ErrWidthMismatch, v.n, r.width)
-	}
-	r.startsOnce.Do(func() { r.starts = cycleStarts(r.perm) })
-	w := v.words
-	for _, s := range r.starts {
-		i := int(s)
-		// new[perm[j]] = old[j] along the cycle: carry old[i] forward,
-		// swapping the carry with each successive position's bit.
-		carry := w[i>>6] >> (uint(i) & 63) & 1
-		for j := r.perm[i]; j != i; j = r.perm[j] {
-			wi, mask := j>>6, uint64(1)<<(uint(j)&63)
-			next := w[wi] & mask
-			if carry != 0 {
-				w[wi] |= mask
-			} else {
-				w[wi] &^= mask
-			}
-			if next != 0 {
-				carry = 1
-			} else {
-				carry = 0
-			}
-		}
-		wi, mask := i>>6, uint64(1)<<(uint(i)&63)
-		if carry != 0 {
-			w[wi] |= mask
-		} else {
-			w[wi] &^= mask
 		}
 	}
 	return nil

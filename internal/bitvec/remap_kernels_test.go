@@ -1,9 +1,7 @@
 package bitvec
 
 import (
-	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -16,72 +14,6 @@ func randomSquareRemapper(t *testing.T, rng *rand.Rand, n int) *Remapper {
 		t.Fatal(err)
 	}
 	return r
-}
-
-// TestApplyInPlaceDifferential pins the cycle-walking in-place apply to
-// the scattered-store Apply across widths straddling word boundaries,
-// densities, and permutation shapes (random, identity, single long
-// cycle, reversal).
-func TestApplyInPlaceDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	perms := func(n int) map[string][]int {
-		rot := make([]int, n)
-		rev := make([]int, n)
-		id := make([]int, n)
-		for i := 0; i < n; i++ {
-			rot[i] = (i + 1) % n
-			rev[i] = n - 1 - i
-			id[i] = i
-		}
-		return map[string][]int{
-			"random":   rng.Perm(n),
-			"identity": id,
-			"rotation": rot,
-			"reversal": rev,
-		}
-	}
-	for _, n := range []int{1, 7, 63, 64, 65, 128, 200, 513} {
-		for name, perm := range perms(n) {
-			r, err := NewRemapper(perm, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for density := 0; density < 3; density++ {
-				v := New(n)
-				for i := 0; i < n; i++ {
-					if rng.Intn(3) <= density {
-						v.Set(i)
-					}
-				}
-				want, err := r.Apply(v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := v.Clone()
-				if err := r.ApplyInPlace(got); err != nil {
-					t.Fatalf("n=%d %s: %v", n, name, err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("n=%d %s density=%d: in-place remap differs from Apply", n, name, density)
-				}
-			}
-		}
-	}
-}
-
-// TestApplyInPlaceRequiresSquare: a widening permutation has no in-place
-// form.
-func TestApplyInPlaceRequiresSquare(t *testing.T) {
-	r, err := NewRemapper([]int{5, 1}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Square() {
-		t.Error("widening Remapper claims to be square")
-	}
-	if err := r.ApplyInPlace(New(8)); err == nil {
-		t.Error("in-place apply of a non-square permutation accepted")
-	}
 }
 
 // TestRemapBinaryDifferential pins the decode-fused remap (wire bytes →
@@ -192,65 +124,5 @@ func TestRemapBinaryAllocs(t *testing.T) {
 		arena.Reset()
 	}); allocs != 0 {
 		t.Errorf("RemapBinary on a warm arena allocates %v per op, want 0", allocs)
-	}
-}
-
-// TestApplyInPlaceAllocs: the cycle walk allocates nothing.
-func TestApplyInPlaceAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are unstable under the race detector")
-	}
-	rng := rand.New(rand.NewSource(6))
-	const n = 512
-	r := randomSquareRemapper(t, rng, n)
-	v := New(n)
-	for i := 0; i < n; i += 2 {
-		v.Set(i)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := r.ApplyInPlace(v); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("ApplyInPlace allocates %v per op, want 0", allocs)
-	}
-}
-
-// TestApplyInPlaceConcurrent exercises the lazy cycle compilation from
-// concurrent goroutines (each on its own vector): the sync.Once guard
-// must make first-use compilation safe under the Remapper's documented
-// concurrent-Apply contract.
-func TestApplyInPlaceConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	const n = 700
-	r := randomSquareRemapper(t, rng, n)
-	src := New(n)
-	for i := 0; i < n; i += 3 {
-		src.Set(i)
-	}
-	want, err := r.Apply(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v := src.Clone()
-			if err := r.ApplyInPlace(v); err != nil {
-				errs <- err
-				return
-			}
-			if !v.Equal(want) {
-				errs <- fmt.Errorf("concurrent in-place remap diverged")
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
 	}
 }

@@ -24,7 +24,7 @@ func copyingMergeFilter(hierarchical bool, version uint8) tbon.Filter {
 		lists := make([][]*trace.Tree, len(children))
 		for i, c := range children {
 			var err error
-			lists[i], err = appendDecodedTrees(codec, nil, c, nil, nil, false)
+			lists[i], err = decodeTrees(nil, c, trace.DecodeOpts{Codec: codec})
 			if err != nil {
 				return nil, err
 			}
@@ -36,7 +36,7 @@ func copyingMergeFilter(hierarchical bool, version uint8) tbon.Filter {
 				for ci := range lists {
 					parts[ci] = lists[ci][ti]
 				}
-				merged[ti] = trace.MergeConcat(parts...)
+				merged[ti] = trace.NewCodec().MergeConcat(parts...)
 			} else {
 				acc := lists[0][ti]
 				for ci := 1; ci < len(lists); ci++ {
@@ -93,11 +93,10 @@ func TestAliasingDecodeMatchesCopyingAcrossEngines(t *testing.T) {
 		{"pipelined-w4", tbon.ReduceOptions{Workers: 4}},
 		{"pipelined-1B", tbon.ReduceOptions{BudgetBytes: 1}},
 	}
-	// Odd-length names force label words onto every alignment class, so
-	// both the aliasing fast path and the copy fallback run.
+	// Odd-length names vary every node's padding.
 	funcs := []string{"m", "ab", "xyz", "solve", "mpi_wait_all", "io"}
 
-	for _, version := range []uint8{trace.WireV1, trace.WireV2} {
+	for _, version := range []uint8{trace.WireV2, trace.WireV3} {
 		for _, mode := range []BitVecMode{Original, Hierarchical} {
 			tool, err := New(Options{
 				Machine:  machine.Atlas(),
@@ -172,10 +171,10 @@ func TestAliasingDecodeMatchesCopyingAcrossEngines(t *testing.T) {
 					}
 				}
 			}
-			if version == trace.WireV2 && bitvec.HostLittleEndian() {
+			if bitvec.HostLittleEndian() {
 				hits, misses := tool.merge.aliasHits.Load(), tool.merge.aliasMisses.Load()
 				if hits == 0 || misses != 0 {
-					t.Errorf("v2/%v: %d alias hits, %d misses; want hits and no misses", mode, hits, misses)
+					t.Errorf("v%d/%v: %d alias hits, %d misses; want hits and no misses", version, mode, hits, misses)
 				}
 			}
 		}

@@ -200,12 +200,7 @@ func (d *daemon) sampleTrees(req proto.GatherRequest) (sampleBatch, error) {
 			// reads extents the walk already computed. Older streams carry
 			// dense labels, so compression would be pure overhead there.
 			Compress: d.wireVersion >= trace.WireV3,
-			// Delta frames exist only in the v2+ formats; a v1-capped
-			// daemon inside a streaming fleet simply keeps answering with
-			// whole trees (and the mixed-round recovery downgrades the
-			// round — the wire-negotiation min-merge rule extended to
-			// frame kinds).
-			Delta: req.Delta && d.wireVersion >= trace.WireV2,
+			Delta:    req.Delta,
 		}
 		if sreq.Delta {
 			// Streaming rounds need round-over-round trie continuity: the
@@ -300,20 +295,14 @@ func (d *daemon) sampleTrees(req proto.GatherRequest) (sampleBatch, error) {
 // pooled buffer's 8-aligned base plus the 16-byte header land every label
 // word-aligned for the upstream zero-copy decode.
 //
-// On instrumented rounds (req.Telemetry, v2+) the daemon additionally
+// On instrumented rounds (req.Telemetry) the daemon additionally
 // appends its telemetry frame — walk/seal/encode/send spans, payload
 // bytes — as a body trailer (proto.AppendTelemetrySection) and records
 // the same spans into its flight recorder. Both write into per-daemon
 // reusable scratch, keeping the instrumented path allocation-free.
 func (d *daemon) gatherPacket(req proto.GatherRequest) (*tbon.Lease, error) {
 	version := d.wireVersion
-	if version == 0 {
-		version = proto.Version
-	}
-	// Telemetry sections exist only in the v2+ formats; a v1-encoding
-	// daemon inside an instrumented fleet simply ships a bare body (and
-	// the min-merge downgrade drops the section at the join above it).
-	telem := req.Telemetry && version >= trace.WireV2 && d.tool.telem != nil
+	telem := req.Telemetry && d.tool.telem != nil
 	sb, err := d.sampleTrees(req)
 	if err != nil {
 		return nil, err
@@ -331,7 +320,7 @@ func (d *daemon) gatherPacket(req proto.GatherRequest) (*tbon.Lease, error) {
 		treeBuf[0], treeBuf[1] = sb.t2, sb.t3
 		trees = treeBuf[:2]
 	}
-	hdr := proto.HeaderSizeV(version)
+	hdr := proto.HeaderSize
 	size := encodedTreesSize(version, trees)
 	extra := 0
 	var sendStart, encStart time.Time

@@ -63,12 +63,12 @@ func posIn(missing []int, pos int) bool {
 // prefix), so the partial split below reads the body lease, not the raw
 // packet; partial children are re-sliced to just their tree body before
 // the merge. The caller's folded telemetry frame (tf, nil when the plane
-// is off or the output is v1) passes through to the merger, which appends
+// is off) passes through to the merger, which appends
 // it to the degraded output exactly as on the fast path. Unlike the fast
 // path this one allocates — it only runs when a fault already cost a
 // subtree, so the zero-alloc contract stays a fault-free-path property.
 func (m *merger) mergePartial(ctx *tbon.FilterCtx, children, bodies []*tbon.Lease,
-	merge mergeFunc, version uint8, hdr int, tf *telemetry.Frame) (*tbon.Lease, error) {
+	merge mergeFunc, version uint8, tf *telemetry.Frame) (*tbon.Lease, error) {
 
 	release := func() {
 		for _, b := range bodies {
@@ -83,7 +83,7 @@ func (m *merger) mergePartial(ctx *tbon.FilterCtx, children, bodies []*tbon.Leas
 			return nil, err
 		}
 		if p.Type == proto.MsgPartialResult {
-			lv, body, err := proto.SplitPartialPayload(bodies[i].Bytes(), p.Version)
+			lv, body, err := proto.SplitPartialPayload(bodies[i].Bytes())
 			if err != nil {
 				release()
 				return nil, err
@@ -127,13 +127,13 @@ func (m *merger) mergePartial(ctx *tbon.FilterCtx, children, bodies []*tbon.Leas
 		release()
 		return nil, err
 	}
-	prefix := proto.PartialPrefixLen(version, len(lvBytes))
-	packet, err := merge(bodies, hdr+prefix, version, tf)
+	prefix := proto.PartialPrefixLen(len(lvBytes))
+	packet, err := merge(bodies, proto.HeaderSize+prefix, version, tf)
 	release()
 	if err != nil {
 		return nil, err
 	}
-	proto.PutPartialPrefix(packet[hdr:], version, lvBytes)
+	proto.PutPartialPrefix(packet[proto.HeaderSize:], lvBytes)
 	return mintPacket(packet, version, proto.MsgPartialResult), nil
 }
 

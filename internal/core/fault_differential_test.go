@@ -52,7 +52,8 @@ func mustMerge(t *testing.T, opts Options) *Result {
 
 // TestFaultFreeDifferential: turning fault tolerance on without injecting
 // any fault must not change the result by a single byte, across topology
-// families, both representations, both wire versions, and all engines.
+// families, both representations, both live wire versions, and all
+// engines.
 func TestFaultFreeDifferential(t *testing.T) {
 	type tc struct {
 		name   string
@@ -70,7 +71,7 @@ func TestFaultFreeDifferential(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, mode := range []BitVecMode{Original, Hierarchical} {
-			for _, wire := range []uint8{1, 2} {
+			for _, wire := range []uint8{trace.WireV2, trace.WireV3} {
 				name := fmt.Sprintf("%s/%v/%s/v%d", c.name, c.engine, mode, wire)
 				t.Run(name, func(t *testing.T) {
 					plain := mustMerge(t, faultCaseOpts(c.topo, mode, wire, c.engine))
@@ -85,15 +86,11 @@ func TestFaultFreeDifferential(t *testing.T) {
 					}
 					// Byte-level identity of the serialized trees, not just
 					// structural equality.
-					wireV := trace.WireV1
-					if wire == 2 {
-						wireV = trace.WireV2
-					}
-					a, err := encodeTrees(wireV, plain.Tree2D, plain.Tree3D)
+					a, err := encodeTrees(wire, plain.Tree2D, plain.Tree3D)
 					if err != nil {
 						t.Fatal(err)
 					}
-					b, err := encodeTrees(wireV, ft.Tree2D, ft.Tree3D)
+					b, err := encodeTrees(wire, ft.Tree2D, ft.Tree3D)
 					if err != nil {
 						t.Fatal(err)
 					}

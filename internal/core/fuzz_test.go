@@ -7,10 +7,10 @@ import (
 	"stat/internal/trace"
 )
 
-// FuzzDecodeTrees feeds arbitrary bytes to the version-dispatched
-// MsgResult body parser: it must never panic, must error on malformed
-// frames of either framing, and must re-encode whatever it accepts
-// byte-identically under the wire version the body was framed with.
+// FuzzDecodeTrees feeds arbitrary bytes to the MsgResult body parser: it
+// must never panic, must error on malformed frames (the v1 framing of
+// earlier builds included), and must re-encode whatever it accepts
+// byte-identically under the wire version its trees carry.
 func FuzzDecodeTrees(f *testing.F) {
 	mk := func(version uint8) []byte {
 		t2 := trace.NewTree(4)
@@ -23,28 +23,28 @@ func FuzzDecodeTrees(f *testing.F) {
 		}
 		return b
 	}
-	validV1 := mk(trace.WireV1)
+	validV3 := mk(trace.WireV3)
 	validV2 := mk(trace.WireV2)
 	f.Add([]byte{})
-	f.Add([]byte{0})                      // zero trees, empty v1 body
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}) // zero trees, empty v2 body
+	f.Add([]byte{0})                      // zero trees, empty v1 body (retired framing)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}) // zero trees, empty body
 	f.Add([]byte{2})                      // claims two trees, carries none
-	f.Add(validV1)
+	f.Add(validV3)
 	f.Add(validV2)
-	f.Add(validV1[:len(validV1)-3])              // truncated tree body
+	f.Add(validV3[:len(validV3)-3])              // truncated v3 tree body
 	f.Add(validV2[:len(validV2)-5])              // truncated v2 tree body
-	f.Add(validV1[:5])                           // truncated length frame
-	f.Add(validV2[:12])                          // truncated v2 length frame
-	f.Add(append(bytes.Clone(validV1), 1, 2, 3)) // trailing bytes
+	f.Add(validV3[:5])                           // truncated count padding
+	f.Add(validV2[:12])                          // truncated length frame
+	f.Add(append(bytes.Clone(validV3), 1, 2, 3)) // trailing bytes after v3
 	f.Add(append(bytes.Clone(validV2), 1, 2, 3)) // trailing bytes after v2
-	big := bytes.Clone(validV1)
-	big[1], big[2], big[3], big[4] = 0xFF, 0xFF, 0xFF, 0x7F // huge frame length
+	big := bytes.Clone(validV3)
+	big[8], big[9], big[10], big[11] = 0xFF, 0xFF, 0xFF, 0x7F // huge frame length
 	f.Add(big)
 	dirtyPad := bytes.Clone(validV2)
 	dirtyPad[3] = 0xAA // nonzero count padding
 	f.Add(dirtyPad)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		trees, err := decodeTrees(b)
+		trees, err := decodeTrees(nil, b, trace.DecodeOpts{})
 		if err != nil {
 			return
 		}

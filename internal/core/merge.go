@@ -53,44 +53,27 @@ var recycleOutBuf = outBufs.Put
 // it. Leaf daemons, MergeTrees' leaves and every filter output mint their
 // packets here.
 func mintPacket(packet []byte, version uint8, typ proto.MsgType) *tbon.Lease {
-	proto.PutHeaderV(packet, version, proto.DataStream, typ, len(packet)-proto.HeaderSizeV(version))
+	proto.PutHeaderV(packet, version, proto.DataStream, typ, len(packet)-proto.HeaderSize)
 	return tbon.NewLease(packet, recycleOutBuf)
 }
 
-// Tree-list (MsgResult body) framing, by wire version:
+// Tree-list (MsgResult/MsgDelta body) framing:
 //
-//	v1: u8 count, then per tree: u32 len, tree (v1 encoding)
-//	v2: u8 count + 7 zero bytes, then per tree: u32 len + 4 zero bytes,
-//	    tree (v2 encoding — itself a multiple of 8 bytes)
-//	v3: the v2 framing carrying v3 trees (compressed labels; also
-//	    multiples of 8 bytes)
+//	u8 count + 7 zero bytes, then per tree: u32 len + 4 zero bytes,
+//	tree (a v2 or v3 encoding — itself a multiple of 8 bytes)
 //
-// The v2/v3 framing keeps every tree start at a multiple of 8 from the
-// body start; with the body placed behind a v2 packet header (16 bytes)
-// in an 8-aligned buffer, every tree — and so every label payload —
-// lands word-aligned in memory, which is what the zero-copy decode's
-// 100% alias rate rests on.
+// The framing keeps every tree start at a multiple of 8 from the body
+// start; with the body placed behind the 16-byte packet header in an
+// 8-aligned buffer, every tree — and so every label payload — lands
+// word-aligned in memory, which is what the zero-copy decode's 100%
+// alias rate rests on.
 
-// bodyFrameInfo sniffs a tree-list body's framing version and whether it
+// bodyFrameInfo sniffs a tree-list body's wire version and whether it
 // carries delta frames (MsgDelta bodies) or whole trees. The two kinds
 // share the framing byte-for-byte; only the per-tree magic differs.
 func bodyFrameInfo(b []byte) (version uint8, delta bool, err error) {
-	if len(b) == 0 {
-		return 0, false, errors.New("core: empty tree payload")
-	}
-	if b[0] == 0 {
-		switch len(b) {
-		case 1:
-			return 1, false, nil
-		case 8:
-			return 2, false, nil
-		}
-		return 0, false, errors.New("core: malformed empty tree payload")
-	}
-	if len(b) >= 5+4 {
-		if v, d, err := trace.SniffFrame(b[5:]); err == nil && v == trace.WireV1 {
-			return 1, d, nil
-		}
+	if len(b) == 8 && b[0] == 0 {
+		return trace.WireV2, false, nil
 	}
 	if len(b) >= 16+4 {
 		if v, d, err := trace.SniffFrame(b[16:]); err == nil && v >= trace.WireV2 {
@@ -100,46 +83,28 @@ func bodyFrameInfo(b []byte) (version uint8, delta bool, err error) {
 	return 0, false, errors.New("core: unrecognized tree payload framing")
 }
 
-// encodedTreesSize reports the exact encodeTreesInto output size for the
+// encodedTreesSize reports the exact encodeFramesInto output size for the
 // given version without encoding.
 func encodedTreesSize(version uint8, trees []*trace.Tree) int {
-	countLen, frameLen := 1, 4
-	if version >= trace.WireV2 {
-		countLen, frameLen = 8, 8
-	}
-	size := countLen
+	size := 8
 	for _, t := range trees {
-		size += frameLen + t.SerializedSizeV(version)
+		size += 8 + t.SerializedSizeV(version)
 	}
 	return size
 }
 
-// encodeTrees serializes a list of prefix trees under the given wire
-// version (count-prefixed, length-framed; see the framing note above) —
-// the body of a MsgResult packet. A normal gather carries two trees (2D
-// then 3D).
-func encodeTrees(version uint8, trees ...*trace.Tree) ([]byte, error) {
-	return encodeFramesInto(nil, version, false, trees...)
-}
-
-// encodeTreesInto appends the encoding to dst (which may be nil or a
-// recycled buffer) and returns the result. The destination is grown to
+// encodeFramesInto appends the encoding of a list of prefix trees under
+// the given wire version — count-prefixed and length-framed, see the
+// framing note above; the body of a MsgResult packet, whose gathers carry
+// two trees (2D then 3D) — to dst (which may be nil or a recycled buffer)
+// and returns the result. The destination is grown to
 // the exact encoded size once and every tree is appended in place — with
-// a dst of sufficient capacity the encode allocates nothing.
-func encodeTreesInto(dst []byte, version uint8, trees ...*trace.Tree) ([]byte, error) {
-	return encodeFramesInto(dst, version, false, trees...)
-}
-
-// encodeFramesInto is encodeTreesInto generalized over the frame kind:
-// with delta set the trees are encoded as delta frames ("STD" magics, XOR
-// labels — the body of a MsgDelta packet), under the identical list
-// framing. Delta frames require v2+.
+// a dst of sufficient capacity the encode allocates nothing. With delta
+// set the trees are encoded as delta frames ("STD" magics, XOR labels —
+// the body of a MsgDelta packet) under the identical framing.
 func encodeFramesInto(dst []byte, version uint8, delta bool, trees ...*trace.Tree) ([]byte, error) {
 	if len(trees) > 255 {
 		return nil, fmt.Errorf("core: %d trees exceed payload count limit", len(trees))
-	}
-	if version < trace.WireV1 || version > trace.MaxWireVersion {
-		return nil, fmt.Errorf("core: unknown wire version %d (this build speaks v%d..v%d)", version, trace.WireV1, trace.MaxWireVersion)
 	}
 	size := encodedTreesSize(version, trees)
 	base := len(dst)
@@ -148,16 +113,10 @@ func encodeFramesInto(dst []byte, version uint8, delta bool, trees ...*trace.Tre
 		copy(grown, dst)
 		dst = grown
 	}
-	out := append(dst, byte(len(trees)))
-	if version >= trace.WireV2 {
-		out = append(out, 0, 0, 0, 0, 0, 0, 0)
-	}
+	out := append(dst, byte(len(trees)), 0, 0, 0, 0, 0, 0, 0)
 	for _, t := range trees {
 		lenPos := len(out)
-		out = append(out, 0, 0, 0, 0)
-		if version >= trace.WireV2 {
-			out = append(out, 0, 0, 0, 0)
-		}
+		out = append(out, 0, 0, 0, 0, 0, 0, 0, 0)
 		treePos := len(out)
 		var err error
 		if delta {
@@ -173,87 +132,45 @@ func encodeFramesInto(dst []byte, version uint8, delta bool, trees ...*trace.Tre
 	return out, nil
 }
 
-// decodeTrees parses an encodeTrees body of either wire version. The
-// returned trees own their storage outright (suitable for long-lived
-// results); the filter hot path decodes through a pooled codec instead
-// (see frameMerger).
-func decodeTrees(b []byte) ([]*trace.Tree, error) {
-	return appendDecodedTrees(nil, nil, b, nil, nil, false)
-}
-
-// decodeTreesRemapped parses an encodeTrees body with the front-end remap
-// fused into each tree's decode: every label is pushed through the
-// compiled permutation as it is materialized from the wire, so no second
-// scattered-store sweep over the decoded trees ever runs. The trees own
-// their storage outright.
-func decodeTreesRemapped(b []byte, r *bitvec.Remapper) ([]*trace.Tree, error) {
-	return appendDecodedTrees(nil, nil, b, nil, r, false)
-}
-
-// decodeDeltas parses a MsgDelta body (delta frames under the tree-list
-// framing) into owned trees whose labels are XOR sets — the front end's
-// original-mode fold input.
-func decodeDeltas(b []byte) ([]*trace.Tree, error) {
-	return appendDecodedTrees(nil, nil, b, nil, nil, true)
-}
-
-// decodeDeltasRemapped parses a MsgDelta body with the front-end rank
-// remap fused in. XOR is linear, so the remapped delta folds into the
-// rank-ordered resident tree exactly as the unremapped delta would fold
-// into the concat-ordered one — the hierarchical fold path.
-func decodeDeltasRemapped(b []byte, r *bitvec.Remapper) ([]*trace.Tree, error) {
-	return appendDecodedTrees(nil, nil, b, nil, r, true)
-}
-
-// appendDecodedTrees parses an encodeTrees body (the framing version is
-// sniffed; each tree dispatches on its own magic), appending the trees to
-// dst. With a codec, label storage comes from the codec's arena; with a
-// pin as well (the leased wire packet), the decode aliases label words
-// into b where alignment allows, pinning the lease under each aliasing
-// tree. With a remapper (exclusive with codec/pin), each tree decodes
-// through trace.UnmarshalBinaryRemapped. A nil codec falls back to
-// trace.UnmarshalBinary. delta selects delta-frame bodies (every frame
-// must then carry a delta magic, and vice versa — mixing kinds in one
-// body is a framing error). On error, any trees decoded by this call are
-// released and dst's original prefix is returned.
-func appendDecodedTrees(c *trace.Codec, dst []*trace.Tree, b []byte, pin trace.Pin, remap *bitvec.Remapper, delta bool) ([]*trace.Tree, error) {
+// decodeTrees parses an encodeFramesInto body, appending its trees to
+// dst, each decoded by trace.Decode under o: owned trees with the zero
+// options (long-lived results), the front end's rank remap fused in with
+// o.Remap, or the filter hot path's codec decode — zero-copy with o.Pin
+// (the leased wire packet), each aliasing tree pinning the lease. o.Delta
+// selects delta-frame bodies: every frame must then carry a delta magic,
+// and vice versa — mixing kinds in one body is a framing error. On error,
+// any trees decoded by this call are released and dst's original prefix
+// is returned.
+func decodeTrees(dst []*trace.Tree, b []byte, o trace.DecodeOpts) ([]*trace.Tree, error) {
 	base := len(dst)
 	version, bodyDelta, err := bodyFrameInfo(b)
 	if err != nil {
 		return dst, err
 	}
-	if bodyDelta != delta {
-		if delta {
+	if bodyDelta != o.Delta {
+		if o.Delta {
 			return dst, errors.New("core: expected delta-frame payload, got whole trees")
 		}
 		return dst, errors.New("core: delta frames in a whole-tree payload")
 	}
 	count := int(b[0])
-	frameLen := 4
-	if version >= trace.WireV2 {
-		for _, p := range b[1:8] {
-			if p != 0 {
-				return dst, errors.New("core: nonzero tree payload padding")
-			}
+	for _, p := range b[1:8] {
+		if p != 0 {
+			return dst, errors.New("core: nonzero tree payload padding")
 		}
-		b = b[8:]
-		frameLen = 8
-	} else {
-		b = b[1:]
 	}
+	b = b[8:]
 	for i := 0; i < count; i++ {
-		if len(b) < frameLen {
+		if len(b) < 8 {
 			return releaseDecoded(dst, base, errors.New("core: truncated tree frame"))
 		}
 		n := int(binary.LittleEndian.Uint32(b))
-		if version >= trace.WireV2 {
-			for _, p := range b[4:8] {
-				if p != 0 {
-					return releaseDecoded(dst, base, errors.New("core: nonzero tree frame padding"))
-				}
+		for _, p := range b[4:8] {
+			if p != 0 {
+				return releaseDecoded(dst, base, errors.New("core: nonzero tree frame padding"))
 			}
 		}
-		b = b[frameLen:]
+		b = b[8:]
 		if n < 0 || len(b) < n {
 			return releaseDecoded(dst, base, errors.New("core: truncated tree body"))
 		}
@@ -264,29 +181,10 @@ func appendDecodedTrees(c *trace.Codec, dst []*trace.Tree, b []byte, pin trace.P
 			return releaseDecoded(dst, base, err)
 		} else if tv != version {
 			return releaseDecoded(dst, base, fmt.Errorf("core: v%d tree inside v%d framing", tv, version))
-		} else if td != delta {
+		} else if td != o.Delta {
 			return releaseDecoded(dst, base, errors.New("core: mixed frame kinds in one tree payload"))
 		}
-		var t *trace.Tree
-		var err error
-		switch {
-		case remap != nil && delta:
-			t, err = trace.UnmarshalDeltaRemapped(b[:n], remap)
-		case remap != nil:
-			t, err = trace.UnmarshalBinaryRemapped(b[:n], remap)
-		case c != nil && pin != nil && delta:
-			t, err = c.DecodeDeltaAliasing(b[:n], pin)
-		case c != nil && pin != nil:
-			t, err = c.DecodeTreeAliasing(b[:n], pin)
-		case c != nil && delta:
-			t, err = c.DecodeDelta(b[:n])
-		case c != nil:
-			t, err = c.DecodeTree(b[:n])
-		case delta:
-			t, err = trace.UnmarshalDelta(b[:n])
-		default:
-			t, err = trace.UnmarshalBinary(b[:n])
-		}
+		t, err := trace.Decode(b[:n], o)
 		if err != nil {
 			return releaseDecoded(dst, base, err)
 		}
@@ -368,23 +266,22 @@ func (m *merger) rankRemapper() (*bitvec.Remapper, error) {
 // subtrees, so its permutation lists only the surviving daemons' ranks
 // (rankRemapperLive).
 func (m *merger) decodeResult(payload []byte, live *bitvec.Vector) ([]*trace.Tree, error) {
-	if m.mode != Hierarchical {
-		return decodeTrees(payload)
+	var o trace.DecodeOpts
+	if m.mode == Hierarchical {
+		var err error
+		if live == nil {
+			o.Remap, err = m.rankRemapper()
+		} else {
+			o.Remap, err = m.rankRemapperLive(live)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	var remapper *bitvec.Remapper
-	var err error
-	if live == nil {
-		remapper, err = m.rankRemapper()
-	} else {
-		remapper, err = m.rankRemapperLive(live)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return decodeTreesRemapped(payload, remapper)
+	return decodeTrees(nil, payload, o)
 }
 
-// releaseDecoded unwinds a partial appendDecodedTrees, releasing the
+// releaseDecoded unwinds a partial decodeTrees, releasing the
 // trees appended past base.
 func releaseDecoded(dst []*trace.Tree, base int, err error) ([]*trace.Tree, error) {
 	for _, t := range dst[base:] {
@@ -499,11 +396,11 @@ func (m *merger) frameMerger(delta bool) mergeFunc {
 			start := len(s.flat)
 			// Original mode folds children 1..k-1 into child 0's trees in
 			// place, so child 0 alone decodes by copy.
-			var pin trace.Pin = c
+			o := trace.DecodeOpts{Codec: s.codec, Pin: c, Delta: delta}
 			if !hierarchical && i == 0 {
-				pin = nil
+				o.Pin = nil
 			}
-			s.flat, err = appendDecodedTrees(s.codec, s.flat, c.Bytes(), pin, nil, delta)
+			s.flat, err = decodeTrees(s.flat, c.Bytes(), o)
 			if err != nil {
 				return nil, err
 			}
@@ -585,7 +482,7 @@ func MergeTrees(net *tbon.Network, ropts tbon.ReduceOptions, mode BitVecMode, ta
 	}
 	m := &merger{mode: mode, tasks: tasks, taskMap: taskMap}
 	version := maxWireVersion(mode, 0)
-	hdr := proto.HeaderSizeV(version)
+	hdr := proto.HeaderSize
 	leafPacket := func(i int) (*tbon.Lease, error) {
 		t, err := leaf(i)
 		if err != nil {
@@ -651,7 +548,7 @@ func (t *Tool) runMergePhase(res *Result) error {
 	// keyed walker starts accumulating immediately; the first keyed round
 	// has no previous seal, so round 0 still arrives as whole trees and
 	// deltas flow from round 1 (daemon.sampleTrees).
-	g, err := s.gather(proto.TreeBoth, false, t.streamWantsDelta(s))
+	g, err := s.gather(proto.TreeBoth, false, t.streamWantsDelta())
 	if err != nil {
 		return err
 	}

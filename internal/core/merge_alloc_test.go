@@ -19,8 +19,8 @@ import (
 // the LOWEST wire version seen among the children — the min-merge rule.
 // In a homogeneous session (the common case) every child agrees after
 // negotiation and the version simply propagates; in a mixed-version fleet
-// (per-daemon caps) a v1-era daemon's subtree downgrades every merge on
-// its path to the root, while disjoint subtrees keep shipping v2 until
+// (per-daemon caps) a v2-capped daemon's subtree downgrades every merge
+// on its path to the root, while disjoint subtrees keep shipping v3 until
 // the join — mirroring how the ack merge's minimum carries the negotiated
 // session version upward.
 func (m *merger) mergeFilter() tbon.Filter {
@@ -70,7 +70,7 @@ func buildFilterChildren(t testing.TB, hierarchical bool, version uint8) []*tbon
 	t.Helper()
 	children := make([]*tbon.Lease, 2)
 	for ci := range children {
-		width := 5 + ci*3 // ragged widths so v1 label offsets hit every alignment
+		width := 5 + ci*3 // ragged widths
 		total := width
 		if !hierarchical {
 			total = 16
@@ -114,8 +114,8 @@ func newAllocTool(t testing.TB, mode BitVecMode) *Tool {
 
 // TestFilterCycleZeroAllocs is the acceptance guard for the leased-buffer
 // refactor: one full decode→merge→encode filter cycle in hierarchical
-// mode, on a warm codec, must not touch the heap at all — under both wire
-// versions. Decode aliases or arena-carves every label, nodes and tree
+// mode, on a warm codec, must not touch the heap at all — under both live
+// wire versions. Decode aliases or arena-carves every label, nodes and tree
 // headers cycle through the codec free lists, the merge output routes
 // through the codec arena, the encode writes into a pooled buffer, and
 // the output lease comes from the lease pool.
@@ -123,7 +123,7 @@ func TestFilterCycleZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
-	for _, version := range []uint8{trace.WireV1, trace.WireV2, trace.WireV3} {
+	for _, version := range []uint8{trace.WireV2, trace.WireV3} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 			filter := newAllocTool(t, Hierarchical).merge.mergeFilter()
 			children := buildFilterChildren(t, true, version)
@@ -151,19 +151,27 @@ func TestFilterCycleZeroAllocs(t *testing.T) {
 }
 
 // TestFilterCycleAliasRate pins the STR2 alignment guarantee through the
-// production filter: on a v2 stream every label passes the zero-copy
-// decode's alignment check (a 100% alias rate, misses exactly zero),
-// while the same trees on a v1 stream — whose varied name lengths push
-// label words onto every byte offset — must record misses, proving the
-// counter distinguishes the silent fallback from a hit.
+// production filter: on a v2 or v3 stream every label passes the
+// zero-copy decode's alignment check (a 100% alias rate, misses exactly
+// zero), while the same bodies placed one byte off word alignment in
+// memory must record misses, proving the counter distinguishes the
+// silent fallback from a hit.
 func TestFilterCycleAliasRate(t *testing.T) {
 	if !bitvec.HostLittleEndian() {
 		t.Skip("zero-copy decode only aliases on little-endian hosts")
 	}
-	run := func(version uint8) (hits, misses int64) {
+	run := func(version uint8, misalign bool) (hits, misses int64) {
 		tool := newAllocTool(t, Hierarchical)
 		filter := tool.merge.mergeFilter()
 		children := buildFilterChildren(t, true, version)
+		if misalign {
+			for i, c := range children {
+				buf := make([]byte, c.Len()+1)[1:]
+				copy(buf, c.Bytes())
+				c.Release()
+				children[i] = tbon.NewLease(buf, nil)
+			}
+		}
 		out, err := filter(children)
 		if err != nil {
 			t.Fatal(err)
@@ -175,7 +183,7 @@ func TestFilterCycleAliasRate(t *testing.T) {
 		return tool.merge.aliasHits.Load(), tool.merge.aliasMisses.Load()
 	}
 	for _, version := range []uint8{trace.WireV2, trace.WireV3} {
-		hits, misses := run(version)
+		hits, misses := run(version, false)
 		if misses != 0 {
 			t.Errorf("v%d stream recorded %d alias misses, want 0 (hits %d)", version, misses, hits)
 		}
@@ -183,8 +191,8 @@ func TestFilterCycleAliasRate(t *testing.T) {
 			t.Errorf("v%d stream recorded no alias hits", version)
 		}
 	}
-	if _, v1Misses := run(trace.WireV1); v1Misses == 0 {
-		t.Error("v1 stream recorded no alias misses; the miss counter is not observing the fallback")
+	if _, misses := run(trace.WireV2, true); misses == 0 {
+		t.Error("misaligned bodies recorded no alias misses; the miss counter is not observing the fallback")
 	}
 }
 
@@ -230,9 +238,8 @@ func TestResultFilterCycleZeroAllocs(t *testing.T) {
 // decode→merge→encode cycle through the production filter on a warm
 // codec. The hierarchical/original cases run their negotiated defaults
 // (v3 compressed and v2 dense STR trees respectively); the explicit v2
-// and v1 hierarchical cases keep the older formats measurable for the
-// wire-size-vs-alias tradeoff. Gated in CI by cmd/benchgate against the
-// committed baseline.
+// hierarchical case keeps the dense format measurable against v3. Gated
+// in CI by cmd/benchgate against the committed baseline.
 func BenchmarkFilterCycle(b *testing.B) {
 	for _, tc := range []struct {
 		name    string
@@ -242,7 +249,6 @@ func BenchmarkFilterCycle(b *testing.B) {
 		{"hierarchical", Hierarchical, trace.WireV3},
 		{"original", Original, trace.WireV2},
 		{"hierarchical-v2", Hierarchical, trace.WireV2},
-		{"hierarchical-v1", Hierarchical, trace.WireV1},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			filter := newAllocTool(b, tc.mode).merge.mergeFilter()

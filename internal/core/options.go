@@ -64,9 +64,6 @@
 //	                 daemons (Frame.Daemons is the telemetry plane's own
 //	                 coverage report), and Result.FlightDumps carries the
 //	                 lost daemons' flight-recorder tails
-//	v1 wire          inert: telemetry sections exist only in the v2+
-//	                 formats, so a v1 session gathers no frames — the
-//	                 min-merge downgrade rule extended to telemetry
 //
 // The merged result trees are byte-identical with telemetry on and off
 // in every cell — the differential suite pins it — because the section
@@ -74,8 +71,8 @@
 // tree encode, never part of the tree bytes.
 //
 // Within a streaming session the delta machinery degrades rather than
-// demands: a v1 fleet (or Options.StreamWholeTree) streams whole trees,
-// a daemon whose walker lost continuity answers whole and re-deltas the
+// demands: Options.StreamWholeTree streams whole trees, a daemon whose
+// walker lost continuity answers whole and re-deltas the
 // next round, and a mixed round re-gathers whole deterministically.
 package core
 
@@ -211,10 +208,9 @@ type Options struct {
 	// WireVersion caps the data-stream wire version this tool's front end
 	// and daemons advertise during the attach handshake; the session
 	// lands on the highest common version at or below the cap. Zero means
-	// the build's maximum (proto.MaxVersion). Pinning 1 forces the
-	// compact STR1 tree format — for interoperating with old captures, or
-	// for measuring the wire-size-vs-aliasing tradeoff of the 8-aligned
-	// STR2 format.
+	// the build's maximum (proto.MaxVersion); otherwise it must lie in
+	// [proto.Version, proto.MaxVersion]. Pinning 2 keeps every label dense
+	// (STR2) — for measuring what v3's compressed containers save.
 	WireVersion uint8
 	// Sampler selects the daemon sampling implementation; the zero value
 	// is the batched direct-to-tree engine.
@@ -232,8 +228,8 @@ type Options struct {
 	// capped daemon negotiates at most its cap at attach, the ack merge's
 	// minimum carries the downgrade to the front end, and the data
 	// stream's merge filters re-encode at the minimum of their children,
-	// so one v1-era daemon degrades the whole session's result to v1
-	// while uncapped subtrees still ship v2 up to the join. Daemons
+	// so one v2-capped daemon degrades the whole session's result to v2
+	// while uncapped subtrees still ship v3 up to the join. Daemons
 	// absent from the map advertise the build maximum (still subject to
 	// WireVersion).
 	DaemonWireCaps map[int]uint8
@@ -242,7 +238,7 @@ type Options struct {
 	// Stream runs N additional steady-state gather rounds after the
 	// paper's single cold gather — the continuous-monitoring mode. Each
 	// round issues a fresh sample command and gathers again over the same
-	// attached session; on v2+ streams (unless StreamWholeTree) daemons
+	// attached session; unless StreamWholeTree is set, daemons
 	// answer with delta frames — per-node XOR change sets against their
 	// previous round — which the front end folds into the resident trees
 	// with trace.ApplyDelta, so a steady round's wire traffic scales with
@@ -271,9 +267,7 @@ type Options struct {
 	// gather replies and interior filters fold on the way up, landing in
 	// Result.Telemetry. Telemetry is a pure observer: result trees are
 	// byte-identical with it on or off, and the instrumented gather path
-	// stays allocation-free at steady state. The piggyback section exists
-	// only in the v2+ wire formats, so a session negotiated to v1 (or
-	// pinned there by WireVersion / DaemonWireCaps) collects no frames.
+	// stays allocation-free at steady state.
 	Telemetry bool
 	// StreamRoundTelemetry, when non-nil (and Telemetry is on), observes
 	// each streamed round's folded fleet frame after the round's
@@ -323,8 +317,8 @@ func (o *Options) fillDefaults() error {
 	if o.Seed == 0 {
 		o.Seed = 0x208e3
 	}
-	if o.WireVersion > proto.MaxVersion {
-		return fmt.Errorf("core: WireVersion %d exceeds this build's maximum %d", o.WireVersion, proto.MaxVersion)
+	if o.WireVersion != 0 && (o.WireVersion < proto.Version || o.WireVersion > proto.MaxVersion) {
+		return fmt.Errorf("core: WireVersion %d outside this build's range %d..%d", o.WireVersion, proto.Version, proto.MaxVersion)
 	}
 	if o.Sampler != SamplerBatched && o.Sampler != SamplerLegacy {
 		return fmt.Errorf("core: unknown sampler %d", int(o.Sampler))

@@ -15,7 +15,7 @@ import (
 // daemons emit each round's trees while already walking the next must
 // produce root result packets byte-identical to the quiesced path —
 // across every adversarial topology shape, both representations, and
-// wire v1/v2/v3. Round 1 pipelines cold (nothing to claim), rounds 2+
+// wire v2/v3. Round 1 pipelines cold (nothing to claim), rounds 2+
 // claim the previous round's background walk, so both halves of the
 // claim protocol are on the differential. The overlapped leg also runs
 // under the multi-worker pool and its roomy-budget k-way configuration,
@@ -35,7 +35,7 @@ func TestOverlapDifferentialAcrossTopologies(t *testing.T) {
 	const rounds = 3
 	greq := proto.GatherRequest{Which: proto.TreeBoth}
 	for _, mode := range []BitVecMode{Original, Hierarchical} {
-		for _, version := range []uint8{1, 2, 3} {
+		for _, version := range []uint8{2, 3} {
 			for _, tc := range topos {
 				topo, err := tc.build()
 				if err != nil {

@@ -39,7 +39,7 @@ func TestSamplerDifferentialAcrossTopologies(t *testing.T) {
 		{"3d-detail", proto.GatherRequest{Which: proto.Tree3D, Detail: true}},
 	}
 	for _, mode := range []BitVecMode{Original, Hierarchical} {
-		for _, version := range []uint8{1, 2} {
+		for _, version := range []uint8{2, 3} {
 			for _, tc := range topos {
 				topo, err := tc.build()
 				if err != nil {
@@ -100,7 +100,7 @@ func TestSamplerDifferentialAcrossTopologies(t *testing.T) {
 					if p.Version != version {
 						t.Errorf("%v/v%d/%s/%s: packet carries v%d", mode, version, tc.name, g.name, p.Version)
 					}
-					trees, err := decodeTrees(p.Payload)
+					trees, err := decodeTrees(nil, p.Payload, trace.DecodeOpts{})
 					if err != nil {
 						t.Fatalf("%v/v%d/%s/%s: decode: %v", mode, version, tc.name, g.name, err)
 					}
@@ -165,11 +165,11 @@ func TestSamplerDifferentialFullSession(t *testing.T) {
 				t.Errorf("%v/%s: engine tree differs from legacy", mode, pair.name)
 				continue
 			}
-			el, err := pair.legacy.MarshalBinary()
+			el, err := pair.legacy.MarshalBinaryV(trace.WireV2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ee, err := pair.engine.MarshalBinary()
+			ee, err := pair.engine.MarshalBinaryV(trace.WireV2)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,7 +10,6 @@ import (
 	"stat/internal/proto"
 	"stat/internal/tbon"
 	"stat/internal/telemetry"
-	"stat/internal/trace"
 )
 
 // session drives one attach→sample→gather→detach cycle over the overlay,
@@ -32,9 +31,7 @@ type session struct {
 	// wireVersion is the negotiated data-stream version, set by attach.
 	wireVersion uint8
 	// telem reports whether this session's gathers carry telemetry
-	// sections: Options.Telemetry on a v2+ negotiated stream (the v1
-	// body has no section — the min-merge rule extended to telemetry).
-	// Set by attach alongside the version it depends on.
+	// sections (Options.Telemetry). Set by attach.
 	telem bool
 	// lastFrame is the most recent gather's folded fleet telemetry
 	// frame (valid when lastFrameOK): popped off the root packet before
@@ -44,7 +41,7 @@ type session struct {
 }
 
 func (t *Tool) newSession() *session {
-	s := &session{t: t, net: tbon.New(t.topo), wireVersion: proto.Version}
+	s := &session{t: t, net: tbon.New(t.topo)}
 	s.daemons = make([]*daemon, t.daemons)
 	for i := range s.daemons {
 		s.daemons[i] = &daemon{leaf: i, tool: t, capVersion: t.opts.DaemonWireCaps[i]}
@@ -130,14 +127,11 @@ func (s *session) attach() error {
 	if err != nil {
 		return err
 	}
-	s.wireVersion = ack.Version
-	if s.wireVersion == 0 {
-		s.wireVersion = proto.Version
+	if ack.Version == 0 {
+		return errors.New("core: attach acknowledged without a wire version")
 	}
-	// Telemetry rides the v2+ body trailer, so a session negotiated down
-	// to v1 runs with the plane inert: daemons never see the request flag
-	// and the result packets stay exactly the v1 bytes.
-	s.telem = s.t.telem != nil && s.wireVersion >= trace.WireV2
+	s.wireVersion = ack.Version
+	s.telem = s.t.telem != nil
 	return nil
 }
 
@@ -227,7 +221,7 @@ func (s *session) gather(which proto.TreeKind, detail, delta bool) (gathered, er
 	if err != nil {
 		return gathered{}, err
 	}
-	if frame != nil && g.version >= trace.WireV2 {
+	if frame != nil {
 		wait := s.t.telem.takeWait()
 		s.lastFrame.Spans[telemetry.SpanReduceWait].Merge(&wait)
 		s.lastFrameOK = true
@@ -242,7 +236,7 @@ func (s *session) gather(which proto.TreeKind, detail, delta bool) (gathered, er
 // requested) carrying exactly the wire version the leaves were asked to
 // encode: daemons encode at their handshake result and the filters
 // propagate it, so a mismatch means a filter or daemon ignored the
-// negotiation. With a non-nil frame, a v2+ packet must carry a telemetry
+// negotiation. With a non-nil frame, the packet must carry a telemetry
 // section — daemons append unconditionally when asked and filters
 // re-append the fold, so a bare body means one of them dropped it — which
 // is popped (it is the outermost trailer) and decoded into frame. A
@@ -261,7 +255,7 @@ func unwrapRoot(out []byte, version uint8, delta bool, frame *telemetry.Frame) (
 		return gathered{}, fmt.Errorf("core: result packet carries wire version %d, leaves were asked for %d", p.Version, version)
 	}
 	g := gathered{payload: p.Payload, version: p.Version, delta: p.Type == proto.MsgDelta}
-	if frame != nil && p.Version >= trace.WireV2 {
+	if frame != nil {
 		tree, sect, err := proto.SplitTelemetrySection(g.payload)
 		if err != nil {
 			return gathered{}, err
@@ -272,7 +266,7 @@ func unwrapRoot(out []byte, version uint8, delta bool, frame *telemetry.Frame) (
 		g.payload = tree
 	}
 	if p.Type == proto.MsgPartialResult {
-		lv, body, err := proto.SplitPartialPayload(g.payload, p.Version)
+		lv, body, err := proto.SplitPartialPayload(g.payload)
 		if err != nil {
 			return gathered{}, err
 		}
@@ -288,7 +282,7 @@ func unwrapRoot(out []byte, version uint8, delta bool, frame *telemetry.Frame) (
 // under the configured representation, rewrap at the LOWEST wire version
 // the children carry — uniform after negotiation in a homogeneous
 // session, and the min-merge downgrade rule when per-daemon caps put a
-// v1-era daemon inside a v2 fleet (see Options.DaemonWireCaps: the
+// v2-capped daemon inside a v3 fleet (see Options.DaemonWireCaps: the
 // session version is the minimum over daemons, and taking the minimum at
 // every join is what makes the root packet land exactly there).
 // proto.Decode aliases
@@ -309,15 +303,13 @@ func unwrapRoot(out []byte, version uint8, delta bool, frame *telemetry.Frame) (
 // without Options.FaultTolerant) produce identical packets and keep the
 // zero-allocation cycle.
 //
-// With telem set the filter also runs the telemetry fold: each v2+ child
+// With telem set the filter also runs the telemetry fold: each child
 // body arrives with the child subtree's frame as its outermost trailer,
 // which is stripped (before the body sub-lease is taken, so the mergers
 // see bare tree bytes) and folded into a pooled aggregate along with this
 // filter's own fold span, fan-in, and lease high-water marks. The merger
 // re-appends the aggregate to its output, keeping the invariant that
-// every v2+ packet on a telemetry session carries exactly one section.
-// When min-merge lands the output on v1 the fold's result is dropped with
-// the rest of the v2 extras — v1 bodies never carry a section.
+// every packet on a telemetry session carries exactly one section.
 // bodySlicePool recycles the per-filter-call slice of child body
 // sub-leases; fan-in varies per node, so pooled slices grow to the
 // widest join they've served and are reused at length.
@@ -380,7 +372,7 @@ func (m *merger) resultFilter(telem bool) tbon.NodeFilter {
 				version = p.Version
 			}
 			body := p.Payload
-			if telem && p.Version >= trace.WireV2 {
+			if telem {
 				rest, sect, err := proto.SplitTelemetrySection(body)
 				if err != nil {
 					release(i)
@@ -394,12 +386,8 @@ func (m *merger) resultFilter(telem bool) tbon.NodeFilter {
 			}
 			bodies[i] = c.Sub(body)
 		}
-		if version == 0 {
-			version = proto.Version
-		}
-		hdr := proto.HeaderSizeV(version)
 		var frame *telemetry.Frame
-		if telem && version >= trace.WireV2 {
+		if telem {
 			// The fold span times the whole child-intake loop with one clock
 			// pair rather than bracketing each child's strip+decode+fold —
 			// the loop's bare packet walk is a few pointer reads per child,
@@ -431,7 +419,7 @@ func (m *merger) resultFilter(telem bool) tbon.NodeFilter {
 				release(len(bodies))
 				return nil, errMixedDeltaRound
 			}
-			return m.mergePartial(ctx, children, bodies, merge, version, hdr, frame)
+			return m.mergePartial(ctx, children, bodies, merge, version, frame)
 		}
 		outType := proto.MsgResult
 		doMerge := merge
@@ -439,7 +427,7 @@ func (m *merger) resultFilter(telem bool) tbon.NodeFilter {
 			outType = proto.MsgDelta
 			doMerge = mergeDelta
 		}
-		packet, err := doMerge(bodies, hdr, version, frame)
+		packet, err := doMerge(bodies, proto.HeaderSize, version, frame)
 		release(len(bodies))
 		if err != nil {
 			return nil, err

@@ -47,7 +47,7 @@ func TestSessionFullCycle(t *testing.T) {
 	if g.stats.Packets == 0 {
 		t.Error("gather recorded no traffic")
 	}
-	trees, err := decodeTrees(g.payload)
+	trees, err := decodeTrees(nil, g.payload, trace.DecodeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSessionGatherSingleTree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("gather(%d): %v", kind, err)
 		}
-		trees, err := decodeTrees(g.payload)
+		trees, err := decodeTrees(nil, g.payload, trace.DecodeOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,11 +147,11 @@ func TestEncodeDecodeTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := encodeTrees(trace.WireV1, res.Tree2D, res.Tree3D)
+	enc, err := encodeTrees(trace.WireV2, res.Tree2D, res.Tree3D)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decodeTrees(enc)
+	back, err := decodeTrees(nil, enc, trace.DecodeOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,15 +159,21 @@ func TestEncodeDecodeTrees(t *testing.T) {
 		t.Error("tree list round trip mismatch")
 	}
 	// Corruption is rejected.
-	if _, err := decodeTrees(enc[:len(enc)-2]); err == nil {
+	if _, err := decodeTrees(nil, enc[:len(enc)-2], trace.DecodeOpts{}); err == nil {
 		t.Error("truncated tree list accepted")
 	}
-	if _, err := decodeTrees(nil); err == nil {
+	if _, err := decodeTrees(nil, nil, trace.DecodeOpts{}); err == nil {
 		t.Error("empty tree list accepted")
 	}
-	if _, err := decodeTrees(append(clone(enc), 0xEE)); err == nil {
+	if _, err := decodeTrees(nil, append(clone(enc), 0xEE), trace.DecodeOpts{}); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }
 
 func clone(b []byte) []byte { return append([]byte(nil), b...) }
+
+// encodeTrees encodes a whole-tree body (see encodeFramesInto) into a
+// fresh buffer.
+func encodeTrees(version uint8, trees ...*trace.Tree) ([]byte, error) {
+	return encodeFramesInto(nil, version, false, trees...)
+}

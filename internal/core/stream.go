@@ -21,10 +21,9 @@ import (
 // the fold is proportional to the change, not the tree.
 
 // streamWantsDelta reports whether the session's gathers should invite
-// delta frames: a streaming session below the whole-tree escape hatch,
-// on a wire that has a delta format (v2+; a v1 fleet streams whole trees).
-func (t *Tool) streamWantsDelta(s *session) bool {
-	return t.opts.Stream > 0 && !t.opts.StreamWholeTree && s.wireVersion >= trace.WireV2
+// delta frames: a streaming session below the whole-tree escape hatch.
+func (t *Tool) streamWantsDelta() bool {
+	return t.opts.Stream > 0 && !t.opts.StreamWholeTree
 }
 
 // isMixedDeltaRound matches errMixedDeltaRound after the reduction engine
@@ -43,9 +42,8 @@ func isMixedDeltaRound(err error) bool {
 // because the daemons re-sample at an unchanged base epoch; the keyed
 // walkers' delta chain survives the retry, so the next round deltas again.
 func (t *Tool) runStreamPhase(res *Result, s *session) error {
-	hier := t.opts.BitVec == Hierarchical
 	var remapper *bitvec.Remapper
-	if hier {
+	if t.opts.BitVec == Hierarchical {
 		var err error
 		if remapper, err = t.merge.rankRemapper(); err != nil {
 			return err
@@ -68,7 +66,7 @@ func (t *Tool) runStreamPhase(res *Result, s *session) error {
 		if err := s.sample(t.opts.Samples, t.opts.ThreadsPerTask); err != nil {
 			return err
 		}
-		wantDelta := t.streamWantsDelta(s)
+		wantDelta := t.streamWantsDelta()
 		g, err := s.gather(proto.TreeBoth, false, wantDelta)
 		if wantDelta && isMixedDeltaRound(err) {
 			res.StreamMixedRetries++
@@ -91,12 +89,7 @@ func (t *Tool) runStreamPhase(res *Result, s *session) error {
 			}
 		} else {
 			res.StreamWholeBytes += ingress
-			var trees []*trace.Tree
-			if hier {
-				trees, err = decodeTreesRemapped(g.payload, remapper)
-			} else {
-				trees, err = decodeTrees(g.payload)
-			}
+			trees, err := decodeTrees(nil, g.payload, trace.DecodeOpts{Remap: remapper})
 			if err != nil {
 				return fmt.Errorf("core: stream round %d: %w", round, err)
 			}
@@ -136,13 +129,7 @@ func (t *Tool) runStreamPhase(res *Result, s *session) error {
 // owned dense storage, and original mode's wire tops out at v2, whose
 // decode is dense — which is exactly what ApplyDelta's in-place XOR needs.
 func (t *Tool) foldStreamDelta(res *Result, payload []byte, remapper *bitvec.Remapper) error {
-	var frames []*trace.Tree
-	var err error
-	if remapper != nil {
-		frames, err = decodeDeltasRemapped(payload, remapper)
-	} else {
-		frames, err = decodeDeltas(payload)
-	}
+	frames, err := decodeTrees(nil, payload, trace.DecodeOpts{Remap: remapper, Delta: true})
 	if err != nil {
 		return err
 	}

@@ -139,32 +139,6 @@ func TestStreamDifferential(t *testing.T) {
 	}
 }
 
-// TestStreamV1FleetStreamsWholeTrees: a session pinned to the v1 wire has
-// no delta format, so a streaming run must fall back to whole-tree rounds
-// and still converge to the same final trees.
-func TestStreamV1FleetStreamsWholeTrees(t *testing.T) {
-	opts := Options{
-		Machine:     machine.Atlas(),
-		Tasks:       32,
-		Topology:    topology.Spec{Kind: topology.KindBalanced, Depth: 2},
-		BitVec:      Hierarchical,
-		Samples:     2,
-		WireVersion: 1,
-	}
-	leg := runStreamLeg(t, opts, false, 3)
-	if leg.res.StreamDeltaRounds != 0 {
-		t.Errorf("v1 session streamed %d delta rounds, want 0", leg.res.StreamDeltaRounds)
-	}
-	if leg.res.StreamRounds != 3 {
-		t.Errorf("v1 session ran %d rounds, want 3", leg.res.StreamRounds)
-	}
-	opts.WireVersion = 0
-	ref := runStreamLeg(t, opts, false, 3)
-	if !leg.res.Tree2D.Equal(ref.res.Tree2D) || !leg.res.Tree3D.Equal(ref.res.Tree3D) {
-		t.Error("v1 whole-tree stream and v3 delta stream disagree on final trees")
-	}
-}
-
 // TestStreamQuiescentIngress is the streaming mode's perf acceptance: on a
 // 128-daemon flat topology where only one task's stack drifts between
 // rounds, a delta round's front-end ingress must be at most 10% of a
@@ -375,7 +349,7 @@ func TestResultFilterUniformDelta(t *testing.T) {
 	if p.Type != proto.MsgDelta {
 		t.Fatalf("uniform delta join produced %v, want delta", p.Type)
 	}
-	frames, err := decodeDeltas(p.Payload)
+	frames, err := decodeTrees(nil, p.Payload, trace.DecodeOpts{Delta: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +451,7 @@ func TestStreamFoldZeroAllocs(t *testing.T) {
 	live, frame := buildFoldFixture(t, 16)
 	codec := trace.NewCodec()
 	cycle := func() {
-		d, err := codec.DecodeDelta(frame)
+		d, err := trace.Decode(frame, trace.DecodeOpts{Codec: codec, Delta: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -525,7 +499,7 @@ func BenchmarkDeltaRound(b *testing.B) {
 		b.SetBytes(int64(len(deltaBody)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			frames, err := decodeDeltas(deltaBody)
+			frames, err := decodeTrees(nil, deltaBody, trace.DecodeOpts{Delta: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -545,7 +519,7 @@ func BenchmarkDeltaRound(b *testing.B) {
 		b.SetBytes(int64(len(wholeBody)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			trees, err := decodeTrees(wholeBody)
+			trees, err := decodeTrees(nil, wholeBody, trace.DecodeOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -558,7 +532,7 @@ func BenchmarkDeltaRound(b *testing.B) {
 
 func mustUnmarshalDelta(t testing.TB, frame []byte) *trace.Tree {
 	t.Helper()
-	d, err := trace.UnmarshalDelta(frame)
+	d, err := trace.Decode(frame, trace.DecodeOpts{Delta: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,7 +562,7 @@ func TestDeltaRoundSpeedup(t *testing.T) {
 	}
 	fold := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			frames, err := decodeDeltas(deltaBody)
+			frames, err := decodeTrees(nil, deltaBody, trace.DecodeOpts{Delta: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -602,7 +576,7 @@ func TestDeltaRoundSpeedup(t *testing.T) {
 	})
 	whole := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			trees, err := decodeTrees(wholeBody)
+			trees, err := decodeTrees(nil, wholeBody, trace.DecodeOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -25,9 +25,7 @@ import (
 //     each gather reply, interior filters fold children's frames and
 //     add their own merge/fold spans, and the front end pops the folded
 //     frame off the root packet (Result.Telemetry, and the per-round
-//     stream hook). Frames ride v2+ bodies only; a v1 session's
-//     telemetry plane is inert by design — the min-merge downgrade rule
-//     extended to the telemetry section.
+//     stream hook).
 //
 // Everything on the gather path must stay off the allocation budget:
 // daemons and filters write into per-daemon / pooled scratch

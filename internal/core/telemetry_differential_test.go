@@ -18,8 +18,7 @@ import (
 // engine, the root result packet of a telemetry-on reduction, after
 // popping the telemetry section, must be byte-identical (modulo the
 // header's size field, which counts the section) to the telemetry-off
-// packet — and on a v1 stream, where the plane is inert, the packets
-// must match whole. The popped section must decode into a frame whose
+// packet. The popped section must decode into a frame whose
 // leaf/filter census matches the topology exactly.
 func TestTelemetryDifferentialAcrossTopologies(t *testing.T) {
 	topos := []struct {
@@ -33,7 +32,7 @@ func TestTelemetryDifferentialAcrossTopologies(t *testing.T) {
 	}
 	engines := allEngines
 	for _, mode := range []BitVecMode{Original, Hierarchical} {
-		for _, version := range []uint8{1, 2, 3} {
+		for _, version := range []uint8{2, 3} {
 			if mode == Original && version > 2 {
 				continue // original mode tops out at v2 on the wire
 			}
@@ -88,14 +87,6 @@ func TestTelemetryDifferentialAcrossTopologies(t *testing.T) {
 					pi, err := proto.Decode(instr)
 					if err != nil {
 						t.Fatal(err)
-					}
-					if version < trace.WireV2 {
-						// Inert plane: the instrumented run must be
-						// indistinguishable on the wire.
-						if !bytes.Equal(plain, instr) {
-							t.Errorf("%v/v%d/%s/%v: v1 packets differ with telemetry on", mode, version, tc.name, engine)
-						}
-						continue
 					}
 					tree, sect, err := proto.SplitTelemetrySection(pi.Payload)
 					if err != nil {
@@ -180,11 +171,11 @@ func TestTelemetryFullSessionDifferential(t *testing.T) {
 			{"2D", results[0].Tree2D, results[1].Tree2D},
 			{"3D", results[0].Tree3D, results[1].Tree3D},
 		} {
-			eo, err := pair.off.MarshalBinary()
+			eo, err := pair.off.MarshalBinaryV(trace.WireV2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ei, err := pair.on.MarshalBinary()
+			ei, err := pair.on.MarshalBinaryV(trace.WireV2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,50 +222,9 @@ func TestTelemetryFullSessionDifferential(t *testing.T) {
 	}
 }
 
-// TestTelemetryInertOnV1Session pins the min-merge downgrade rule's
-// telemetry extension end to end: a session negotiated to v1 (front-end
-// cap here; a v1-capped daemon is equivalent) runs with the plane inert
-// even though Options.Telemetry is set — no frame, no published rounds —
-// and still produces the same trees.
-func TestTelemetryInertOnV1Session(t *testing.T) {
-	opts := Options{
-		Machine:        machine.Atlas(),
-		Tasks:          64,
-		Topology:       topology.Spec{Kind: topology.KindBalanced, Depth: 2},
-		BitVec:         Original,
-		Samples:        3,
-		ThreadsPerTask: 1,
-		WireVersion:    1,
-		Telemetry:      true,
-	}
-	tool, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := tool.MeasureMerge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MergeErr != nil {
-		t.Fatal(res.MergeErr)
-	}
-	if res.Telemetry != nil {
-		t.Error("v1 session produced a telemetry frame; the plane must be inert below v2")
-	}
-	if reg := tool.TelemetryRegistry(); reg != nil {
-		var expo bytes.Buffer
-		if err := reg.WritePrometheus(&expo); err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Contains(expo.Bytes(), []byte("stat_gather_rounds_total 1")) {
-			t.Error("v1 session published a gather round to the registry")
-		}
-	}
-}
-
 // buildTelemetryChildren wraps buildFilterChildren's payloads into
 // MsgResult packets carrying leaf telemetry sections, the exact input an
-// interior resultFilter sees on an instrumented v2+ stream.
+// interior resultFilter sees on an instrumented stream.
 func buildTelemetryChildren(t testing.TB, version uint8) []*tbon.Lease {
 	t.Helper()
 	inner := buildFilterChildren(t, true, version)

@@ -64,8 +64,8 @@ type Result struct {
 	// MergeStats are the TBON traffic counters of the merge phase.
 	MergeStats *tbon.Stats
 	// WireVersion is the data-stream wire version the session negotiated
-	// at attach (1 = compact STR1 trees, 2 = 8-aligned STR2 trees, 3 =
-	// 8-aligned STR3 trees with adaptive compressed labels).
+	// at attach (2 = 8-aligned STR2 trees, 3 = 8-aligned STR3 trees with
+	// adaptive compressed labels).
 	WireVersion uint8
 	// AliasDecodeHits / AliasDecodeMisses count the labels the merge
 	// phase's zero-copy decode aliased in place versus copied because the
@@ -81,7 +81,7 @@ type Result struct {
 	AliasDecodeMisses int64
 	// LabelStats counts the labels the merge phase decoded from v3 (STR3)
 	// streams by container kind — dense words, run extents, member arrays —
-	// with the wire bytes each kind contributed. All zero on v1/v2 streams,
+	// with the wire bytes each kind contributed. All zero on v2 streams,
 	// where every label travels dense. Like the alias counters, these are a
 	// process metric: incremental folds re-decode their accumulator, so
 	// compare the kind mix and bytes-per-label, not absolute counts, across
@@ -138,8 +138,7 @@ type Result struct {
 	// every daemon's walk/seal/encode/send spans and byte counters plus
 	// every interior filter's merge/fold spans, folded up the TBON and
 	// piggybacked on the result packet. nil when Options.Telemetry is
-	// off or the session negotiated the v1 wire (which has no telemetry
-	// section). Streamed rounds' frames are observed per round via
+	// off. Streamed rounds' frames are observed per round via
 	// Options.StreamRoundTelemetry.
 	Telemetry *telemetry.Frame
 	// FlightDumps carries the flight-recorder tails of the daemons a

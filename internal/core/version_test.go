@@ -14,8 +14,7 @@ import (
 )
 
 // TestCrossVersionMergeDifferential is the cross-version property test:
-// the same leaf trees, encoded as v1 (STR1), v2 (STR2) and v3 (STR3),
-// must decode byte-identically through the whole merge — same final trees,
+// the same leaf trees, encoded as v2 (STR2) and v3 (STR3), must decode byte-identically through the whole merge — same final trees,
 // and a common re-encoding of all results that matches byte for byte —
 // on every adversarial topology shape and both representations.
 func TestCrossVersionMergeDifferential(t *testing.T) {
@@ -55,7 +54,7 @@ func TestCrossVersionMergeDifferential(t *testing.T) {
 				widths[i] = 1 + rng.Intn(6)
 				total += widths[i]
 			}
-			versions := []uint8{trace.WireV1, trace.WireV2, trace.WireV3}
+			versions := []uint8{trace.WireV2, trace.WireV3}
 			bodies := make(map[uint8][][]byte, len(versions))
 			for _, v := range versions {
 				bodies[v] = make([][]byte, nLeaves)
@@ -95,33 +94,33 @@ func TestCrossVersionMergeDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v/%s: %v", mode, tc.name, err)
 				}
-				trees, err := decodeTrees(out)
+				trees, err := decodeTrees(nil, out, trace.DecodeOpts{})
 				if err != nil {
 					t.Fatalf("%v/%s: decode: %v", mode, tc.name, err)
 				}
 				return trees
 			}
-			treesV1 := run(bodies[trace.WireV1])
+			treesV2 := run(bodies[trace.WireV2])
 			for _, v := range versions[1:] {
 				treesV := run(bodies[v])
-				if len(treesV1) != len(treesV) {
-					t.Fatalf("%v/%s: %d (v1) vs %d (v%d) trees", mode, tc.name, len(treesV1), len(treesV), v)
+				if len(treesV2) != len(treesV) {
+					t.Fatalf("%v/%s: %d (v2) vs %d (v%d) trees", mode, tc.name, len(treesV2), len(treesV), v)
 				}
-				for ti := range treesV1 {
-					if !treesV1[ti].Equal(treesV[ti]) {
-						t.Errorf("%v/%s: tree %d differs between v1 and v%d streams", mode, tc.name, ti, v)
+				for ti := range treesV2 {
+					if !treesV2[ti].Equal(treesV[ti]) {
+						t.Errorf("%v/%s: tree %d differs between v2 and v%d streams", mode, tc.name, ti, v)
 						continue
 					}
-					e1, err := treesV1[ti].MarshalBinary()
+					e2, err := treesV2[ti].MarshalBinaryV(trace.WireV2)
 					if err != nil {
 						t.Fatal(err)
 					}
-					eV, err := treesV[ti].MarshalBinary()
+					eV, err := treesV[ti].MarshalBinaryV(trace.WireV2)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(e1, eV) {
-						t.Errorf("%v/%s: tree %d common re-encoding differs (v1 vs v%d)", mode, tc.name, ti, v)
+					if !bytes.Equal(e2, eV) {
+						t.Errorf("%v/%s: tree %d common re-encoding differs (v2 vs v%d)", mode, tc.name, ti, v)
 					}
 				}
 			}
@@ -129,11 +128,11 @@ func TestCrossVersionMergeDifferential(t *testing.T) {
 	}
 }
 
-// TestWireVersionNegotiation replaces the old reject-on-skew semantics:
-// a session negotiates the highest version both sides advertise, a
-// pinned-v1 tool still completes the merge with byte-identical trees, and
-// the negotiated version is observable in the Result along with the alias
-// counters that the 8-aligned format is supposed to saturate.
+// TestWireVersionNegotiation: a session negotiates the highest version
+// both sides advertise, a pinned-v2 tool still completes the merge with
+// identical trees, the negotiated version is observable in the Result
+// along with the alias counters that the 8-aligned formats are supposed
+// to saturate, and the retired v1 wire is refused at construction.
 func TestWireVersionNegotiation(t *testing.T) {
 	run := func(version uint8) *Result {
 		tool, err := New(Options{
@@ -171,34 +170,31 @@ func TestWireVersionNegotiation(t *testing.T) {
 		}
 	}
 
-	v1 := run(1) // pinned to the compact format: negotiation lands on v1
-	if v1.WireVersion != 1 {
-		t.Errorf("pinned session negotiated v%d, want 1", v1.WireVersion)
+	v2 := run(2) // pinned to dense labels: negotiation lands on v2
+	if v2.WireVersion != 2 {
+		t.Errorf("pinned session negotiated v%d, want 2", v2.WireVersion)
 	}
-	if !v1.Tree2D.Equal(def.Tree2D) || !v1.Tree3D.Equal(def.Tree3D) {
-		t.Error("v1 and v2 sessions produced different trees")
-	}
-
-	// The wire-size tradeoff is visible in the traffic stats: the padded
-	// format costs more bytes at the front end, never fewer.
-	if def.FrontEndInBytes < v1.FrontEndInBytes {
-		t.Errorf("v2 front-end ingress %d < v1 %d", def.FrontEndInBytes, v1.FrontEndInBytes)
+	if !v2.Tree2D.Equal(def.Tree2D) || !v2.Tree3D.Equal(def.Tree3D) {
+		t.Error("v2 and v3 sessions produced different trees")
 	}
 
-	// A version above the build maximum is a configuration error.
-	if _, err := New(Options{
-		Machine:     machine.Atlas(),
-		Tasks:       64,
-		Topology:    topology.Spec{Kind: topology.KindBalanced, Depth: 2},
-		WireVersion: proto.MaxVersion + 1,
-	}); err == nil {
-		t.Error("WireVersion above build maximum accepted")
+	// The retired v1 wire and a version above the build maximum are
+	// configuration errors.
+	for _, v := range []uint8{1, proto.MaxVersion + 1} {
+		if _, err := New(Options{
+			Machine:     machine.Atlas(),
+			Tasks:       64,
+			Topology:    topology.Spec{Kind: topology.KindBalanced, Depth: 2},
+			WireVersion: v,
+		}); err == nil {
+			t.Errorf("WireVersion %d accepted", v)
+		}
 	}
 }
 
 // TestMixedVersionFleetDowngrade pins per-daemon wire caps over a real
-// (paper) topology: a single v1-era daemon inside an otherwise-v2 BG/L
-// fleet must drag the session down to v1 at attach — the ack merge's
+// (paper) topology: a single v2-capped daemon inside an otherwise-v3 BG/L
+// fleet must drag the session down to v2 at attach — the ack merge's
 // minimum — and the data stream's min-merge must land the root result at
 // exactly that version, with trees identical to a homogeneous session's.
 func TestMixedVersionFleetDowngrade(t *testing.T) {
@@ -230,26 +226,14 @@ func TestMixedVersionFleetDowngrade(t *testing.T) {
 		t.Fatalf("uncapped fleet negotiated v%d, want v%d", uncapped.WireVersion, proto.MaxVersion)
 	}
 
-	// One old daemon in the middle of the fleet forces the downgrade.
-	mixed := run(map[int]uint8{5: 1})
-	if mixed.WireVersion != 1 {
-		t.Errorf("mixed fleet negotiated v%d, want 1", mixed.WireVersion)
+	// One older daemon in the middle of the fleet forces the downgrade,
+	// and trees still match the uncapped run.
+	mixed := run(map[int]uint8{5: 2})
+	if mixed.WireVersion != 2 {
+		t.Errorf("mixed fleet negotiated v%d, want 2", mixed.WireVersion)
 	}
 	if !mixed.Tree2D.Equal(uncapped.Tree2D) || !mixed.Tree3D.Equal(uncapped.Tree3D) {
 		t.Error("mixed-version fleet produced different trees")
-	}
-	if bitvec.HostLittleEndian() && mixed.AliasDecodeMisses == 0 {
-		t.Error("v1-downgraded stream recorded no alias misses; the downgrade did not reach the decode")
-	}
-
-	// Each rung of the downgrade ladder: a v2-era daemon lands the
-	// session on v2, and trees still match the uncapped run.
-	capped2 := run(map[int]uint8{5: 2})
-	if capped2.WireVersion != 2 {
-		t.Errorf("v2-capped fleet negotiated v%d, want 2", capped2.WireVersion)
-	}
-	if !capped2.Tree2D.Equal(uncapped.Tree2D) || !capped2.Tree3D.Equal(uncapped.Tree3D) {
-		t.Error("v2-capped fleet produced different trees")
 	}
 
 	// A cap at the build maximum is a no-op.
@@ -258,39 +242,41 @@ func TestMixedVersionFleetDowngrade(t *testing.T) {
 		t.Errorf("max-capped daemon degraded the session to v%d", capped3.WireVersion)
 	}
 
-	// Mixed caps across the ladder: the stream min-merge takes the
-	// lowest, v3→v2→v1, wherever the capped daemons sit in the fleet.
-	ladder := run(map[int]uint8{3: 3, 8: 2, 12: 1})
-	if ladder.WireVersion != 1 {
-		t.Errorf("v3/v2/v1 mixed fleet negotiated v%d, want 1", ladder.WireVersion)
+	// Mixed caps: the stream min-merge takes the lowest wherever the
+	// capped daemons sit in the fleet.
+	ladder := run(map[int]uint8{3: 3, 8: 2, 12: 3})
+	if ladder.WireVersion != 2 {
+		t.Errorf("v3/v2 mixed fleet negotiated v%d, want 2", ladder.WireVersion)
 	}
 	if !ladder.Tree2D.Equal(uncapped.Tree2D) || !ladder.Tree3D.Equal(uncapped.Tree3D) {
-		t.Error("v3/v2/v1 mixed fleet produced different trees")
+		t.Error("v3/v2 mixed fleet produced different trees")
 	}
 
 	// Every daemon capped: equivalent to pinning the tool.
-	allV1 := make(map[int]uint8)
+	allV2 := make(map[int]uint8)
 	for i := 0; i < 16; i++ {
-		allV1[i] = 1
+		allV2[i] = 2
 	}
-	whole := run(allV1)
-	if whole.WireVersion != 1 {
-		t.Errorf("fully-capped fleet negotiated v%d, want 1", whole.WireVersion)
+	whole := run(allV2)
+	if whole.WireVersion != 2 {
+		t.Errorf("fully-capped fleet negotiated v%d, want 2", whole.WireVersion)
 	}
 
-	// Caps outside the build's range, or naming a daemon the run does not
-	// have, are configuration errors.
-	if _, err := New(Options{
-		Machine: machine.Atlas(), Tasks: 64,
-		Topology:       topology.Spec{Kind: topology.KindBalanced, Depth: 2},
-		DaemonWireCaps: map[int]uint8{0: proto.MaxVersion + 1},
-	}); err == nil {
-		t.Error("out-of-range daemon cap accepted")
+	// Caps outside the build's range (the retired v1 included), or naming
+	// a daemon the run does not have, are configuration errors.
+	for _, c := range []uint8{1, proto.MaxVersion + 1} {
+		if _, err := New(Options{
+			Machine: machine.Atlas(), Tasks: 64,
+			Topology:       topology.Spec{Kind: topology.KindBalanced, Depth: 2},
+			DaemonWireCaps: map[int]uint8{0: c},
+		}); err == nil {
+			t.Errorf("out-of-range daemon cap %d accepted", c)
+		}
 	}
 	if _, err := New(Options{
 		Machine: machine.Atlas(), Tasks: 64,
 		Topology:       topology.Spec{Kind: topology.KindBalanced, Depth: 2},
-		DaemonWireCaps: map[int]uint8{99: 1},
+		DaemonWireCaps: map[int]uint8{99: 2},
 	}); err == nil {
 		t.Error("cap for a nonexistent daemon accepted")
 	}
@@ -335,7 +321,7 @@ func TestGatherLeafPayloadsRecycle(t *testing.T) {
 	if p.Type != proto.MsgResult || p.Version != proto.MaxVersion {
 		t.Fatalf("leaf packet type %v version %d", p.Type, p.Version)
 	}
-	trees, err := decodeTrees(p.Payload)
+	trees, err := decodeTrees(nil, p.Payload, trace.DecodeOpts{})
 	if err != nil {
 		t.Fatalf("leaf payload undecodable: %v", err)
 	}

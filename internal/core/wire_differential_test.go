@@ -22,15 +22,25 @@ import (
 
 // --- independent reference pipeline ---------------------------------------
 
-// refMarshalTree encodes a tree from the documented wire format alone,
-// reading labels bit by bit through Members.
+// refPad appends zero bytes up to the next multiple of 8 of the tree
+// encoding (offsets are measured from the magic).
+func refPad(buf []byte) []byte {
+	for len(buf)%8 != 0 {
+		buf = append(buf, 0)
+	}
+	return buf
+}
+
+// refMarshalTree encodes a tree in the documented v2 ("STR2") wire format
+// alone, reading labels bit by bit through Members.
 func refMarshalTree(tr *trace.Tree) []byte {
-	buf := []byte{'S', 'T', 'R', '1'}
+	buf := []byte{'S', 'T', 'R', '2'}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(tr.NumTasks))
 	var rec func(n *trace.Node)
 	rec = func(n *trace.Node) {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(n.Frame.Function)))
 		buf = append(buf, n.Frame.Function...)
+		buf = refPad(buf)
 		width := n.Tasks.Len()
 		nw := (width + 63) / 64
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(width))
@@ -43,6 +53,7 @@ func refMarshalTree(tr *trace.Tree) []byte {
 			buf = binary.LittleEndian.AppendUint64(buf, w)
 		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(n.Children)))
+		buf = binary.LittleEndian.AppendUint32(buf, 0)
 		for _, c := range n.Children {
 			rec(c)
 		}
@@ -54,7 +65,7 @@ func refMarshalTree(tr *trace.Tree) []byte {
 // refUnmarshalTree decodes the same format, again independently.
 func refUnmarshalTree(t *testing.T, b []byte) *trace.Tree {
 	t.Helper()
-	if string(b[0:4]) != "STR1" {
+	if string(b[0:4]) != "STR2" {
 		t.Fatal("ref decode: bad magic")
 	}
 	numTasks := int(binary.LittleEndian.Uint32(b[4:8]))
@@ -65,6 +76,7 @@ func refUnmarshalTree(t *testing.T, b []byte) *trace.Tree {
 		pos += 2
 		name := string(b[pos : pos+nameLen])
 		pos += nameLen
+		pos += -pos & 7
 		width := int(binary.LittleEndian.Uint32(b[pos:]))
 		nw := int(binary.LittleEndian.Uint32(b[pos+4:]))
 		pos += 8
@@ -79,7 +91,7 @@ func refUnmarshalTree(t *testing.T, b []byte) *trace.Tree {
 			}
 		}
 		nc := int(binary.LittleEndian.Uint32(b[pos:]))
-		pos += 4
+		pos += 8
 		n := &trace.Node{Frame: trace.Frame{Function: name}, Tasks: v}
 		for i := 0; i < nc; i++ {
 			n.Children = append(n.Children, rec())
@@ -190,10 +202,11 @@ func refMergeConcat(trees ...*trace.Tree) *trace.Tree {
 
 // refEncodeTrees frames a tree list the way encodeTrees does.
 func refEncodeTrees(trees ...*trace.Tree) []byte {
-	out := []byte{byte(len(trees))}
+	out := []byte{byte(len(trees)), 0, 0, 0, 0, 0, 0, 0}
 	for _, tr := range trees {
 		b := refMarshalTree(tr)
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(b)))
+		out = binary.LittleEndian.AppendUint32(out, 0)
 		out = append(out, b...)
 	}
 	return out
@@ -203,11 +216,11 @@ func refEncodeTrees(trees ...*trace.Tree) []byte {
 func refDecodeTrees(t *testing.T, b []byte) []*trace.Tree {
 	t.Helper()
 	count := int(b[0])
-	b = b[1:]
+	b = b[8:]
 	out := make([]*trace.Tree, 0, count)
 	for i := 0; i < count; i++ {
 		n := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
+		b = b[8:]
 		out = append(out, refUnmarshalTree(t, b[:n]))
 		b = b[n:]
 	}
@@ -347,7 +360,7 @@ func TestWireDifferentialAcrossTopologies(t *testing.T) {
 					}
 				}
 				off += widths[i]
-				body, err := encodeTrees(trace.WireV1, t2, t3)
+				body, err := encodeTrees(trace.WireV2, t2, t3)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -375,7 +388,7 @@ func TestWireDifferentialAcrossTopologies(t *testing.T) {
 						mode, tc.name, eng.name)
 					continue
 				}
-				gotTrees, err := decodeTrees(got)
+				gotTrees, err := decodeTrees(nil, got, trace.DecodeOpts{})
 				if err != nil {
 					t.Fatalf("%v/%s/%s: decode: %v", mode, tc.name, eng.name, err)
 				}

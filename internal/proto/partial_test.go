@@ -15,74 +15,63 @@ func TestPartialPrefixRoundTrip(t *testing.T) {
 		bytes.Repeat([]byte{0x55}, 64),
 	}
 	bodies := [][]byte{nil, []byte("tree body"), bytes.Repeat([]byte{0xC3}, 1000)}
-	for version := uint8(1); version <= MaxVersion; version++ {
-		for _, lv := range livenessSets {
-			for _, body := range bodies {
-				p := PartialPrefixLen(version, len(lv))
-				// Encode into a dirty buffer: PutPartialPrefix must
-				// zero its own padding.
-				buf := bytes.Repeat([]byte{0xEE}, p+len(body))
-				PutPartialPrefix(buf, version, lv)
-				copy(buf[p:], body)
-				gotLive, gotBody, err := SplitPartialPayload(buf, version)
-				if err != nil {
-					t.Fatalf("v%d liveness=%d body=%d: %v", version, len(lv), len(body), err)
-				}
-				if !bytes.Equal(gotLive, lv) && len(gotLive)+len(lv) > 0 {
-					t.Errorf("v%d: liveness %x, want %x", version, gotLive, lv)
-				}
-				if !bytes.Equal(gotBody, body) && len(gotBody)+len(body) > 0 {
-					t.Errorf("v%d: body mismatch (%d bytes, want %d)", version, len(gotBody), len(body))
-				}
+	for _, lv := range livenessSets {
+		for _, body := range bodies {
+			p := PartialPrefixLen(len(lv))
+			// Encode into a dirty buffer: PutPartialPrefix must zero its
+			// own padding.
+			buf := bytes.Repeat([]byte{0xEE}, p+len(body))
+			PutPartialPrefix(buf, lv)
+			copy(buf[p:], body)
+			gotLive, gotBody, err := SplitPartialPayload(buf)
+			if err != nil {
+				t.Fatalf("liveness=%d body=%d: %v", len(lv), len(body), err)
+			}
+			if !bytes.Equal(gotLive, lv) && len(gotLive)+len(lv) > 0 {
+				t.Errorf("liveness %x, want %x", gotLive, lv)
+			}
+			if !bytes.Equal(gotBody, body) && len(gotBody)+len(body) > 0 {
+				t.Errorf("body mismatch (%d bytes, want %d)", len(gotBody), len(body))
 			}
 		}
 	}
 }
 
+// TestPartialPrefixLenAlignment: the prefix always pads to the next
+// multiple of 8 past its length word and liveness bytes, and no further.
 func TestPartialPrefixLenAlignment(t *testing.T) {
 	for n := 0; n <= 64; n++ {
-		v1 := PartialPrefixLen(1, n)
-		if v1 != 4+n {
-			t.Errorf("v1 prefix for %d liveness bytes = %d, want %d", n, v1, 4+n)
-		}
-		v2 := PartialPrefixLen(2, n)
-		if v2%8 != 0 {
-			t.Errorf("v2 prefix for %d liveness bytes = %d, not 8-aligned", n, v2)
-		}
-		if v2 < v1 || v2-v1 >= 8 {
-			t.Errorf("v2 prefix %d out of range for minimal padding over %d", v2, v1)
+		p := PartialPrefixLen(n)
+		if p%8 != 0 || p < 4+n || p-(4+n) >= 8 {
+			t.Errorf("prefix for %d liveness bytes = %d, want 4+%d padded to a multiple of 8", n, p, n)
 		}
 	}
 }
 
 func TestSplitPartialPayloadRejects(t *testing.T) {
 	// Too short for the length word.
-	if _, _, err := SplitPartialPayload([]byte{1, 0, 0}, 2); err == nil {
+	if _, _, err := SplitPartialPayload([]byte{1, 0, 0}); err == nil {
 		t.Error("3-byte payload accepted")
 	}
 	// Liveness length pointing past the payload.
 	short := make([]byte, 8)
 	short[0] = 200
-	if _, _, err := SplitPartialPayload(short, 1); err == nil {
+	if _, _, err := SplitPartialPayload(short); err == nil {
 		t.Error("overlong liveness length accepted")
 	}
-	// Under v2 the declared liveness plus padding must also fit.
+	// The declared liveness plus padding must also fit.
 	exact := make([]byte, 6)
 	exact[0] = 2 // prefix = align8(4+2) = 8 > 6
-	if _, _, err := SplitPartialPayload(exact, 2); err == nil {
-		t.Error("v2 payload shorter than padded prefix accepted")
+	if _, _, err := SplitPartialPayload(exact); err == nil {
+		t.Error("payload shorter than padded prefix accepted")
 	}
 	// Nonzero padding is corruption, not slack.
 	dirty := make([]byte, 8)
 	dirty[0] = 1
 	dirty[4] = 0xFF // liveness byte, fine
 	dirty[6] = 0x01 // padding byte, must be zero
-	if _, _, err := SplitPartialPayload(dirty, 2); err == nil {
-		t.Error("nonzero v2 padding accepted")
-	}
-	// Same bytes under v1 have no padding: byte 6 is body, accepted.
-	if _, _, err := SplitPartialPayload(dirty, 1); err != nil {
-		t.Errorf("v1 split rejected valid payload: %v", err)
+	if _, _, err := SplitPartialPayload(dirty); err == nil {
+		t.Error("nonzero padding accepted")
 	}
 }
 

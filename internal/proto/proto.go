@@ -6,9 +6,11 @@
 // carries the serialized prefix trees. Framing is explicit and versioned
 // per stream: the attach handshake negotiates the highest wire version the
 // front end and every daemon share (see Negotiate), the data stream then
-// carries that version in each packet header, and any version in
-// [Version, MaxVersion] stays decodable so old captures — saved trees and
-// v1 data packets — keep working.
+// carries that version in each packet header. Every packet has the same
+// 16-byte header, and Decode accepts exactly the versions in [Version,
+// MaxVersion]: the compact v1 packets and trees of earlier builds are not
+// spoken on the wire any more (saved v1 trees still open, through
+// package trace's decoder).
 package proto
 
 import (
@@ -17,20 +19,18 @@ import (
 	"fmt"
 )
 
-// Version is the baseline protocol version: every build decodes packets
-// of any version in [Version, MaxVersion], so v1 packets (and captures)
-// remain readable forever. MaxVersion is the newest version this build
-// speaks; which version a stream actually carries is negotiated at attach
-// — the front end advertises its MaxVersion in the AttachRequest, each
-// daemon answers with the highest version both speak, and the ack merge
-// takes the minimum over daemons, so the session lands on the highest
-// common version. The packet version selects the frame layout (see
-// HeaderSizeV) and the tree wire format the data stream carries
-// (trace.WireV1 / WireV2 / WireV3, numerically equal). Version 3 keeps
-// version 2's 16-byte 8-aligned frame layout; what changes is only the
-// tree format behind it (adaptive compressed rank-set labels).
+// Version is the baseline protocol version and MaxVersion the newest this
+// build speaks; packets of any version in [Version, MaxVersion] decode.
+// Which version a stream actually carries is negotiated at attach — the
+// front end advertises its MaxVersion in the AttachRequest, each daemon
+// answers with the highest version both speak, and the ack merge takes
+// the minimum over daemons, so the session lands on the highest common
+// version. The packet version selects the tree wire format the data
+// stream carries (trace.WireV2 / WireV3, numerically equal): both share
+// the 16-byte frame header, and v3 differs only in its adaptive
+// compressed rank-set labels.
 const (
-	Version    = 1
+	Version    = 2
 	MaxVersion = 3
 )
 
@@ -38,8 +38,8 @@ const (
 // two advertised maxima, clamped into [Version, MaxVersion]. The clamp is
 // defensive — DecodeAttachRequest already rejects below-baseline
 // advertisements, so in the attach path only the MaxVersion ceiling (a
-// newer peer) is ever exercised — but Negotiate is usable on raw maxima
-// too, and must never return a version outside what this build speaks.
+// newer peer) is ever exercised — but Negotiate must never return a
+// version outside what this build speaks.
 func Negotiate(a, b uint8) uint8 {
 	v := a
 	if b < v {
@@ -115,9 +115,9 @@ type Packet struct {
 	// control stream and one data stream).
 	Stream uint16
 	Type   MsgType
-	// Version is the wire version the packet was framed with. Zero means
-	// "unset" and encodes as the baseline Version; Decode always fills it
-	// with the version it read.
+	// Version is the wire version the packet carries. Zero means "unset"
+	// and encodes as the baseline Version; Decode always fills it with the
+	// version it read.
 	Version uint8
 	// Payload is the type-specific body.
 	Payload []byte
@@ -131,27 +131,23 @@ const (
 
 var packetMagic = [2]byte{'S', 'P'}
 
-// HeaderSize is the v1 frame overhead preceding a packet's payload; use
-// HeaderSizeV for a version-correct size. The v2 header carries the same
-// fields padded with zeros to 16 bytes, so a v2 payload begins at a
-// multiple of 8 — when the packet buffer is 8-aligned in memory (pooled
-// buffers are), every v2 payload starts word-aligned, which is what lets
-// the data stream's 8-aligned tree format keep its alignment guarantee
-// end to end.
-const HeaderSize = 10
+// HeaderSize is the frame overhead preceding every packet's payload: magic
+// (2), version (1), stream (2), type (1), payload length (4), and six zero
+// bytes of padding, so a payload begins at a multiple of 8 — when the
+// packet buffer is 8-aligned in memory (pooled buffers are), every payload
+// starts word-aligned, which is what lets the data stream's 8-aligned tree
+// formats keep their alignment guarantee end to end.
+const HeaderSize = 16
+
+// headerFields is the length of the header's fields before the padding.
+const headerFields = 10
 
 // HeaderSizeV reports the frame overhead preceding a packet's payload
-// under the given version.
-func HeaderSizeV(version uint8) int {
-	if version >= 2 {
-		return 16
-	}
-	return HeaderSize
-}
+// under the given version: HeaderSize for every version this build speaks.
+func HeaderSizeV(uint8) int { return HeaderSize }
 
 // PutHeaderV writes a packet frame header under the given version for a
-// payload of n bytes into b, which must hold at least HeaderSizeV(version)
-// bytes. It exists for callers that encode a payload in place directly
+// payload of n bytes into b, which must hold at least HeaderSize bytes. It exists for callers that encode a payload in place directly
 // after a reserved header — the zero-copy path of the overlay's merge
 // filter and the leaf daemons' pooled payload buffers — instead of paying
 // Encode's payload copy.
@@ -161,28 +157,25 @@ func PutHeaderV(b []byte, version uint8, stream uint16, typ MsgType, n int) {
 	binary.LittleEndian.PutUint16(b[3:5], stream)
 	b[5] = byte(typ)
 	binary.LittleEndian.PutUint32(b[6:10], uint32(n))
-	for i := HeaderSize; i < HeaderSizeV(version); i++ {
-		b[i] = 0
-	}
+	clear(b[headerFields:HeaderSize])
 }
 
 // Encode frames the packet: magic, version, stream, type, length,
-// (padding under v2), payload. A zero Version encodes as the baseline.
+// padding, payload. A zero Version encodes as the baseline.
 func (p Packet) Encode() []byte {
 	v := p.Version
 	if v == 0 {
 		v = Version
 	}
-	h := HeaderSizeV(v)
-	buf := make([]byte, h, h+len(p.Payload))
+	buf := make([]byte, HeaderSize, HeaderSize+len(p.Payload))
 	PutHeaderV(buf, v, p.Stream, p.Type, len(p.Payload))
 	return append(buf, p.Payload...)
 }
 
-// Decode parses a framed packet, rejecting bad magic, truncation, and
-// versions outside [Version, MaxVersion] — within the range, skew is a
-// negotiation matter, not an error, and the accepted version is reported
-// in Packet.Version. Payload aliases b rather than copying it — the
+// Decode parses a framed packet, rejecting bad magic, truncation, nonzero
+// padding, and versions outside [Version, MaxVersion] — v1 packets
+// included. Within the range, skew is a negotiation matter, not an error,
+// and the accepted version is reported in Packet.Version. Payload aliases b rather than copying it — the
 // overlay's buffer-lifetime machinery (leases pinning packet buffers)
 // exists so views like this stay valid; callers that outlive b's buffer
 // must either pin it or copy the payload themselves.
@@ -196,36 +189,26 @@ func Decode(b []byte) (Packet, error) {
 	if b[2] < Version || b[2] > MaxVersion {
 		return Packet{}, fmt.Errorf("proto: unsupported packet version %d (this build speaks %d..%d)", b[2], Version, MaxVersion)
 	}
-	p := Packet{
-		Stream:  binary.LittleEndian.Uint16(b[3:5]),
-		Type:    MsgType(b[5]),
-		Version: b[2],
-	}
-	h := HeaderSizeV(p.Version)
-	if len(b) < h {
-		return Packet{}, errors.New("proto: packet too short")
-	}
-	for i := HeaderSize; i < h; i++ {
-		if b[i] != 0 {
+	for _, c := range b[headerFields:HeaderSize] {
+		if c != 0 {
 			return Packet{}, errors.New("proto: nonzero header padding")
 		}
 	}
 	n := int(binary.LittleEndian.Uint32(b[6:10]))
-	if len(b)-h != n {
-		return Packet{}, fmt.Errorf("proto: payload length %d, frame carries %d", n, len(b)-h)
+	if len(b)-HeaderSize != n {
+		return Packet{}, fmt.Errorf("proto: payload length %d, frame carries %d", n, len(b)-HeaderSize)
 	}
-	p.Payload = b[h:]
-	return p, nil
+	return Packet{
+		Stream:  binary.LittleEndian.Uint16(b[3:5]),
+		Type:    MsgType(b[5]),
+		Version: b[2],
+		Payload: b[HeaderSize:],
+	}, nil
 }
 
 // AttachRequest is the attach command's body: the front end's side of the
-// version handshake. An empty body (no advertisement — the attach command
-// predates the handshake) decodes as MaxVersion 1, so negotiation
-// degrades to the baseline rather than failing. Note the degradation
-// covers the *data-stream formats*: the ack and body layouts of the
-// control stream itself are this build's, not version-gated — what stays
-// compatible across build generations is the v1 data (tree captures and
-// MsgResult payloads), which every decoder in the system still accepts.
+// version handshake, one byte. A body without the advertisement is an
+// error, as is one below the baseline Version.
 type AttachRequest struct {
 	// MaxVersion is the highest wire version the front end speaks.
 	MaxVersion uint8
@@ -236,16 +219,13 @@ func (r AttachRequest) Encode() []byte { return []byte{r.MaxVersion} }
 
 // DecodeAttachRequest parses an attach command body.
 func DecodeAttachRequest(b []byte) (AttachRequest, error) {
-	switch len(b) {
-	case 0:
-		return AttachRequest{MaxVersion: Version}, nil
-	case 1:
-		if b[0] < Version {
-			return AttachRequest{}, fmt.Errorf("proto: attach advertises version %d below baseline %d", b[0], Version)
-		}
-		return AttachRequest{MaxVersion: b[0]}, nil
+	if len(b) != 1 {
+		return AttachRequest{}, fmt.Errorf("proto: attach request body %d bytes, want 1 (the version advertisement)", len(b))
 	}
-	return AttachRequest{}, fmt.Errorf("proto: attach request body %d bytes, want 0 or 1", len(b))
+	if b[0] < Version {
+		return AttachRequest{}, fmt.Errorf("proto: attach advertises version %d below baseline %d", b[0], Version)
+	}
+	return AttachRequest{MaxVersion: b[0]}, nil
 }
 
 // SampleRequest parameterizes a sampling command.
@@ -295,7 +275,7 @@ type GatherRequest struct {
 	Detail bool
 	// Delta invites daemons to answer with a MsgDelta frame against the
 	// previous round when they can (streaming sessions); daemons that
-	// cannot — first round, resynchronized walker, v1 stream — answer
+	// cannot — first round, resynchronized walker — answer
 	// with a whole-tree MsgResult as usual. The flag encodes as an
 	// optional third body byte so pre-streaming peers, which emit and
 	// expect 2-byte bodies, interoperate unchanged.
@@ -397,40 +377,32 @@ func (a Ack) Encode() []byte {
 
 // PartialPrefixLen reports the size of a MsgPartialResult's liveness
 // prefix for a serialized liveness set of n bytes: a u32 length, the
-// liveness bytes, and — under v2 frames — zero padding up to the next
-// multiple of 8, so the tree body that follows keeps the 8-aligned
-// guarantee the v2 format promises (the v2 header is itself 16 bytes, so
-// body alignment is exactly prefix alignment).
-func PartialPrefixLen(version uint8, n int) int {
-	p := 4 + n
-	if version >= 2 {
-		p = (p + 7) &^ 7
-	}
-	return p
-}
+// liveness bytes, and zero padding up to the next multiple of 8, so the
+// tree body that follows keeps the 8-aligned guarantee the tree formats
+// promise (the header is itself 16 bytes, so body alignment is exactly
+// prefix alignment).
+func PartialPrefixLen(n int) int { return (4 + n + 7) &^ 7 }
 
 // PutPartialPrefix writes a MsgPartialResult liveness prefix into b, which
-// must hold at least PartialPrefixLen(version, len(liveness)) bytes. The
-// liveness bytes are opaque to proto (core serializes a bitvec.Vector of
+// must hold at least PartialPrefixLen(len(liveness)) bytes. The liveness
+// bytes are opaque to proto (core serializes a bitvec.Vector of
 // surviving ranks); padding bytes are written as zeros — callers encode
 // into pooled, dirty buffers.
-func PutPartialPrefix(b []byte, version uint8, liveness []byte) {
+func PutPartialPrefix(b []byte, liveness []byte) {
 	binary.LittleEndian.PutUint32(b[0:4], uint32(len(liveness)))
 	copy(b[4:], liveness)
-	for i := 4 + len(liveness); i < PartialPrefixLen(version, len(liveness)); i++ {
-		b[i] = 0
-	}
+	clear(b[4+len(liveness) : PartialPrefixLen(len(liveness))])
 }
 
 // SplitPartialPayload splits a MsgPartialResult payload into its liveness
-// bytes and the tree body that follows, under the given frame version.
-// Both returned slices alias payload.
-func SplitPartialPayload(payload []byte, version uint8) (liveness, body []byte, err error) {
+// bytes and the tree body that follows. Both returned slices alias
+// payload.
+func SplitPartialPayload(payload []byte) (liveness, body []byte, err error) {
 	if len(payload) < 4 {
 		return nil, nil, errors.New("proto: partial result payload too short")
 	}
 	n := int(binary.LittleEndian.Uint32(payload[0:4]))
-	p := PartialPrefixLen(version, n)
+	p := PartialPrefixLen(n)
 	if n < 0 || len(payload) < p {
 		return nil, nil, fmt.Errorf("proto: partial result liveness length %d exceeds payload", n)
 	}
@@ -445,14 +417,13 @@ func SplitPartialPayload(payload []byte, version uint8) (liveness, body []byte, 
 // Telemetry sections ride result/delta bodies as a *trailer*:
 // [tree body][section bytes][u32 section length]["SPTM"]. A trailer —
 // unlike the liveness *prefix* — leaves the body's start untouched, so
-// the v2 8-aligned tree guarantee and every existing body sniffer keep
+// the 8-aligned tree guarantee and every existing body sniffer keep
 // working; the section bytes themselves are opaque to proto (core
 // carries an encoded telemetry.Frame). Whether a body has a trailer is
 // negotiated, not sniffed: the GatherRequest.Telemetry flag travels
 // down with the command, so every node in the session knows whether to
 // append, fold, and strip — a 2-/3-byte-body peer never sees the flag
-// and never emits the section, and a v1 body never carries one (the
-// min-merge downgrade that re-encodes a join's output at v1 drops it).
+// and never emits the section.
 const telemetryTrailerLen = 8
 
 var telemetryMagic = [4]byte{'S', 'P', 'T', 'M'}

@@ -11,8 +11,8 @@ func TestPacketRoundTrip(t *testing.T) {
 		{Stream: ControlStream, Type: MsgSample, Payload: SampleRequest{Samples: 10, Threads: 1}.Encode()},
 		{Stream: DataStream, Type: MsgResult, Payload: make([]byte, 100000)},
 		{Stream: 0xFFFF, Type: MsgDetach, Payload: []byte{}},
-		{Stream: DataStream, Type: MsgResult, Version: 1, Payload: []byte("v1")},
 		{Stream: DataStream, Type: MsgResult, Version: 2, Payload: []byte("v2 body")},
+		{Stream: DataStream, Type: MsgResult, Version: 3, Payload: []byte("v3 body")},
 	}
 	for _, p := range cases {
 		enc := p.Encode()
@@ -30,7 +30,7 @@ func TestPacketRoundTrip(t *testing.T) {
 		if got.Version != wantVersion {
 			t.Errorf("%v: decoded version %d, want %d", p.Type, got.Version, wantVersion)
 		}
-		if want := HeaderSizeV(wantVersion) + len(p.Payload); len(enc) != want {
+		if want := HeaderSize + len(p.Payload); len(enc) != want {
 			t.Errorf("%v: frame is %d bytes, want %d", p.Type, len(enc), want)
 		}
 	}
@@ -39,8 +39,8 @@ func TestPacketRoundTrip(t *testing.T) {
 // TestDecodeRejects exercises the negotiation semantics of version
 // handling: any version in [Version, MaxVersion] is accepted (skew inside
 // the supported range is settled by the attach handshake, not by
-// rejecting packets), while versions outside the range — a future build
-// or a zeroed byte — are refused.
+// rejecting packets), while versions outside the range — a future build,
+// a zeroed byte, or a v1 packet of an earlier build — are refused.
 func TestDecodeRejects(t *testing.T) {
 	good := Packet{Stream: 1, Type: MsgAck, Payload: []byte("xy")}.Encode()
 	cases := map[string]func([]byte) []byte{
@@ -52,6 +52,8 @@ func TestDecodeRejects(t *testing.T) {
 		"oversized":        func(b []byte) []byte { return append(clone(b), 0) },
 		"v2 header cut":    func([]byte) []byte { return Packet{Version: 2, Type: MsgAck}.Encode()[:12] },
 		"v2 dirty padding": func([]byte) []byte { c := Packet{Version: 2, Type: MsgAck}.Encode(); c[12] = 0xAA; return c },
+		// A v1 packet: the 10-byte header, payload right behind it.
+		"v1 packet": func([]byte) []byte { return []byte{'S', 'P', 1, 2, 0, byte(MsgAck), 2, 0, 0, 0, 'x', 'y'} },
 	}
 	for name, corrupt := range cases {
 		if _, err := Decode(corrupt(good)); err == nil {
@@ -68,13 +70,14 @@ func TestDecodeRejects(t *testing.T) {
 
 func TestNegotiate(t *testing.T) {
 	cases := []struct{ a, b, want uint8 }{
-		{1, 1, 1},
 		{2, 2, 2},
-		{1, 2, 1},
-		{2, 1, 1},
+		{3, 3, 3},
+		{2, 3, 2},
+		{3, 2, 2},
 		{MaxVersion, MaxVersion + 5, MaxVersion}, // future peer clamps to ours
-		{0, 2, 1},                                // garbage advertisement degrades to baseline
-		{2, 0, 1},
+		{1, 3, Version},                          // below-baseline advertisement clamps up
+		{0, 2, Version},                          // garbage advertisement degrades to baseline
+		{2, 0, Version},
 	}
 	for _, c := range cases {
 		if got := Negotiate(c.a, c.b); got != c.want {
@@ -90,13 +93,14 @@ func TestAttachRequestRoundTrip(t *testing.T) {
 			t.Errorf("round trip v%d: %+v, %v", v, got, err)
 		}
 	}
-	// A v1-era front end sends an empty attach body: baseline, not error.
-	got, err := DecodeAttachRequest(nil)
-	if err != nil || got.MaxVersion != Version {
-		t.Errorf("empty attach body: %+v, %v", got, err)
+	// An attach without a version advertisement is an error.
+	if _, err := DecodeAttachRequest(nil); err == nil {
+		t.Error("empty attach body accepted")
 	}
-	if _, err := DecodeAttachRequest([]byte{0}); err == nil {
-		t.Error("below-baseline advertisement accepted")
+	for _, v := range []byte{0, 1} {
+		if _, err := DecodeAttachRequest([]byte{v}); err == nil {
+			t.Errorf("below-baseline advertisement %d accepted", v)
+		}
 	}
 	if _, err := DecodeAttachRequest([]byte{1, 2}); err == nil {
 		t.Error("oversized attach body accepted")
@@ -265,9 +269,9 @@ func TestAckVersionMerge(t *testing.T) {
 		acks []Ack
 		want uint8
 	}{
-		{[]Ack{{OK: 1, Version: 2}, {OK: 1, Version: 2}}, 2},
-		{[]Ack{{OK: 1, Version: 2}, {OK: 1, Version: 1}, {OK: 1, Version: 2}}, 1},
-		{[]Ack{{OK: 1}, {OK: 1, Version: 2}}, 2},
+		{[]Ack{{OK: 1, Version: 3}, {OK: 1, Version: 3}}, 3},
+		{[]Ack{{OK: 1, Version: 3}, {OK: 1, Version: 2}, {OK: 1, Version: 3}}, 2},
+		{[]Ack{{OK: 1}, {OK: 1, Version: 3}}, 3},
 		{[]Ack{{OK: 1}, {OK: 1}}, 0},
 	}
 	for _, c := range cases {
@@ -280,8 +284,8 @@ func TestAckVersionMerge(t *testing.T) {
 		}
 	}
 	// Order independence on the version (min is commutative).
-	x := Ack{OK: 1, Version: 1}.Merge(Ack{OK: 1, Version: 2})
-	y := Ack{OK: 1, Version: 2}.Merge(Ack{OK: 1, Version: 1})
+	x := Ack{OK: 1, Version: 2}.Merge(Ack{OK: 1, Version: 3})
+	y := Ack{OK: 1, Version: 3}.Merge(Ack{OK: 1, Version: 2})
 	if x.Version != y.Version {
 		t.Errorf("version merge order-dependent: %d vs %d", x.Version, y.Version)
 	}

@@ -30,7 +30,7 @@ func ownedDelta(t *testing.T, tr *trace.Tree, version uint8) *trace.Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := trace.UnmarshalDelta(b)
+	out, err := trace.Decode(b, trace.DecodeOpts{Delta: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func assertTreesMatch(t *testing.T, label string, got, want *trace.Tree) {
 	if !got.Equal(want) {
 		t.Fatalf("%s: emitted tree differs from legacy reference\n got:\n%s\nwant:\n%s", label, got, want)
 	}
-	for _, version := range []uint8{trace.WireV1, trace.WireV2} {
+	for _, version := range []uint8{trace.WireV2, trace.WireV3} {
 		g, err := got.MarshalBinaryV(version)
 		if err != nil {
 			t.Fatal(err)
@@ -160,11 +160,11 @@ func TestEngineConcurrentDaemons(t *testing.T) {
 		go func(d int) {
 			defer wg.Done()
 			b := eng.Sample(reqs[d])
-			e2, err := b.Tree2D.MarshalBinary()
+			e2, err := b.Tree2D.MarshalBinaryV(trace.WireV2)
 			if err != nil {
 				t.Error(err)
 			}
-			e3, err := b.Tree3D.MarshalBinary()
+			e3, err := b.Tree3D.MarshalBinaryV(trace.WireV2)
 			if err != nil {
 				t.Error(err)
 			}
@@ -175,8 +175,8 @@ func TestEngineConcurrentDaemons(t *testing.T) {
 	wg.Wait()
 	for d := range reqs {
 		w2, w3 := legacyTrees(app, st, reqs[d])
-		e2, _ := w2.MarshalBinary()
-		e3, _ := w3.MarshalBinary()
+		e2, _ := w2.MarshalBinaryV(trace.WireV2)
+		e3, _ := w3.MarshalBinaryV(trace.WireV2)
 		if !bytes.Equal(got[d].e2, e2) || !bytes.Equal(got[d].e3, e3) {
 			t.Errorf("daemon %d: concurrent engine trees differ from legacy", d)
 		}

@@ -23,7 +23,7 @@ func marshalNodes(t testing.TB, width int, root *trace.Node) []byte {
 	t.Helper()
 	var tr trace.Tree
 	tr.AdoptRoot(width, root)
-	b, err := tr.MarshalBinary()
+	b, err := tr.MarshalBinaryV(trace.WireV2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +185,8 @@ func TestSampleOverlapClaimMismatch(t *testing.T) {
 	actual.Base = 7 * req.Samples // ...but the front end skipped ahead
 	b2, pre2 := over.SampleOverlap(pre, actual, nil)
 	qb := quies.Sample(actual)
-	g, _ := b2.Tree3D.MarshalBinary()
-	w, _ := qb.Tree3D.MarshalBinary()
+	g, _ := b2.Tree3D.MarshalBinaryV(trace.WireV2)
+	w, _ := qb.Tree3D.MarshalBinaryV(trace.WireV2)
 	if !bytes.Equal(g, w) {
 		t.Fatal("post-mismatch tree differs from quiesced reference")
 	}

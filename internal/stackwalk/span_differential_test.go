@@ -76,7 +76,7 @@ func legacyTrees(app *mpisim.App, st *stackwalk.SymbolTable, req sample.Request)
 
 func assertSameBytes(t *testing.T, label string, got, want *trace.Tree) {
 	t.Helper()
-	for _, v := range []uint8{trace.WireV1, trace.WireV2} {
+	for _, v := range []uint8{trace.WireV2, trace.WireV3} {
 		g, err := got.MarshalBinaryV(v)
 		if err != nil {
 			t.Fatal(err)

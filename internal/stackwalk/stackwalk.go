@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"stat/internal/mpisim"
@@ -38,48 +37,35 @@ type SymbolTable struct {
 var imageMagic = [4]byte{'S', 'I', 'M', 'G'}
 
 // BuildImage serializes a symbol table into a binary image, padded with
-// deterministic filler to the requested total size (symbol parsing cost and
-// file-transfer cost both scale with the real image size). A padSize of 0
-// keeps just the table.
+// zero bytes to the requested total size (symbol parsing cost and
+// file-transfer cost both scale with the real image size, so only the
+// image's length matters beyond the table). A padSize of 0 keeps just the
+// table.
 func BuildImage(syms []Sym, padSize int) ([]byte, error) {
 	sorted := append([]Sym(nil), syms...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Addr < sorted[j].Addr })
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i].Addr < sorted[i-1].Addr+sorted[i-1].Size {
-			return nil, fmt.Errorf("stackwalk: overlapping symbols %q and %q", sorted[i-1].Name, sorted[i].Name)
+	table := 8
+	for i, s := range sorted {
+		if i > 0 && s.Addr < sorted[i-1].Addr+sorted[i-1].Size {
+			return nil, fmt.Errorf("stackwalk: overlapping symbols %q and %q", sorted[i-1].Name, s.Name)
 		}
-	}
-	buf := make([]byte, 0, max(padSize, 64+len(sorted)*32))
-	buf = append(buf, imageMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sorted)))
-	for _, s := range sorted {
 		if len(s.Name) > 0xFFFF {
 			return nil, fmt.Errorf("stackwalk: symbol name too long (%d bytes)", len(s.Name))
 		}
+		table += 18 + len(s.Name)
+	}
+	// make zeroes the whole capacity, so the pad past the table is the
+	// zero filler without a write: an 8 MB image costs its table alone.
+	buf := make([]byte, 0, max(padSize, table))
+	buf = append(buf, imageMagic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sorted)))
+	for _, s := range sorted {
 		buf = binary.LittleEndian.AppendUint64(buf, s.Addr)
 		buf = binary.LittleEndian.AppendUint64(buf, s.Size)
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s.Name)))
 		buf = append(buf, s.Name...)
 	}
-	if n := len(buf); padSize > n {
-		buf = slices.Grow(buf, padSize-n)[:padSize]
-		fillPattern(buf[n:])
-	}
-	return buf, nil
-}
-
-// fillPattern writes the deterministic "text section" filler,
-// pad[i] = byte(i*131). The pattern repeats every 256 bytes, so one period
-// is written by hand and then doubled with copy, which keeps an 8 MB image
-// to a handful of memmoves.
-func fillPattern(pad []byte) {
-	n := min(len(pad), 256)
-	for i := range n {
-		pad[i] = byte(i * 131)
-	}
-	for n < len(pad) {
-		n += copy(pad[n:], pad[:n])
-	}
+	return buf[:cap(buf)], nil
 }
 
 // ParseImage reads the symbol table out of an image produced by BuildImage.

@@ -229,11 +229,10 @@ func TestQuickResolveMatchesLinearScan(t *testing.T) {
 }
 
 // TestBuildImagePadPattern: the padded image is byte-for-byte the table
-// followed by the filler pad[i] = byte(i*131), at pad lengths below, at,
-// and well past the pattern's 256-byte period, including a length that is
-// not a multiple of it.
+// followed by a zero pad of exactly the requested length, at small, page
+// and 8 MB-plus pad lengths.
 func TestBuildImagePadPattern(t *testing.T) {
-	syms := []Sym{{Name: "f", Addr: 0x10, Size: 4}}
+	syms := []Sym{{Name: "f", Addr: 0x10, Size: 4}, {Name: "a_much_longer_symbol_name", Addr: 0x20, Size: 8}}
 	table, err := BuildImage(syms, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -243,12 +242,9 @@ func TestBuildImagePadPattern(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := append([]byte(nil), table...)
-		for i := 0; i < pad; i++ {
-			want = append(want, byte(i*131))
-		}
+		want := append(append([]byte(nil), table...), make([]byte, pad)...)
 		if !bytes.Equal(img, want) {
-			t.Errorf("pad %d: image differs from table + filler pattern", pad)
+			t.Errorf("pad %d: image differs from table + zero pad", pad)
 		}
 	}
 }

@@ -167,8 +167,8 @@ func TestDifferentialTraceMergeFilter(t *testing.T) {
 				return nil, err
 			}
 		}
-		merged := trace.MergeConcat(trees...)
-		out, err := merged.MarshalBinary()
+		merged := trace.NewCodec().MergeConcat(trees...)
+		out, err := merged.MarshalBinaryV(trace.WireV2)
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +198,7 @@ func TestDifferentialTraceMergeFilter(t *testing.T) {
 			for task, path := range stacks[i] {
 				tr.AddStack(task, path...)
 			}
-			b, err := tr.MarshalBinary()
+			b, err := tr.MarshalBinaryV(trace.WireV2)
 			tr.Release()
 			return b, err
 		}
@@ -233,7 +233,7 @@ func TestDifferentialUnionMergeFilter(t *testing.T) {
 			}
 			src.Release()
 		}
-		out, err := acc.MarshalBinary()
+		out, err := acc.MarshalBinaryV(trace.WireV2)
 		acc.Release()
 		return out, err
 	})
@@ -245,7 +245,7 @@ func TestDifferentialUnionMergeFilter(t *testing.T) {
 		tr := trace.NewTree(width)
 		tr.AddStack(i%width, "main", fmt.Sprintf("f%d", i%5), "leafwork")
 		tr.AddStack((i*7)%width, "main", "common")
-		b, err := tr.MarshalBinary()
+		b, err := tr.MarshalBinaryV(trace.WireV2)
 		tr.Release()
 		return b, err
 	}

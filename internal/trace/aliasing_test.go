@@ -32,26 +32,26 @@ func TestDecodeTreeAliasingMatchesCopying(t *testing.T) {
 			}
 			src.AddStack(task, stack...)
 		}
-		wire, err := src.MarshalBinary()
+		wire, err := src.MarshalBinaryV(WireV2)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		copying := NewCodec()
-		want, err := copying.DecodeTree(wire)
+		want, err := Decode(wire, DecodeOpts{Codec: copying})
 		if err != nil {
 			t.Fatal(err)
 		}
 		aliasing := NewCodec()
 		var pin countingPin
-		got, err := aliasing.DecodeTreeAliasing(wire, &pin)
+		got, err := Decode(wire, DecodeOpts{Codec: aliasing, Pin: &pin})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: aliasing decode differs from copying decode", trial)
 		}
-		reenc, err := got.MarshalBinary()
+		reenc, err := got.MarshalBinaryV(WireV2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestDecodeTreeAliasingPinPerTree(t *testing.T) {
 	for task := 0; task < 64; task++ {
 		src.AddStack(task, "main", "x", "y")
 	}
-	wire, err := src.MarshalBinary()
+	wire, err := src.MarshalBinaryV(WireV2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestDecodeTreeAliasingPinPerTree(t *testing.T) {
 
 	c := NewCodec()
 	var pinA, pinB countingPin
-	a, err := c.DecodeTreeAliasing(wire, &pinA)
+	a, err := Decode(wire, DecodeOpts{Codec: c, Pin: &pinA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.DecodeTreeAliasing(wire, &pinB)
+	b, err := Decode(wire, DecodeOpts{Codec: c, Pin: &pinB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +120,10 @@ func TestDecodeTreeAliasingPinPerTree(t *testing.T) {
 	}
 }
 
-// TestCodecMergeConcatMatchesPackageLevel pins the arena-backed merge to
-// the package-level MergeConcat across ragged widths, including aliasing
-// (read-only) inputs.
-func TestCodecMergeConcatMatchesPackageLevel(t *testing.T) {
+// TestCodecMergeConcatMatchesReference pins the arena-backed merge over
+// aliasing (read-only) decodes to the reference map-and-sort merge across
+// ragged widths.
+func TestCodecMergeConcatMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	funcs := []string{"main", "f", "gg", "hhh", "solve", "io"}
 	for trial := 0; trial < 10; trial++ {
@@ -142,33 +142,33 @@ func TestCodecMergeConcatMatchesPackageLevel(t *testing.T) {
 				tr.AddStack(task, stack...)
 			}
 			var err error
-			wires[i], err = tr.MarshalBinary()
+			wires[i], err = tr.MarshalBinaryV(WireV2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			parts[i] = tr
 		}
-		want := MergeConcat(parts...)
+		want := refMergeConcat(parts...)
 
 		c := NewCodec()
 		var pin countingPin
 		decoded := make([]*Tree, k)
 		for i := range decoded {
 			var err error
-			decoded[i], err = c.DecodeTreeAliasing(wires[i], &pin)
+			decoded[i], err = Decode(wires[i], DecodeOpts{Codec: c, Pin: &pin})
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
 		got := c.MergeConcat(decoded...)
 		if !got.Equal(want) {
-			t.Fatalf("trial %d: codec MergeConcat differs from package MergeConcat", trial)
+			t.Fatalf("trial %d: codec MergeConcat differs from the reference merge", trial)
 		}
-		gotWire, err := got.MarshalBinary()
+		gotWire, err := got.MarshalBinaryV(WireV2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantWire, err := want.MarshalBinary()
+		wantWire, err := want.MarshalBinaryV(WireV2)
 		if err != nil {
 			t.Fatal(err)
 		}

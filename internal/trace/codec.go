@@ -67,20 +67,20 @@ const (
 // everything before returning; with a Codec every side of that cycle
 // reuses the same arena slabs, name strings, nodes and tree structs every
 // invocation instead of reallocating per packet — Release fills the free
-// lists, DecodeTree and MergeConcat drain them, with no per-node trip
+// lists, Decode and MergeConcat drain them, with no per-node trip
 // through the shared sync.Pool and its synchronization. (The encode side
-// needs no state: Tree.AppendBinary writes into any caller buffer,
+// needs no state: Tree.AppendBinaryV writes into any caller buffer,
 // allocation-free when the buffer is pre-sized.)
 //
-// Lifecycle: every tree returned by DecodeTree, DecodeTreeAliasing or
-// MergeConcat borrows the codec's arena. Tree.Release returns the borrow;
+// Lifecycle: every tree returned by Decode with this codec, or by
+// MergeConcat, borrows the codec's arena. Tree.Release returns the borrow;
 // when the last outstanding tree is released the arena recycles
 // automatically. The caller must release every such tree before the codec
 // may be shared onward (pooled, reused by another goroutine): Live
 // reports the outstanding count.
 //
 // Concurrency: a Codec is single-goroutine state. Decoded trees may be read
-// concurrently like any other tree, but DecodeTree, MergeConcat and the
+// concurrently like any other tree, but its decodes, MergeConcat and the
 // Release calls of the codec's trees must all happen on one goroutine at
 // a time. Concurrent filter workers each take their own Codec (sync.Pool
 // is the intended sharing mechanism).
@@ -91,8 +91,8 @@ type Codec struct {
 	nodes []*Node // free list: filled by Tree.Release, drained by decodes and merges
 	trees []*Tree // free list of recycled tree headers
 	cm    concatMerger
-	// aliasHits / aliasMisses count labels DecodeTreeAliasing aliased in
-	// place versus copied because the alignment check failed. Single-
+	// aliasHits / aliasMisses count labels a pinned (zero-copy) Decode
+	// aliased in place versus copied because the alignment check failed. Single-
 	// goroutine like the rest of the codec; see AliasStats.
 	aliasHits   int64
 	aliasMisses int64
@@ -104,7 +104,7 @@ type Codec struct {
 // LabelStats is the per-container-kind breakdown of the v3 labels a
 // codec has decoded: how many labels arrived as each container and the
 // wire bytes (label3 header included) each kind contributed. All zero on
-// a codec that has only seen v1/v2 streams. Together with AliasStats it
+// a codec that has only seen dense (v1/v2) trees. Together with AliasStats it
 // answers both halves of the v3 story: how much the adaptive containers
 // compressed the stream, and whether the decode stayed zero-copy.
 type LabelStats struct {
@@ -164,53 +164,7 @@ func NewCodec() *Codec {
 	return c
 }
 
-// DecodeTree decodes a tree encoded by Tree.MarshalBinary or
-// Tree.MarshalBinaryV, dispatching on the wire magic (v1 and v2 alike).
-// The tree's labels live in the codec's arena until the tree is released;
-// see the Codec lifecycle notes.
-func (c *Codec) DecodeTree(b []byte) (*Tree, error) {
-	return c.decode(b, nil, false)
-}
-
-// DecodeTreeAliasing decodes like DecodeTree but zero-copy where
-// possible: on little-endian hosts, labels whose wire bytes land 8-byte
-// aligned become read-only views of b instead of copies (the rest copy
-// into the arena as usual — the decoded value is identical either way).
-// When any label aliases b, the codec retains pin once and the returned
-// tree releases it from Tree.Release, so the leased packet buffer stays
-// alive — and, under a budgeted reduction engine, stays charged — until
-// the tree is dead. The caller must keep b immutable and unrecycled for
-// the tree's lifetime; that is exactly what the pin enforces when b is a
-// tbon.Lease payload.
-//
-// The returned tree must be treated as read-only: mutating an aliased
-// label would corrupt the wire buffer. Merging it with MergeConcat (which
-// only reads its inputs), encoding it, and passing it as the source of
-// the in-place MergeUnion or MergeXor (which read their source and mutate
-// only their destination) are safe; it must never be their destination —
-// original-mode filters decode the accumulator with the copying DecodeTree.
-func (c *Codec) DecodeTreeAliasing(b []byte, pin Pin) (*Tree, error) {
-	return c.decode(b, pin, false)
-}
-
-// DecodeDelta decodes a delta frame ("STD2"/"STD3") through the codec,
-// exactly as DecodeTree decodes a whole tree: labels (here XOR sets) live
-// in the codec's arena until the tree is released. Whole-tree magics are
-// rejected — see the delta-frame wire spec in serialize.go.
-func (c *Codec) DecodeDelta(b []byte) (*Tree, error) {
-	return c.decode(b, nil, true)
-}
-
-// DecodeDeltaAliasing decodes a delta frame zero-copy where possible,
-// with the same pinning contract as DecodeTreeAliasing. The interior
-// delta merge uses it: XOR labels concat exactly like task-set labels, so
-// the filter cycle over delta frames is byte-for-byte the whole-tree
-// cycle on smaller inputs.
-func (c *Codec) DecodeDeltaAliasing(b []byte, pin Pin) (*Tree, error) {
-	return c.decode(b, pin, true)
-}
-
-// AliasStats reports how many labels this codec's aliasing decodes viewed
+// AliasStats reports how many labels this codec's pinned decodes viewed
 // in place (hits) versus copied into the arena because the label's wire
 // bytes failed the word-alignment check (misses). On a v2 (STR2) stream
 // landing in an 8-aligned buffer the miss count stays zero; a nonzero
@@ -238,11 +192,18 @@ func (c *Codec) decode(b []byte, pin Pin, delta bool) (*Tree, error) {
 	return t, nil
 }
 
-// MergeConcat merges trees under the hierarchical representation exactly
-// like the package-level MergeConcat, but the output tree borrows the
-// codec: labels are carved from the codec's arena, nodes and the tree
-// header come from its free lists, and the tree must be Released (on the
-// codec's goroutine) like a decoded tree. At steady state — the
+// MergeConcat merges child trees under the OPTIMIZED hierarchical
+// representation: the output task space is the concatenation of the
+// inputs' task spaces (in argument order), and a node's label is the
+// concatenation of the children's labels, with zero bits for children
+// lacking the node. No full-job-width vector is ever constructed below
+// the front end. Parallel nodes combine by a k-way merge over the
+// already-sorted Children slices, and labels are built by blitting whole
+// source labels at precomputed bit offsets (see concatMerger).
+//
+// The output tree borrows the codec: labels are carved from the codec's
+// arena, nodes and the tree header come from its free lists, and the tree
+// must be Released (on the codec's goroutine) like a decoded tree. At steady state — the
 // decode→merge→encode filter cycle on a warm codec — the merge performs
 // no heap allocation at all. Inputs are only read; merging aliasing
 // (read-only) trees is safe.

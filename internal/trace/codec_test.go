@@ -16,16 +16,18 @@ import (
 // verbatim so the word-level merge and the codec are pinned to byte- and
 // structure-identical behavior.
 
-// refMarshalTree is the original append-per-field tree encoder.
+// refMarshalTree is the original append-per-field tree encoder. It writes
+// the v1 ("STR1") layout, which the package no longer encodes but still
+// decodes, so it is also how the tests mint v1 captures.
 func refMarshalTree(t *Tree) ([]byte, error) {
-	buf := make([]byte, 0, t.SerializedSize())
+	var buf []byte
 	buf = append(buf, magicV1[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.NumTasks))
 	var rec func(n *Node) error
 	rec = func(n *Node) error {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(n.Frame.Function)))
 		buf = append(buf, n.Frame.Function...)
-		b, err := denseOf(n.Tasks).MarshalBinary()
+		b, err := n.Tasks.Clone().MarshalBinary()
 		if err != nil {
 			return err
 		}
@@ -42,6 +44,15 @@ func refMarshalTree(t *Tree) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// marshalAny encodes t under any wire version this package decodes,
+// the v1 capture format included.
+func marshalAny(t *Tree, version uint8) ([]byte, error) {
+	if version == WireV1 {
+		return refMarshalTree(t)
+	}
+	return t.MarshalBinaryV(version)
 }
 
 // refMergeConcat is the original map-and-sort concatenation merge.
@@ -127,7 +138,7 @@ func TestMergeConcatDifferential(t *testing.T) {
 			// Ragged widths, including empty trees and width-0 task spaces.
 			parts[i] = multiStackTree(rng, rng.Intn(40))
 		}
-		got := MergeConcat(parts...)
+		got := mergeConcat(parts...)
 		want := refMergeConcat(parts...)
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: MergeConcat differs from reference\ngot:\n%swant:\n%s",
@@ -137,11 +148,11 @@ func TestMergeConcatDifferential(t *testing.T) {
 			t.Fatalf("trial %d: merged tree invalid: %v", trial, err)
 		}
 		// Byte-identical on the wire too.
-		gb, err := got.MarshalBinary()
+		gb, err := got.MarshalBinaryV(WireV2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wb, err := refMarshalTree(want)
+		wb, err := want.MarshalBinaryV(WireV2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,26 +163,39 @@ func TestMergeConcatDifferential(t *testing.T) {
 }
 
 func TestMergeConcatNoTrees(t *testing.T) {
-	m := MergeConcat()
+	m := mergeConcat()
 	if m.NumTasks != 0 || len(m.Root.Children) != 0 {
-		t.Fatalf("MergeConcat() = %d tasks, %d children", m.NumTasks, len(m.Root.Children))
+		t.Fatalf("mergeConcat() = %d tasks, %d children", m.NumTasks, len(m.Root.Children))
 	}
 }
 
+// TestMarshalMatchesReference: a tree's v1 capture, written by the
+// reference encoder and decoded, re-encodes at v2 and v3 to exactly the
+// bytes the tree itself encodes to.
 func TestMarshalMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 10; trial++ {
 		tr := multiStackTree(rng, 1+rng.Intn(100))
-		got, err := tr.MarshalBinary()
+		capture, err := refMarshalTree(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := refMarshalTree(tr)
+		back, err := UnmarshalBinary(capture)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: MarshalBinary differs from reference encoder", trial)
+		for _, version := range []uint8{WireV2, WireV3} {
+			got, err := back.MarshalBinaryV(version)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tr.MarshalBinaryV(version)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("trial %d: v1 capture re-encodes differently at v%d", trial, version)
+			}
 		}
 	}
 }
@@ -181,13 +205,13 @@ func TestCodecRoundTrip(t *testing.T) {
 	c := NewCodec()
 	for trial := 0; trial < 10; trial++ {
 		tr := multiStackTree(rng, 1+rng.Intn(60))
-		wire, err := tr.MarshalBinary()
+		wire, err := tr.MarshalBinaryV(WireV2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The append-into-buffer encode must be byte-identical to
 		// MarshalBinary.
-		enc, err := tr.AppendBinary(nil)
+		enc, err := tr.AppendBinaryV(nil, WireV2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +219,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: AppendBinary differs from MarshalBinary", trial)
 		}
 		// Codec decode must equal the package-level decode.
-		got, err := c.DecodeTree(wire)
+		got, err := Decode(wire, DecodeOpts{Codec: c})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,13 +249,13 @@ func TestCodecOverlappingTrees(t *testing.T) {
 	c := NewCodec()
 	a := multiStackTree(rng, 30)
 	b := multiStackTree(rng, 17)
-	wa, _ := a.MarshalBinary()
-	wb, _ := b.MarshalBinary()
-	da, err := c.DecodeTree(wa)
+	wa, _ := a.MarshalBinaryV(WireV2)
+	wb, _ := b.MarshalBinaryV(WireV2)
+	da, err := Decode(wa, DecodeOpts{Codec: c})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := c.DecodeTree(wb)
+	db, err := Decode(wb, DecodeOpts{Codec: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +275,7 @@ func TestCodecOverlappingTrees(t *testing.T) {
 
 func TestCodecDecodeErrorsMatchPackage(t *testing.T) {
 	tr := multiStackTree(rand.New(rand.NewSource(59)), 20)
-	wire, _ := tr.MarshalBinary()
+	wire, _ := tr.MarshalBinaryV(WireV2)
 	bad := [][]byte{
 		nil,
 		wire[:3],
@@ -265,7 +289,7 @@ func TestCodecDecodeErrorsMatchPackage(t *testing.T) {
 	c := NewCodec()
 	for i, b := range bad {
 		_, pkgErr := UnmarshalBinary(b)
-		_, codecErr := c.DecodeTree(b)
+		_, codecErr := Decode(b, DecodeOpts{Codec: c})
 		if (pkgErr == nil) != (codecErr == nil) {
 			t.Errorf("input %d: package err %v, codec err %v", i, pkgErr, codecErr)
 		}
@@ -284,13 +308,13 @@ func TestCodecSteadyStateDecodeAllocs(t *testing.T) {
 	// the handful the decoder cannot avoid (the tree header and decoder
 	// state); the per-label and per-name allocations must be gone.
 	tr := multiStackTree(rand.New(rand.NewSource(67)), 64)
-	wire, err := tr.MarshalBinary()
+	wire, err := tr.MarshalBinaryV(WireV2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewCodec()
 	for i := 0; i < 3; i++ { // warm arena, intern table and node pool
-		d, err := c.DecodeTree(wire)
+		d, err := Decode(wire, DecodeOpts{Codec: c})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +322,7 @@ func TestCodecSteadyStateDecodeAllocs(t *testing.T) {
 	}
 	nodes := tr.NodeCount() + 1
 	n := testing.AllocsPerRun(50, func() {
-		d, err := c.DecodeTree(wire)
+		d, err := Decode(wire, DecodeOpts{Codec: c})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,9 +341,9 @@ func TestTreeAppendBinaryAllocs(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	tr := multiStackTree(rand.New(rand.NewSource(71)), 64)
-	buf := make([]byte, 0, tr.SerializedSize())
+	buf := make([]byte, 0, tr.SerializedSizeV(WireV2))
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := tr.AppendBinary(buf[:0]); err != nil {
+		if _, err := tr.AppendBinaryV(buf[:0], WireV2); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 2 {
@@ -341,5 +365,34 @@ func TestInternTableCap(t *testing.T) {
 	}
 	if len(tbl.m) > internLimit {
 		t.Fatalf("intern table grew to %d entries, cap %d", len(tbl.m), internLimit)
+	}
+}
+
+// TestDecodeOptsMisuse: option combinations Decode excludes are errors,
+// never a guess — a Pin needs a Codec to retain it, and a remapped tree
+// owns its storage, so Remap takes no Codec.
+func TestDecodeOptsMisuse(t *testing.T) {
+	tr := multiStackTree(rand.New(rand.NewSource(73)), 8)
+	wire, err := tr.MarshalBinaryV(WireV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := bitvec.NewRemapper([]int{7, 6, 5, 4, 3, 2, 1, 0}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pin countingPin
+	c := NewCodec()
+	for name, o := range map[string]DecodeOpts{
+		"pin without codec": {Pin: &pin},
+		"remap with codec":  {Codec: c, Remap: r},
+		"all three":         {Codec: c, Pin: &pin, Remap: r},
+	} {
+		if _, err := Decode(wire, o); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if c.Live() != 0 || pin.retains != 0 {
+		t.Errorf("refused decodes left state behind: Live %d, retains %d", c.Live(), pin.retains)
 	}
 }

@@ -17,32 +17,11 @@ import (
 // merge concatenates XOR labels with the same MergeConcat kernel, and the
 // encode/decode paths reuse the label3 container machinery so a sparse
 // change set travels as a run or array container a few bytes long.
-
-// UnmarshalDelta decodes a delta frame encoded by AppendBinaryDeltaV.
-// The returned tree owns its storage outright (labels in a private arena,
-// like UnmarshalBinary); its labels are XOR sets, meaningful only to
-// ApplyDelta and the delta merges. Whole-tree magics are rejected.
-func UnmarshalDelta(b []byte) (*Tree, error) {
-	names := internPool.Get().(*internTable)
-	var arena bitvec.Arena
-	t, _, err := decodeTree(b, names, &arena, &nodeBatch{}, nil, false, nil, true)
-	internPool.Put(names)
-	return t, err
-}
-
-// UnmarshalDeltaRemapped decodes a delta frame with the front-end rank
-// remap fused into the decode, exactly like UnmarshalBinaryRemapped. XOR
-// is linear, so remapping a delta's labels and then folding equals
-// folding in concat order and remapping the result — which is why the
-// front end can fold remapped deltas straight into its rank-ordered live
-// tree without ever materializing the concat-ordered intermediate.
-func UnmarshalDeltaRemapped(b []byte, r *bitvec.Remapper) (*Tree, error) {
-	names := internPool.Get().(*internTable)
-	var arena bitvec.Arena
-	t, _, err := decodeTree(b, names, &arena, &nodeBatch{}, nil, false, r, true)
-	internPool.Put(names)
-	return t, err
-}
+// Decode with DecodeOpts.Delta reads a frame; with Remap as well, the
+// front end's rank remap is fused in — XOR is linear, so remapping a
+// delta's labels and then folding equals folding in concat order and
+// remapping the result, which is why the front end folds remapped deltas
+// straight into its rank-ordered live tree.
 
 // ApplyDelta folds a delta frame into the live tree in place:
 //

@@ -2,8 +2,10 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
+	"stat/internal/bitvec"
 	"stat/internal/trace"
 )
 
@@ -22,7 +24,7 @@ func corpusTree() *trace.Tree {
 // the identical byte string (each decoder admits only canonical
 // encodings of its version).
 func FuzzUnmarshalBinary(f *testing.F) {
-	valid, err := corpusTree().MarshalBinary()
+	valid, err := trace.MarshalAny(corpusTree(), trace.WireV1)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -82,6 +84,7 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	f.Add(dirtyKindPad)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		tr, err := trace.UnmarshalBinary(b)
+		checkDecodeModes(t, b, false, tr, err)
 		if err != nil {
 			return
 		}
@@ -89,14 +92,14 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted input has no sniffable version: %v", err)
 		}
-		enc, err := tr.MarshalBinaryV(version)
+		enc, err := trace.MarshalAny(tr, version)
 		if err != nil {
 			t.Fatalf("decoded tree failed to re-marshal: %v", err)
 		}
 		if !bytes.Equal(enc, b) {
 			t.Fatalf("decode/encode not canonical (v%d):\nin  %x\nout %x", version, b, enc)
 		}
-		if got := tr.SerializedSizeV(version); got != len(enc) {
+		if got := tr.SerializedSizeV(version); version >= trace.WireV2 && got != len(enc) {
 			t.Fatalf("SerializedSizeV(%d) %d != encoded %d", version, got, len(enc))
 		}
 	})
@@ -126,7 +129,7 @@ func FuzzTreeRoundTrip(f *testing.F) {
 			}
 			tr.AddStack(task, stack...)
 		}
-		enc, err := tr.MarshalBinary()
+		enc, err := tr.MarshalBinaryV(trace.WireV2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,6 +152,60 @@ type countPin struct{ n int }
 func (p *countPin) Retain()  { p.n++ }
 func (p *countPin) Release() { p.n-- }
 
+// maxRemapFuzzWidth bounds the identity permutation the fuzzers compile:
+// a v3 run label describes a 2^32-task width in a few bytes, and the
+// permutation costs a word per task.
+const maxRemapFuzzWidth = 1 << 16
+
+// checkDecodeModes asserts that the codec, aliasing (pinned) and
+// identity-remap Decode modes agree with the copying decode — want and
+// err — on acceptance and on the decoded tree, and that the aliasing
+// decode's pin is balanced once its tree is released.
+func checkDecodeModes(t *testing.T, b []byte, delta bool, want *trace.Tree, err error) {
+	t.Helper()
+	codec := trace.NewCodec()
+	pin := &countPin{}
+	modes := []struct {
+		name string
+		o    trace.DecodeOpts
+	}{
+		{"codec", trace.DecodeOpts{Codec: codec, Delta: delta}},
+		{"alias", trace.DecodeOpts{Codec: codec, Pin: pin, Delta: delta}},
+	}
+	if len(b) >= 8 {
+		if w := int(binary.LittleEndian.Uint32(b[4:8])); w <= maxRemapFuzzWidth {
+			perm := make([]int, w)
+			for i := range perm {
+				perm[i] = i
+			}
+			r, rerr := bitvec.NewRemapper(perm, w)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			modes = append(modes, struct {
+				name string
+				o    trace.DecodeOpts
+			}{"identity remap", trace.DecodeOpts{Remap: r, Delta: delta}})
+		}
+	}
+	for _, m := range modes {
+		got, gerr := trace.Decode(b, m.o)
+		if (gerr == nil) != (err == nil) {
+			t.Fatalf("%s decode disagrees with the copying decode: %v vs %v", m.name, gerr, err)
+		}
+		if gerr != nil {
+			continue
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s decode differs from the copying decode", m.name)
+		}
+		got.Release()
+	}
+	if pin.n != 0 {
+		t.Fatalf("aliasing decode leaked %d pin retains after release", pin.n)
+	}
+}
+
 // deltaCorpusFrame encodes a representative delta frame: one changed
 // subtree plus untouched siblings elided, root carried with an empty XOR.
 func deltaCorpusFrame(f *testing.F, version uint8) []byte {
@@ -163,9 +220,9 @@ func deltaCorpusFrame(f *testing.F, version uint8) []byte {
 }
 
 // FuzzDeltaDecode feeds arbitrary bytes to the delta-frame decoder: it
-// must never panic; the copying (UnmarshalDelta), pooled-codec
-// (DecodeDelta) and aliasing (DecodeDeltaAliasing) decoders must agree on
-// accept/reject and on the decoded tree; and anything accepted must
+// must never panic; the copying, codec, aliasing and identity-remap
+// Decode modes must agree on accept/reject and on the decoded tree; and
+// anything accepted must
 // re-marshal, under the version it was encoded in, to the identical byte
 // string — each decoder admits only canonical delta encodings, including
 // the delta-specific rule that a non-root node with an empty XOR label
@@ -197,22 +254,10 @@ func FuzzDeltaDecode(f *testing.F) {
 	corrupt[9] ^= 0x40 // flip a width bit
 	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		d, err := trace.UnmarshalDelta(b)
-		codec := trace.NewCodec()
-		cd, cerr := codec.DecodeDelta(b)
-		pin := &countPin{}
-		ad, aerr := codec.DecodeDeltaAliasing(b, pin)
+		d, err := trace.Decode(b, trace.DecodeOpts{Delta: true})
+		checkDecodeModes(t, b, true, d, err)
 		if err != nil {
-			if cerr == nil || aerr == nil {
-				t.Fatalf("decoders disagree on rejection: copy=%v codec=%v alias=%v", err, cerr, aerr)
-			}
 			return
-		}
-		if cerr != nil || aerr != nil {
-			t.Fatalf("decoders disagree on acceptance: codec=%v alias=%v", cerr, aerr)
-		}
-		if !d.Equal(cd) || !d.Equal(ad) {
-			t.Fatal("decoders disagree on the decoded delta frame")
 		}
 		version, isDelta, err := trace.SniffFrame(b)
 		if err != nil || !isDelta {
@@ -228,11 +273,6 @@ func FuzzDeltaDecode(f *testing.F) {
 		// Whole-tree decoders must reject the frame kind symmetrically.
 		if _, err := trace.UnmarshalBinary(b); err == nil {
 			t.Fatal("whole-tree decoder accepted a delta frame")
-		}
-		cd.Release()
-		ad.Release()
-		if pin.n != 0 {
-			t.Fatalf("aliasing decode leaked %d pin retains after release", pin.n)
 		}
 	})
 }

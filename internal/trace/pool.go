@@ -15,7 +15,7 @@ import (
 // steady-state filter reuses child slices instead of regrowing them.
 // Codec-owned trees bypass this pool entirely: their nodes cycle through
 // the codec's single-goroutine free list (filled by Release, drained by
-// DecodeTree and MergeConcat), so the filter hot path pays no per-node
+// codec decodes and MergeConcat), so the filter hot path pays no per-node
 // synchronization at all; the shared pool is the overflow and the home of
 // every tree built outside a codec.
 var nodePool = sync.Pool{New: func() any { return new(Node) }}
@@ -77,7 +77,7 @@ func (b *nodeBatch) get(frame Frame, tasks bitvec.Label) *Node {
 //
 // A tree decoded by a Codec additionally returns its borrowed label
 // storage to the codec's arena, and a tree decoded with
-// DecodeTreeAliasing drops its pin on the leased wire buffer (see the
+// a Pin drops its pin on the leased wire buffer (see the
 // Codec lifecycle notes); releasing such a tree on a goroutine other than
 // the codec's is a data race.
 func (t *Tree) Release() {

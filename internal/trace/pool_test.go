@@ -51,7 +51,7 @@ func TestReleaseConcurrent(t *testing.T) {
 				tr := NewTree(16)
 				tr.AddStack(w, "main", "f", "g")
 				tr.AddStack((w+i)%16, "main", "h")
-				enc, err := tr.MarshalBinary()
+				enc, err := tr.MarshalBinaryV(WireV2)
 				if err != nil {
 					t.Error(err)
 					return
@@ -98,13 +98,13 @@ func TestDoubleReleasePanics(t *testing.T) {
 func TestCodecDoubleReleasePanics(t *testing.T) {
 	src := NewTree(4)
 	src.AddStack(2, "main", "g")
-	enc, err := src.MarshalBinary()
+	enc, err := src.MarshalBinaryV(WireV2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	src.Release()
 	c := NewCodec()
-	tr, err := c.DecodeTree(enc)
+	tr, err := Decode(enc, DecodeOpts{Codec: c})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,14 @@ import (
 
 // # Wire format specification
 //
-// Three tree wire formats exist, distinguished by magic and negotiated per
-// stream by the protocol layer (see package proto). All integers are
-// little endian; in v1 and v2 a label is a bitvec binary value (u32 width,
-// u32 word count, words).
+// Three tree wire formats exist, distinguished by magic. v2 and v3 are
+// written and negotiated per stream by the protocol layer (see package
+// proto); v1 is read-only — earlier builds wrote it, and Decode still
+// opens saved v1 captures, but nothing encodes it any more. All integers
+// are little endian; in v1 and v2 a label is a bitvec binary value (u32
+// width, u32 word count, words).
 //
-// Version 1, magic "STR1" — the compact original layout:
+// Version 1, magic "STR1" — the compact original layout (decode only):
 //
 //	tree := magic "STR1" (4 bytes), u32 numTasks, node
 //	node := u16 nameLen, name, label, u32 childCount, node*
@@ -35,8 +37,8 @@ import (
 // whole words) is a multiple of 8, so by induction every node — and in
 // particular every label's word area — begins at an offset that is a
 // multiple of 8 from the tree start. When the enclosing framing places the
-// tree start 8-aligned in memory (the v2 packet and tree-list framings
-// do), every label word lands word-aligned and the zero-copy decode
+// tree start 8-aligned in memory (the packet and tree-list framings do),
+// every label word lands word-aligned and the zero-copy decode
 // aliases 100% of labels instead of the ~1/8 that happen to align under
 // v1. The price is the padding: at BG/L widths labels dwarf names, so the
 // overhead is a few percent of wire size.
@@ -112,9 +114,7 @@ import (
 // only to route the path to changed descendants); an empty-XOR leaf
 // contributes nothing and is rejected. The root is exempt — a root-only
 // frame with an empty label is the canonical "nothing changed" frame.
-// There is no v1 delta format: delta frames exist only on streams
-// negotiated to v2 or higher, and v1 sessions fall back to whole-tree
-// rounds (the min-merge downgrade).
+// There is no v1 delta format.
 //
 // The format is deliberately explicit about label width: in the original
 // representation every label is full-job width, so the encoded size of a
@@ -126,7 +126,8 @@ import (
 // packet headers (proto.Version / proto.MaxVersion): a stream negotiated
 // to version v carries trees in tree wire format v.
 const (
-	// WireV1 is the compact v1 layout (magic "STR1").
+	// WireV1 is the compact v1 layout (magic "STR1"), decoded for saved
+	// captures and never encoded.
 	WireV1 uint8 = 1
 	// WireV2 is the 8-aligned layout (magic "STR2") whose labels always
 	// land word-aligned for the zero-copy decode.
@@ -137,6 +138,7 @@ const (
 	// instead of the task-space width.
 	WireV3 uint8 = 3
 	// MaxWireVersion is the newest format this build encodes and decodes.
+	// Encoders accept WireV2..MaxWireVersion.
 	MaxWireVersion = WireV3
 )
 
@@ -145,15 +147,14 @@ var (
 	magicV2 = [4]byte{'S', 'T', 'R', '2'}
 	magicV3 = [4]byte{'S', 'T', 'R', '3'}
 	// Delta-frame magics: the same-numbered layout carrying XOR labels
-	// (see the delta-frame section of the wire spec above). No v1 delta
-	// exists — v1 streams fall back to whole-tree rounds.
+	// (see the delta-frame section of the wire spec above).
 	magicD2 = [4]byte{'S', 'T', 'D', '2'}
 	magicD3 = [4]byte{'S', 'T', 'D', '3'}
 )
 
 // SniffWireVersion reports which wire format b begins with, from the
-// magic alone. It is how version-dispatched decoders (UnmarshalBinary,
-// the codec decodes, core's tree-list framing) pick a layout. Delta
+// magic alone. It is how version-dispatched decoders (Decode, core's
+// tree-list framing) pick a layout. Delta
 // frames are rejected here: a consumer expecting a whole tree must not
 // silently accept XOR labels (use SniffFrame to admit both).
 func SniffWireVersion(b []byte) (uint8, error) {
@@ -199,48 +200,25 @@ var errBadMagic = fmt.Errorf("trace: bad magic (this build speaks v%d..v%d)", Wi
 // boundary.
 func pad8(n int) int { return -n & 7 }
 
-// SerializedSize reports the exact size of MarshalBinary's output without
-// allocating it (the v1 encoding; use SerializedSizeV for a specific
-// version).
-func (t *Tree) SerializedSize() int { return t.SerializedSizeV(WireV1) }
-
 // SerializedSizeV reports the exact encoded size under the given wire
-// version without allocating it.
+// version (WireV2 or WireV3) without allocating it.
 func (t *Tree) SerializedSizeV(version uint8) int {
 	size := 4 + 4
-	switch version {
-	case WireV3:
-		t.walk(func(n *Node, _ int) {
-			name := 2 + len(n.Frame.Function)
-			size += name + pad8(name) + bitvec.Label3Size(n.Tasks) + 8
-		})
-	case WireV2:
-		t.walk(func(n *Node, _ int) {
-			name := 2 + len(n.Frame.Function)
-			size += name + pad8(name) + n.Tasks.SerializedSize() + 8
-		})
-	default:
-		t.walk(func(n *Node, _ int) {
-			size += 2 + len(n.Frame.Function) + n.Tasks.SerializedSize() + 4
-		})
-	}
+	t.walk(func(n *Node, _ int) {
+		name := 2 + len(n.Frame.Function)
+		size += name + pad8(name) + 8
+		if version == WireV3 {
+			size += bitvec.Label3Size(n.Tasks)
+		} else {
+			size += n.Tasks.SerializedSize()
+		}
+	})
 	return size
-}
-
-// MarshalBinary encodes the tree in the v1 wire format.
-func (t *Tree) MarshalBinary() ([]byte, error) {
-	return t.AppendBinaryV(make([]byte, 0, t.SerializedSizeV(WireV1)), WireV1)
 }
 
 // MarshalBinaryV encodes the tree in the requested wire format version.
 func (t *Tree) MarshalBinaryV(version uint8) ([]byte, error) {
 	return t.AppendBinaryV(make([]byte, 0, t.SerializedSizeV(version)), version)
-}
-
-// AppendBinary appends the v1 wire encoding to dst in place and returns
-// the result; see AppendBinaryV.
-func (t *Tree) AppendBinary(dst []byte) ([]byte, error) {
-	return t.AppendBinaryV(dst, WireV1)
 }
 
 // AppendBinaryV appends the wire encoding under the given version to dst
@@ -255,17 +233,14 @@ func (t *Tree) AppendBinaryV(dst []byte, version uint8) ([]byte, error) {
 // AppendBinaryDeltaV appends the delta-frame encoding ("STD2"/"STD3") of
 // the tree to dst: the identical byte layout under the delta magic, for a
 // tree whose labels are round-over-round XOR sets (see the delta-frame
-// wire spec). Delta frames exist only for v2 and newer.
+// wire spec).
 func (t *Tree) AppendBinaryDeltaV(dst []byte, version uint8) ([]byte, error) {
-	if version < WireV2 {
-		return nil, fmt.Errorf("trace: no delta frame format for wire version %d (v%d..v%d)", version, WireV2, MaxWireVersion)
-	}
 	return t.appendBinary(dst, version, true)
 }
 
 func (t *Tree) appendBinary(dst []byte, version uint8, delta bool) ([]byte, error) {
-	if version < WireV1 || version > MaxWireVersion {
-		return nil, fmt.Errorf("trace: unknown wire version %d (this build speaks v%d..v%d)", version, WireV1, MaxWireVersion)
+	if version < WireV2 || version > MaxWireVersion {
+		return nil, fmt.Errorf("trace: cannot encode wire version %d (this build encodes v%d..v%d)", version, WireV2, MaxWireVersion)
 	}
 	base := len(dst)
 	need := t.SerializedSizeV(version)
@@ -286,10 +261,8 @@ func (t *Tree) appendBinary(dst []byte, version uint8, delta bool) ([]byte, erro
 		o += copy(dst[o:], magicD2[:])
 	case version == WireV3:
 		o += copy(dst[o:], magicV3[:])
-	case version == WireV2:
-		o += copy(dst[o:], magicV2[:])
 	default:
-		o += copy(dst[o:], magicV1[:])
+		o += copy(dst[o:], magicV2[:])
 	}
 	binary.LittleEndian.PutUint32(dst[o:], uint32(t.NumTasks))
 	o += 4
@@ -302,13 +275,11 @@ func (t *Tree) appendBinary(dst []byte, version uint8, delta bool) ([]byte, erro
 		binary.LittleEndian.PutUint16(dst[o:], uint16(len(name)))
 		o += 2
 		o += copy(dst[o:], name)
-		if version >= WireV2 {
-			// Offsets are tracked relative to dst's base; the pad depends
-			// only on o-base mod 8, and base is 0 mod 8 relative to itself.
-			for p := pad8(o - base); p > 0; p-- {
-				dst[o] = 0
-				o++
-			}
+		// Offsets are tracked relative to dst's base; the pad depends
+		// only on o-base mod 8, and base is 0 mod 8 relative to itself.
+		for p := pad8(o - base); p > 0; p-- {
+			dst[o] = 0
+			o++
 		}
 		if version == WireV3 {
 			o += bitvec.PutLabel3(dst[o:], n.Tasks)
@@ -316,11 +287,8 @@ func (t *Tree) appendBinary(dst []byte, version uint8, delta bool) ([]byte, erro
 			o += n.Tasks.PutBinary(dst[o:])
 		}
 		binary.LittleEndian.PutUint32(dst[o:], uint32(len(n.Children)))
-		o += 4
-		if version >= WireV2 {
-			binary.LittleEndian.PutUint32(dst[o:], 0)
-			o += 4
-		}
+		binary.LittleEndian.PutUint32(dst[o+4:], 0)
+		o += 8
 		for _, c := range n.Children {
 			if err := rec(c); err != nil {
 				return err
@@ -334,42 +302,73 @@ func (t *Tree) appendBinary(dst []byte, version uint8, delta bool) ([]byte, erro
 	return dst, nil
 }
 
-// internPool recycles function-name intern tables across package-level
-// UnmarshalBinary calls, so repeated decodes of trees sharing a function
+// internPool recycles function-name intern tables across codec-less
+// decodes, so repeated decodes of trees sharing a function
 // namespace (every gather of the same application) stop allocating name
 // strings after the first. Tables are used exclusively by one decode at a
 // time; the strings they hand out are immutable and safely shared.
 var internPool = sync.Pool{New: func() any { t := newInternTable(); return &t }}
 
-// UnmarshalBinary decodes a tree encoded by MarshalBinary or
-// MarshalBinaryV, dispatching on the wire magic — both v1 and v2
-// encodings are accepted. Labels are decoded into a fresh arena owned by
-// the returned tree, and function names are interned across calls. For the
-// filter hot path, which decodes and releases trees at steady state, use
-// Codec.DecodeTree instead: it also recycles the label arena.
-func UnmarshalBinary(b []byte) (*Tree, error) {
+// DecodeOpts selects how Decode materializes a tree. The zero value
+// decodes a whole tree into storage the result owns outright.
+type DecodeOpts struct {
+	// Codec, when set, supplies the labels' arena, the nodes and the tree
+	// header: the result borrows the codec until it is released (see the
+	// Codec lifecycle notes). This is the filter hot path's decode.
+	Codec *Codec
+	// Pin, when set, makes the decode zero-copy: labels whose wire bytes
+	// land 8-byte aligned on a little-endian host view b instead of being
+	// copied, and the codec retains Pin once for the tree, releasing it
+	// from Tree.Release, so b outlives every label that views it. The
+	// caller must keep b immutable until then (a tbon.Lease payload is).
+	// The result is read-only: it may be merged by MergeConcat, encoded,
+	// or passed as the source of MergeUnion/MergeXor, never mutated.
+	// Requires Codec.
+	Pin Pin
+	// Remap, when set, fuses the front end's rank permutation into the
+	// decode: every label scatters through it as it is materialized from
+	// the wire, so the result spans Remap.Width() tasks in rank order with
+	// no second pass over the tree. The wire tree's width must equal
+	// Remap.SourceLen(). A remapped tree is a long-lived result, so it
+	// owns its storage: Remap excludes Codec.
+	Remap *bitvec.Remapper
+	// Delta expects a delta frame ("STD2"/"STD3") instead of a whole
+	// tree; each kind rejects the other's magic. The result's labels are
+	// XOR sets, meaningful only to ApplyDelta and the delta merges.
+	Delta bool
+}
+
+var (
+	errPinWithoutCodec = errors.New("trace: Decode with a Pin requires a Codec")
+	errCodecAndRemap   = errors.New("trace: Decode with a Remap owns its result and takes no Codec")
+)
+
+// Decode decodes a tree or delta frame, dispatching on the wire magic, so
+// v1 captures, v2 and v3 encodings all open. Options combine as
+// documented on DecodeOpts; a combination the options exclude is an
+// error, never a guess. Without a codec, function names are interned
+// through a package pool of intern tables, so repeated decodes of one
+// function namespace stop allocating name strings after the first.
+func Decode(b []byte, o DecodeOpts) (*Tree, error) {
+	if o.Codec != nil {
+		if o.Remap != nil {
+			return nil, errCodecAndRemap
+		}
+		return o.Codec.decode(b, o.Pin, o.Delta)
+	}
+	if o.Pin != nil {
+		return nil, errPinWithoutCodec
+	}
 	names := internPool.Get().(*internTable)
 	var arena bitvec.Arena
-	t, _, err := decodeTree(b, names, &arena, &nodeBatch{}, nil, false, nil, false)
+	t, _, err := decodeTree(b, names, &arena, &nodeBatch{}, nil, false, o.Remap, o.Delta)
 	internPool.Put(names)
 	return t, err
 }
 
-// UnmarshalBinaryRemapped decodes like UnmarshalBinary but fuses the
-// front-end remap into the decode: every label is pushed through the
-// compiled permutation as it is materialized from the wire — one pass over
-// each wire word, no second scattered-store sweep over a decoded tree.
-// The wire tree's task width must equal r.SourceLen(); the returned tree
-// spans r.Width() tasks. This is the hierarchical front end's final
-// decode; Tree.RemapWith remains the fallback for trees already decoded
-// by copying.
-func UnmarshalBinaryRemapped(b []byte, r *bitvec.Remapper) (*Tree, error) {
-	names := internPool.Get().(*internTable)
-	var arena bitvec.Arena
-	t, _, err := decodeTree(b, names, &arena, &nodeBatch{}, nil, false, r, false)
-	internPool.Put(names)
-	return t, err
-}
+// UnmarshalBinary decodes a whole tree into storage it owns outright:
+// Decode with the zero DecodeOpts.
+func UnmarshalBinary(b []byte) (*Tree, error) { return Decode(b, DecodeOpts{}) }
 
 // maxDecodeDepth bounds the recursion of decodeTree. Go grows goroutine
 // stacks on demand, so deep recursion is a resource concern rather than a
@@ -380,8 +379,7 @@ func UnmarshalBinaryRemapped(b []byte, r *bitvec.Remapper) (*Tree, error) {
 // pure nesting.
 const maxDecodeDepth = 1 << 16
 
-// treeDecoder is the shared recursive decoder behind UnmarshalBinary and
-// the Codec decodes: names are interned through names, label headers and
+// treeDecoder is the recursive decoder behind Decode: names are interned through names, label headers and
 // words are carved from arena (or alias the input in aliasing mode, or
 // scatter through remap in fused-remap mode), and nodes come from the
 // codec free list, then batch, then the shared node pool. A struct with a

