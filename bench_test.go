@@ -711,6 +711,33 @@ func BenchmarkLabelV3(b *testing.B) {
 				}
 			}
 		})
+
+		if w.width != 1<<20 {
+			continue
+		}
+		// The permutation the front end really remaps a million-task
+		// round through: machine.TaskMap's per-daemon rank lists
+		// concatenated, 8,192 daemons of 128 ranks dealt round-robin. It
+		// has no slope-1 stretch at all (the rotation above is one long
+		// stretch), so only its block period keeps the run remap off
+		// per-bit stores.
+		var tmPerm []int
+		for _, ranks := range machine.BGL().TaskMap(width, 8192) {
+			tmPerm = append(tmPerm, ranks...)
+		}
+		taskMap, err := bitvec.NewRemapper(tmPerm, width)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("remap/run_1M_taskmap", func(b *testing.B) {
+			b.SetBytes(int64(len(runWire)))
+			for i := 0; i < b.N; i++ {
+				arena.Reset()
+				if _, _, err := arena.RemapLabel3(runWire, taskMap); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -606,8 +606,12 @@ func run() error {
 			pcRate = 1 - float64(ss.PCCacheMisses)/float64(ss.PCsResolved)
 		}
 		fmt.Printf("\nsampling engine: %d stacks walked, %.3f resolver calls per stack "+
-			"(%d PCs resolved, %.1f%% cache hits)\n",
+			"(%d PCs resolved, %.1f%% cache hits)",
 			ss.SampledStacks, float64(ss.PCsResolved)/float64(ss.SampledStacks), ss.PCsResolved, 100*pcRate)
+		if ss.SlotWaitNanos > 0 {
+			fmt.Printf(", %.3fms blocked on walk slots", float64(ss.SlotWaitNanos)/1e6)
+		}
+		fmt.Println()
 		if ss.Snapshots > 0 {
 			fmt.Printf("snapshot overlap: %d snapshots sealed, %d torn-read retries, "+
 				"%d walks prefetched, %.3fms walk time hidden\n",

@@ -91,3 +91,53 @@ func FuzzLabel3Decode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRemapLabel3 remaps an arbitrary population through core's rank
+// permutation shape — D daemons dealt ranks round-robin, the per-daemon
+// lists concatenated, so perm[d·B+k] = d + k·D on an even map — and the
+// fused decode of its canonical v3 encoding must equal Apply. pop spells
+// the population as (gap, run length) byte pairs; extra%D > 0 makes the
+// map uneven, which has no block period.
+func FuzzRemapLabel3(f *testing.F) {
+	f.Add(uint8(7), uint8(16), uint8(0), []byte{0, 200})
+	f.Add(uint8(7), uint8(16), uint8(3), []byte{5, 40, 3, 90})
+	f.Add(uint8(1), uint8(100), uint8(0), []byte{10, 30})
+	f.Add(uint8(64), uint8(2), uint8(0), []byte{1, 1, 1, 1, 1, 1})
+	f.Add(uint8(33), uint8(9), uint8(0), []byte{0, 255, 0, 255})
+	f.Fuzz(func(t *testing.T, daemons, perDaemon, extra uint8, pop []byte) {
+		d := 1 + int(daemons)%64
+		tasks := d*(1+int(perDaemon)%64) + int(extra)%d
+		perm := make([]int, 0, tasks)
+		for dm := 0; dm < d; dm++ {
+			for r := dm; r < tasks; r += d {
+				perm = append(perm, r)
+			}
+		}
+		r, err := bitvec.NewRemapper(perm, tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := bitvec.New(tasks)
+		for i, at := 0, 0; i+1 < len(pop) && at < tasks; i += 2 {
+			at += int(pop[i])
+			for n := int(pop[i+1]); n > 0 && at < tasks; n-- {
+				v.Set(at)
+				at++
+			}
+		}
+		want, err := r.Apply(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]byte, bitvec.Label3Size(v))
+		bitvec.PutLabel3(b, v)
+		var a bitvec.Arena
+		got, used, err := a.RemapLabel3(b, r)
+		if err != nil || used != len(b) {
+			t.Fatalf("RemapLabel3: used %d of %d, err %v", used, len(b), err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%d tasks on %d daemons: remap-fused decode differs from Apply", tasks, d)
+		}
+	})
+}

@@ -508,8 +508,9 @@ func countWords(words []uint64, width int) (card, runs int, err error) {
 // decoded population scatters straight through the compiled permutation
 // into a dense rank-order vector. Run containers remap as interval
 // arithmetic — each extent routes through Remapper.scatterRange, which
-// word-fills the maximal order-preserving stretches of the permutation —
-// never per-bit unless the permutation forces it.
+// word-fills whole blocks of a block-periodic (round-robin) permutation
+// and the maximal order-preserving stretches of any other — never per-bit
+// unless the permutation forces it.
 func (a *Arena) RemapLabel3(b []byte, r *Remapper) (*Vector, int, error) {
 	width, kind, count, need, err := parseLabel3Header(b)
 	if err != nil {

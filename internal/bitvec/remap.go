@@ -25,12 +25,21 @@ import (
 //     scatter straight to their remapped targets. One pass over the wire,
 //     no intermediate vector, no second scattered-store sweep.
 //
+// The run-container decode (Arena.RemapLabel3) remaps each extent by
+// interval arithmetic (scatterRange): through the permutation's block
+// period when it has one — the round-robin task maps core builds, where
+// no two neighbouring sources land next to each other — and through its
+// slope-1 stretches otherwise.
+//
 // A Remapper keeps a reference to perm rather than copying it; the caller
 // must not mutate perm while the Remapper is in use. A Remapper is
 // read-only after construction and safe for concurrent Apply calls.
 type Remapper struct {
 	perm  []int
 	width int
+	// period is the permutation's block period B (see blockPeriod), or 0
+	// when it has none.
+	period int
 }
 
 // NewRemapper compiles and validates a permutation. perm maps source bit i
@@ -50,7 +59,36 @@ func NewRemapper(perm []int, width int) (*Remapper, error) {
 		}
 		seen.Set(target)
 	}
-	return &Remapper{perm: perm, width: width}, nil
+	return &Remapper{perm: perm, width: width, period: blockPeriod(perm)}, nil
+}
+
+// blockPeriod returns the smallest B > 0 with perm[s+B] == perm[s]+1 for
+// every s < len(perm)-B, or 0 when no such B exists. Such a permutation
+// maps source j·B+k to perm[k]+j: it deals sources round-robin in blocks
+// of B, which is the shape core's rank permutation takes when every
+// daemon serves B ranks of a round-robin task map (daemon d's k-th rank is
+// d + k·D). The candidate is the one index holding perm[0]+1, so the
+// search and its check are one O(len(perm)) pass each.
+func blockPeriod(perm []int) int {
+	if len(perm) < 2 {
+		return 0
+	}
+	b := 0
+	for i := 1; i < len(perm); i++ {
+		if perm[i] == perm[0]+1 {
+			b = i
+			break
+		}
+	}
+	if b == 0 {
+		return 0
+	}
+	for s, p := range perm[:len(perm)-b] {
+		if perm[s+b] != p+1 {
+			return 0
+		}
+	}
+	return b
 }
 
 // Width reports the target task-space width.
@@ -146,19 +184,40 @@ func (r *Remapper) scatterWire(dst []uint64, body []byte, n, nw int) error {
 
 // scatterRange pushes the source run [start, start+count) through the
 // permutation into dst, a pre-zeroed word slice of width r.width bits.
-// This is the interval-arithmetic remap of the v3 run container: the
-// kernel detects the maximal stretches where the permutation is
-// order-preserving with slope 1 (perm[j+1] == perm[j]+1) and word-fills
-// each stretch's image as one range, degrading to single-bit stores only
-// where the permutation genuinely shuffles. For the identity and other
-// block-structured permutations a whole extent remaps in O(extent/64)
-// word fills; for a fully interleaving permutation (round-robin task
-// maps with more than one daemon) it degrades gracefully to the same
-// per-bit cost as the dense scatter — never worse. The caller has
-// validated the extent against the source width.
+// This is the interval-arithmetic remap of the v3 run container. When the
+// permutation has a block period B (blockPeriod), source j·B+k lands on
+// perm[k]+j, so the extent's whole blocks [j0, j1) remap as B word fills
+// of j1-j0 bits each — one per block offset k, starting at perm[j0·B+k] —
+// and only the partial head and tail blocks store bit by bit. A
+// round-robin task map over D daemons of B ranks each therefore remaps a
+// run of the whole job in B fills of D bits. Without a period, the kernel
+// word-fills the maximal stretches where the permutation is
+// order-preserving with slope 1 (perm[j+1] == perm[j]+1), degrading to
+// single-bit stores only where the permutation genuinely shuffles
+// (uneven round-robin maps, survivor maps, random shuffles) — never worse
+// than the dense scatter. The caller has validated the extent against
+// the source width.
 func (r *Remapper) scatterRange(dst []uint64, start, count int) {
 	perm := r.perm
 	end := start + count
+	if b := r.period; b > 0 {
+		if j0, j1 := (start+b-1)/b, end/b; j0 < j1 {
+			// With B > 1 no two neighbouring sources are a slope-1
+			// stretch (perm[k+1] == perm[k]+1 == perm[k+B] would repeat a
+			// target), so the partial blocks have nothing to fill by word.
+			for _, p := range perm[start : j0*b] {
+				dst[p>>6] |= 1 << (uint(p) & 63)
+			}
+			n := j1 - j0
+			for _, p := range perm[j0*b : j0*b+b] {
+				fillRange(dst, p, n)
+			}
+			for _, p := range perm[j1*b : end] {
+				dst[p>>6] |= 1 << (uint(p) & 63)
+			}
+			return
+		}
+	}
 	for i := start; i < end; {
 		p := perm[i]
 		j := i + 1

@@ -3,6 +3,7 @@ package bitvec
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -345,6 +346,88 @@ func TestLabel3RemapDecode(t *testing.T) {
 		}
 		if !got.Equal(want) {
 			t.Fatalf("trial %d (perm shape %d): remap-fused decode differs from Apply", trial, trial%4)
+		}
+	}
+
+	// Core's shape: the task map's per-daemon rank lists concatenated,
+	// perm[d·B+k] = d + k·D when each of D daemons serves B ranks dealt
+	// round-robin — block-periodic when the map is even.
+	for _, tc := range []struct {
+		name           string
+		tasks, daemons int
+		dead           []int // daemons left out of a survivor-only map
+		period         int
+	}{
+		{"even", 37 * 64, 37, nil, 64},
+		{"uneven", 37*64 + 5, 37, nil, 0},
+		{"identity", 1500, 1, nil, 1},
+		{"one task per daemon", 300, 300, nil, 1},
+		{"survivor-only", 37 * 64, 37, []int{5, 20}, 0},
+	} {
+		dead := make(map[int]bool)
+		for _, d := range tc.dead {
+			dead[d] = true
+		}
+		var perm []int
+		for d := 0; d < tc.daemons; d++ {
+			if dead[d] {
+				continue
+			}
+			for r := d; r < tc.tasks; r += tc.daemons {
+				perm = append(perm, r)
+			}
+		}
+		r, err := NewRemapper(perm, tc.tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.period != tc.period {
+			t.Errorf("%s: block period %d, want %d", tc.name, r.period, tc.period)
+		}
+		n := len(perm)
+		extents := [][2]int{
+			{0, n},           // the whole job
+			{0, 1},           // one member
+			{70, 100},        // inside one block
+			{60, 70},         // across one block boundary, no whole block
+			{30, 1000},       // partial head and tail blocks
+			{64, 640},        // block-aligned
+			{n - 130, n},     // partial head, whole tail
+			{1, n - 1},       // everything but the ends
+			{n / 2, n/2 + 1}, // one member mid-job
+		}
+		check := func(what string, members []int, wantRun bool) {
+			t.Helper()
+			v := vecOf(n, members)
+			want, err := r.Apply(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, Label3Size(v))
+			PutLabel3(buf, v)
+			if wantRun && buf[4] != kindRun {
+				t.Fatalf("%s: %s encoded as kind %d, not a run container", tc.name, what, buf[4])
+			}
+			var a Arena
+			got, used, err := a.RemapLabel3(buf, r)
+			if err != nil || used != len(buf) {
+				t.Fatalf("%s: %s: RemapLabel3: used %d err %v", tc.name, what, used, err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%s: %s: remap-fused decode differs from Apply", tc.name, what)
+			}
+		}
+		for _, ext := range extents {
+			lo, hi := min(ext[0], n), min(ext[1], n)
+			var members []int
+			for i := lo; i < hi; i++ {
+				members = append(members, i)
+			}
+			check(fmt.Sprintf("extent [%d,%d)", lo, hi), members, true)
+		}
+		rng := rand.New(rand.NewSource(int64(len(tc.name))))
+		for i := 0; i < 4; i++ {
+			check(fmt.Sprintf("random population %d", i), randomPopulation(rng, n), false)
 		}
 	}
 }

@@ -215,9 +215,10 @@ type Options struct {
 	// Sampler selects the daemon sampling implementation; the zero value
 	// is the batched direct-to-tree engine.
 	Sampler Sampler
-	// SampleWorkers bounds the batched engine's pool of daemon walkers
-	// (how many daemons may walk stacks concurrently, each on its own
-	// warm trie); 0 means GOMAXPROCS. Ignored by SamplerLegacy.
+	// SampleWorkers is the batched engine's number of walk slots: how many
+	// daemons may walk stacks concurrently, each on a warm pooled trie. A
+	// pinned prefetch walker holds no slot. 0 means GOMAXPROCS. Ignored by
+	// SamplerLegacy.
 	SampleWorkers int
 	// Overlap selects the walk/gather overlap mode; the zero value is the
 	// snapshot-emit pipeline. Ignored by SamplerLegacy (which always

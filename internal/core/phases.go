@@ -77,7 +77,7 @@ func (t *Tool) runLaunchPhase() (float64, error) {
 // through the batched direct-to-tree engine (internal/sample), where raw
 // PC stacks accumulate in a per-walker trie, symbols resolve through a
 // shared memoized cache, and concurrency is bounded by the engine's
-// walker pool (Options.SampleWorkers) rather than being strictly
+// walk slots (Options.SampleWorkers) rather than being strictly
 // sequential per daemon.
 //
 // A binary that cannot be stat'ed or read aborts the phase with an error —

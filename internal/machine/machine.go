@@ -139,12 +139,18 @@ func (m *Machine) DaemonsFor(tasks int, mode Mode) (int, error) {
 // deterministic interleaving: daemon d serves ranks d, d+D, d+2D, … —
 // contiguous on neither side, like a real round-robin block map.
 // The returned slice lists, for each daemon, its ranks in local order.
+// All daemons' lists share one backing array of `tasks` entries, each a
+// full slice expression, so an append to one list copies instead of
+// overwriting its neighbour; a daemon serving no rank gets nil.
 func (m *Machine) TaskMap(tasks, daemons int) [][]int {
 	out := make([][]int, daemons)
-	for d := 0; d < daemons; d++ {
+	ranks := make([]int, 0, max(tasks, 0))
+	for d := 0; d < daemons && d < tasks; d++ {
+		lo := len(ranks)
 		for r := d; r < tasks; r += daemons {
-			out[d] = append(out[d], r)
+			ranks = append(ranks, r)
 		}
+		out[d] = ranks[lo:len(ranks):len(ranks)]
 	}
 	return out
 }

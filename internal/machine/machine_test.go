@@ -82,6 +82,25 @@ func TestTaskMapNotRankContiguous(t *testing.T) {
 	}
 }
 
+// TestTaskMapOneBackingArray: the map costs two allocations whatever its
+// size (the outer slice and one rank array), and the lists, though they
+// share that array, are capped so an append to one never overwrites the
+// next daemon's ranks.
+func TestTaskMapOneBackingArray(t *testing.T) {
+	m := BGL()
+	if n := testing.AllocsPerRun(10, func() { m.TaskMap(4096, 64) }); n != 2 {
+		t.Errorf("TaskMap(4096, 64) allocates %.0f times, want 2", n)
+	}
+	tm := m.TaskMap(12, 4)
+	_ = append(tm[0], -1)
+	if tm[1][0] != 1 {
+		t.Errorf("append to daemon 0's ranks overwrote daemon 1's: %v", tm[1])
+	}
+	if tm := m.TaskMap(2, 4); tm[2] != nil || tm[3] != nil {
+		t.Errorf("daemons without ranks got %v and %v, want nil", tm[2], tm[3])
+	}
+}
+
 func TestQuickTaskMapPartition(t *testing.T) {
 	m := Atlas()
 	f := func(tasksSeed, daemonsSeed uint16) bool {

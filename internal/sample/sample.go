@@ -88,13 +88,23 @@
 // one round — see delta.go for the full case analysis and validity
 // rules, and trace.ApplyDelta for the front-end fold.
 //
-// Workers: walkers come from a bounded pool (the "parallel daemon
-// walkers"): at most `workers` daemon walks run concurrently, each on its
-// own warm trie, and callers past the bound block until a walker frees
-// up. An outstanding Prefetch pins its walker outside the pool; the
-// engine caps outstanding prefetches at workers-1 so pinning can never
-// starve non-overlapped daemons of their last circulating walker (with a
-// single worker, overlap silently degrades to the quiesced pipeline).
+// Workers: walk slots, not walkers, bound concurrency (the "parallel
+// daemon walkers"). The engine holds `workers` slot tokens, and a token is
+// held only while a walk and its seal run — on the Sample/SampleOverlap/
+// SampleKeyed caller's goroutine or on a background prefetch walk — so at
+// most `workers` walks run at once and callers past the bound block on a
+// slot (Stats.SlotWaitNanos). Walkers themselves live on a free list,
+// created on demand: a pooled walker stays checked out from its caller's
+// walk until Batch.Release, because the emitted trees alias its snapshot,
+// but it holds no slot while the batch is encoded and shipped. An
+// outstanding Prefetch pins its walker — a walker, never a slot — until
+// the daemon's next claim or Cancel, and its background walk takes a slot
+// like any other walk. A claim waits for its background walk before it
+// takes a slot, so no goroutine ever waits while holding one and the
+// scheme cannot deadlock. The engine caps outstanding prefetches at
+// workers-1, which now bounds only the pinned tries and the wasted
+// speculation (with a single worker, overlap silently degrades to the
+// quiesced pipeline).
 package sample
 
 import (
@@ -109,17 +119,25 @@ import (
 )
 
 // Engine is the shared sampling state of one tool instance: the resolver
-// caches (one per frame granularity) and the bounded walker pool. Safe for
-// concurrent Sample/SampleOverlap calls.
+// caches (one per frame granularity), the walk slots and the walker pool.
+// Safe for concurrent Sample/SampleOverlap/SampleKeyed calls.
 type Engine struct {
 	app    *mpisim.App
 	plain  *stackwalk.Cache
 	detail *stackwalk.Cache
 
-	// walkers is both the concurrency bound and the reuse pool: it holds
-	// `workers` slots, each either a warm walker or nil (not yet built).
+	// slots bounds concurrent walks: a walk and its seal run holding one of
+	// its `workers` tokens (a send), released (a receive) before the round
+	// emits. No goroutine waits on anything else while holding a token.
 	workers int
-	walkers chan *walker
+	slots   chan struct{}
+
+	// free holds the pooled walkers no caller has checked out, warm tries
+	// kept for reuse; a checkout on an empty list builds a new walker. A
+	// walker is checked out from its round's walk until Batch.Release, or
+	// while a Prefetch pins it. Guarded by freeMu.
+	freeMu sync.Mutex
+	free   []*walker
 
 	// prefetches counts walkers currently pinned by an outstanding
 	// background walk; capped at workers-1 (see the package doc).
@@ -143,6 +161,7 @@ type Engine struct {
 	prefetched  atomic.Int64
 	hiddenNanos atomic.Int64
 	deltas      atomic.Int64
+	slotWait    atomic.Int64
 }
 
 // New builds an engine sampling the given application through the given
@@ -157,12 +176,46 @@ func New(app *mpisim.App, st *stackwalk.SymbolTable, workers int) *Engine {
 		plain:   stackwalk.NewCache(st, false),
 		detail:  stackwalk.NewCache(st, true),
 		workers: workers,
-		walkers: make(chan *walker, workers),
-	}
-	for i := 0; i < workers; i++ {
-		e.walkers <- nil
+		slots:   make(chan struct{}, workers),
 	}
 	return e
+}
+
+// acquireSlot takes a walk slot, blocking while `workers` walks run. Only
+// a failed non-blocking try reads the clock, so an uncontended walk pays
+// no clock read; the blocked time adds to Stats.SlotWaitNanos.
+func (e *Engine) acquireSlot() {
+	select {
+	case e.slots <- struct{}{}:
+		return
+	default:
+	}
+	start := time.Now()
+	e.slots <- struct{}{}
+	e.slotWait.Add(time.Since(start).Nanoseconds())
+}
+
+// releaseSlot returns a walk slot.
+func (e *Engine) releaseSlot() { <-e.slots }
+
+// getWalker checks a pooled walker out, building one when none is free.
+func (e *Engine) getWalker() *walker {
+	e.freeMu.Lock()
+	defer e.freeMu.Unlock()
+	if n := len(e.free); n > 0 {
+		w := e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		return w
+	}
+	return &walker{eng: e}
+}
+
+// putWalker returns a checked-out walker to the pool.
+func (e *Engine) putWalker(w *walker) {
+	e.freeMu.Lock()
+	e.free = append(e.free, w)
+	e.freeMu.Unlock()
 }
 
 // Request describes one daemon's gather round.
@@ -238,15 +291,17 @@ type Batch struct {
 	SealNanos int64
 	w         *walker
 	e         *Engine
-	// pinned marks a batch whose walker stays out of the pool because a
-	// Prefetch owns it (the prefetch's claim or Cancel returns it).
+	// pinned marks a batch whose walker does not return to the pool at
+	// Release: a Prefetch owns it (the prefetch's claim or Cancel returns
+	// it), or it is a resident keyed walker.
 	pinned bool
 }
 
 // Release ends the batch: the emitted trees die and — unless a Prefetch
-// has pinned the walker for an in-flight background walk — the walker
-// returns to the engine's pool. Release is idempotent on the zero Batch
-// but must be called exactly once per Sample/SampleOverlap.
+// has pinned the walker for an in-flight background walk, or the walker
+// is a resident keyed one — the walker returns to the engine's pool.
+// Release is idempotent on the zero Batch but must be called exactly once
+// per Sample/SampleOverlap/SampleKeyed.
 func (b *Batch) Release() {
 	if b.w == nil {
 		return
@@ -272,20 +327,19 @@ func (b *Batch) Release() {
 	if b.pinned {
 		return
 	}
-	b.e.walkers <- w
+	b.e.putWalker(w)
 }
 
 // Sample runs one daemon's batched walk quiesced — walk, seal, emit, in
-// strict sequence on the caller's goroutine — and returns its trees. It
-// blocks while all pooled walkers are busy — the bounded-worker
-// guarantee.
+// strict sequence on the caller's goroutine — and returns its trees. The
+// walk and seal block while `workers` walks hold every slot — the
+// bounded-worker guarantee; the emit runs after the slot is returned.
 func (e *Engine) Sample(req Request) Batch {
-	w := <-e.walkers
-	if w == nil {
-		w = &walker{eng: e}
-	}
+	e.acquireSlot()
+	w := e.getWalker()
 	walkNs := timedWalk(w, req)
 	sealNs := timedSeal(w, req)
+	e.releaseSlot()
 	b := e.finish(w, req, false)
 	b.WalkNanos, b.SealNanos = walkNs, sealNs
 	return b
@@ -332,16 +386,15 @@ func timedSeal(w *walker, req Request) int64 {
 // trie per streaming daemon is the memory cost of continuous monitoring,
 // and it stays bounded across rounds — nodes by the daemon's call-path
 // population, spans by the PC ranges its stacks cover. The
-// walk-concurrency bound still holds because the call borrows a pool
-// slot for the duration of its walk, leaving the pool's contents intact.
-// At most one SampleKeyed per key may run at a time, and its batch must
-// be released before the key's next round.
+// walk-concurrency bound holds because the walk and seal run on a slot
+// like every other walk. At most one SampleKeyed per key may run at a
+// time, and its batch must be released before the key's next round.
 func (e *Engine) SampleKeyed(key int, req Request) Batch {
-	tok := <-e.walkers
 	w := e.keyedWalker(key)
+	e.acquireSlot()
 	walkNs := timedWalk(w, req)
 	sealNs := timedSeal(w, req)
-	e.walkers <- tok
+	e.releaseSlot()
 	b := e.finish(w, req, true)
 	b.WalkNanos, b.SealNanos = walkNs, sealNs
 	return b
@@ -386,7 +439,10 @@ func (e *Engine) SampleOverlap(pre *Prefetch, req Request, next *Request) (Batch
 		wasPinned = true
 		w = pre.w
 		pre.w = nil
+		// The claim waits for the background walk, which needs a slot of
+		// its own, so the round takes its slot only after the claim.
 		hit, hidden := w.claim(req)
+		e.acquireSlot()
 		if hit {
 			e.account(w.bgCounts)
 			e.prefetched.Add(1)
@@ -399,15 +455,14 @@ func (e *Engine) SampleOverlap(pre *Prefetch, req Request, next *Request) (Batch
 			walkNs = timedWalk(w, req)
 		}
 	} else {
-		w = <-e.walkers
-		if w == nil {
-			w = &walker{eng: e}
-		}
+		e.acquireSlot()
 		// A fresh checkout counts against the prefetch cap only once it
 		// pins; nothing to do here.
+		w = e.getWalker()
 		walkNs = timedWalk(w, req)
 	}
 	sealNs := timedSeal(w, req)
+	e.releaseSlot()
 
 	var npre *Prefetch
 	if next != nil && e.canPrefetch(w, req, *next) {
@@ -511,6 +566,11 @@ type Stats struct {
 	// round-over-round delta (delta.go); rounds requested with Delta but
 	// falling back to whole trees do not count.
 	DeltaRounds int64
+	// SlotWaitNanos sums the time walks spent blocked on a walk slot
+	// because `workers` walks already held every slot — foreground rounds
+	// and background prefetch walks alike. Near zero when the slots keep
+	// up with the callers.
+	SlotWaitNanos int64
 }
 
 // Stats reports the engine's counters.
@@ -525,5 +585,6 @@ func (e *Engine) Stats() Stats {
 		PrefetchedWalks:   e.prefetched.Load(),
 		HiddenWalkNanos:   e.hiddenNanos.Load(),
 		DeltaRounds:       e.deltas.Load(),
+		SlotWaitNanos:     e.slotWait.Load(),
 	}
 }

@@ -230,8 +230,8 @@ func TestEngineStats(t *testing.T) {
 	}
 	// Each resolver call recorded exactly one span. (checkSpans resolves
 	// span starts itself, so it runs after the counters are read.)
-	w := <-eng.walkers
-	eng.walkers <- w
+	w := eng.getWalker()
+	eng.putWalker(w)
 	spans := 0
 	var rec func(n *trieNode)
 	rec = func(n *trieNode) {
@@ -274,15 +274,15 @@ func TestGranularityFlipResetsTrie(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		req := Request{Ranks: ranks, Width: len(ranks), Samples: 3, Threads: 1,
 			Base: round, Detail: round%2 == 1, Want2D: true, Want3D: true}
-		w := <-eng.walkers
+		w := eng.getWalker()
 		var old []span
-		if w != nil {
+		if w.cache != nil { // the pooled walker has walked a round
 			old = slices.Clone(w.root.spans)
 			if len(old) == 0 {
 				t.Fatalf("round %d: the warm root holds no spans; the flip tests nothing", round)
 			}
 		}
-		eng.walkers <- w
+		eng.putWalker(w)
 		b := eng.Sample(req)
 		w2, w3 := legacyTrees(app, st, req)
 		assertTreesMatch(t, "flip/3D", b.Tree3D, w3)
@@ -290,7 +290,7 @@ func TestGranularityFlipResetsTrie(t *testing.T) {
 		b.Release()
 		w2.Release()
 		w3.Release()
-		w = <-eng.walkers
+		w = eng.getWalker()
 		for _, sp := range w.root.spans {
 			for _, o := range old {
 				if o.lo == sp.lo && o.n == sp.n {
@@ -299,7 +299,7 @@ func TestGranularityFlipResetsTrie(t *testing.T) {
 			}
 		}
 		checkSpans(t, "after flip", w)
-		eng.walkers <- w
+		eng.putWalker(w)
 	}
 }
 

@@ -174,8 +174,10 @@ func emitSnap(n *trieNode, s *nodeSnap, last bool, torn *int64) *trace.Node {
 
 // Prefetch is an outstanding background walk: a walker pinned off the
 // engine pool, its resident goroutine walking a speculative next round
-// while the current round's trees travel up the overlay. Exactly one of
-// Engine.SampleOverlap (which claims it) or Cancel must consume it.
+// while the current round's trees travel up the overlay. The pin holds
+// the walker, never a walk slot: only the background walk itself runs on
+// one. Exactly one of Engine.SampleOverlap (which claims it) or Cancel
+// must consume it.
 type Prefetch struct {
 	w *walker
 }
@@ -197,7 +199,7 @@ func (p *Prefetch) Cancel() {
 	w.bg, w.bgDone = nil, nil
 	w.preLive = false
 	w.eng.prefetches.Add(-1)
-	w.eng.walkers <- w
+	w.eng.putWalker(w)
 }
 
 // startPrefetch hands the walker's resident goroutine the speculative

@@ -213,7 +213,7 @@ func TestPrefetchCancel(t *testing.T) {
 	// driving the walker directly.
 	b := eng.Sample(req)
 	b.Release()
-	w := <-eng.walkers
+	w := eng.getWalker()
 	eng.prefetches.Add(1)
 	next := req
 	next.Base = 2

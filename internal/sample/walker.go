@@ -338,15 +338,19 @@ func (w *walker) walk(req Request) walkCounts {
 }
 
 // bgLoop is the walker's resident background-walk goroutine: one walk per
-// request, duration reported back on bgDone. Started lazily at the first
+// request, run on a walk slot like any other walk, its duration reported
+// back on bgDone once the slot is returned. Started lazily at the first
 // prefetch, it parks on bg between rounds and exits when Cancel closes
 // the channel, so a pipelined walker costs one goroutine for the life of
 // its pipeline and an overlapped round allocates nothing.
 func (w *walker) bgLoop() {
 	for req := range w.bg {
+		w.eng.acquireSlot()
 		start := time.Now()
 		w.bgCounts = w.walk(req)
-		w.bgDone <- time.Since(start).Nanoseconds()
+		ns := time.Since(start).Nanoseconds()
+		w.eng.releaseSlot()
+		w.bgDone <- ns
 	}
 }
 
