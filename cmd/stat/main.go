@@ -12,6 +12,7 @@ package main
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,11 +31,19 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "stat:", err)
 		os.Exit(1)
 	}
 }
+
+// errUsage reports a command line the flag set rejected; the flag set has
+// already printed the error and the usage.
+var errUsage = errors.New("usage error")
 
 // fillFaultPlan populates an injection plan from the CLI's range flags once
 // the topology exists: daemon ranges are leaf indexes, node ranges are
@@ -235,7 +244,7 @@ var flagGroups = []struct {
 }{
 	{"session (application, sampling, reduction)", []string{
 		"machine", "mode", "tasks", "topology", "bitvec", "samples", "threads",
-		"sbrs", "unpatched", "seed", "sampler", "sample-workers", "overlap",
+		"sbrs", "unpatched", "seed", "sample-workers",
 		"reduce-workers", "reduce-budget",
 	}},
 	{"wire (negotiated data-stream format)", []string{"wire"}},
@@ -263,23 +272,23 @@ func printFlag(w io.Writer, f *flag.Flag) {
 	fmt.Fprintln(w)
 }
 
-// groupedUsage replaces the flat alphabetical -h listing with the
+// groupedUsage replaces the flat alphabetical -h listing of fs with the
 // subsystem grouping above.
-func groupedUsage() {
-	w := flag.CommandLine.Output()
+func groupedUsage(fs *flag.FlagSet) {
+	w := fs.Output()
 	fmt.Fprintf(w, "usage: stat [flags]\n")
 	seen := make(map[string]bool)
 	for _, g := range flagGroups {
 		fmt.Fprintf(w, "\n%s:\n", g.title)
 		for _, name := range g.names {
-			if f := flag.Lookup(name); f != nil {
+			if f := fs.Lookup(name); f != nil {
 				seen[name] = true
 				printFlag(w, f)
 			}
 		}
 	}
 	var rest []*flag.Flag
-	flag.VisitAll(func(f *flag.Flag) {
+	fs.VisitAll(func(f *flag.Flag) {
 		if !seen[f.Name] {
 			rest = append(rest, f)
 		}
@@ -307,21 +316,21 @@ func fmtNs(ns int64) string {
 	}
 }
 
-// printTelemetry reports the session's fleet telemetry frame: per-span
-// aggregates and the byte/lease/fan-in counters, TBON-folded across
-// every daemon and interior filter of the (cold) round.
-func printTelemetry(f *telemetry.Frame) {
-	fmt.Printf("\ntelemetry (fleet view of round %d: %d daemons, %d filter calls):\n",
+// printTelemetry reports the session's fleet telemetry frame to w:
+// per-span aggregates and the byte/lease/fan-in counters, TBON-folded
+// across every daemon and interior filter of the (cold) round.
+func printTelemetry(w io.Writer, f *telemetry.Frame) {
+	fmt.Fprintf(w, "\ntelemetry (fleet view of round %d: %d daemons, %d filter calls):\n",
 		f.Round, f.Daemons, f.Filters)
 	for k := 0; k < telemetry.NumSpanKinds; k++ {
 		a := f.Spans[k]
 		if a.Count == 0 {
 			continue
 		}
-		fmt.Printf("  %-12s %5d spans   mean %9s   min %9s   max %9s\n",
+		fmt.Fprintf(w, "  %-12s %5d spans   mean %9s   min %9s   max %9s\n",
 			telemetry.SpanKind(k), a.Count, fmtNs(a.Mean()), fmtNs(a.MinNs), fmtNs(a.MaxNs))
 	}
-	fmt.Printf("  leaf payload %s, merged %s; max live leases %d, max fan-in %d\n",
+	fmt.Fprintf(w, "  leaf payload %s, merged %s; max live leases %d, max fan-in %d\n",
 		byteCount(f.PayloadBytes), byteCount(f.MergedBytes), f.LiveLeases, f.QueueDepth)
 }
 
@@ -356,44 +365,50 @@ func byteCount(n int64) string {
 	}
 }
 
-func run() error {
+// run executes one stat session with the command-line arguments args
+// (without the program name) and writes its report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("stat", flag.ContinueOnError)
 	var (
-		machineName = flag.String("machine", "atlas", "machine model: atlas or bgl")
-		modeName    = flag.String("mode", "co", "BG/L execution mode: co or vn")
-		tasks       = flag.Int("tasks", 1024, "application task count")
-		topoName    = flag.String("topology", "2deep", "analysis tree: flat, 2deep, 3deep")
-		bitvecName  = flag.String("bitvec", "hierarchical", "task-set representation: original or hierarchical")
-		samples     = flag.Int("samples", 10, "stack samples per task")
-		threads     = flag.Int("threads", 1, "threads per task (Section VII extension)")
-		useSBRS     = flag.Bool("sbrs", false, "relocate binaries with SBRS before sampling")
-		unpatched   = flag.Bool("unpatched", false, "use the unpatched BG/L control system")
-		seed        = flag.Uint64("seed", 0, "determinism seed (0 = default)")
-		dotPath     = flag.String("dot", "", "write the 3D prefix tree as Graphviz DOT to this file")
-		savePath    = flag.String("save", "", "save the merged 3D prefix tree (wire format) for stat-view")
-		showTree    = flag.Bool("tree", false, "print the merged 3D prefix tree")
-		maxClasses  = flag.Int("classes", 10, "max equivalence classes to print")
-		progress    = flag.Bool("progress", false, "run a two-round progress check and report wedged tasks")
-		workers     = flag.Int("reduce-workers", 0, "TBON reduction worker count (0 = GOMAXPROCS; 1 = sequential pairwise fold)")
-		budget      = flag.Int64("reduce-budget", 0, "TBON reduction in-flight payload byte budget (0 = at most one unfolded payload per worker); while a budget has room, comm processes fold all their children in one call")
-		wireVersion = flag.Uint("wire", 0, "cap the negotiated wire format version (0 = build maximum, else 2..3: 2 = 8-aligned STR2, 3 = compressed-label STR3)")
-		samplerName = flag.String("sampler", "batched", "daemon sampling engine: batched (direct-to-tree trie) or legacy (per-sample loop)")
-		sampWorkers = flag.Int("sample-workers", 0, "batched sampler's concurrent daemon-walker bound (0 = GOMAXPROCS)")
-		overlapName = flag.String("overlap", "snapshot", "walk/gather overlap: snapshot (emit round N while walking N+1) or quiesced (strict sequence)")
-		stream      = flag.Int("stream", 0, "streaming temporal mode: run this many differential sample/gather rounds after the initial snapshot (delta frames on v2+ wires)")
-		streamWhole = flag.Bool("stream-whole", false, "stream whole trees every round instead of delta frames (the reference/debug leg)")
-		streamSave  = flag.String("stream-save", "", "record the streamed 2D rounds as a stream capture (STSM) for stat-view replay")
-		faultTol    = flag.Bool("fault-tolerant", false, "degrade gracefully when overlay subtrees fail: report partial results with a surviving-rank set instead of failing the run")
-		subTimeout  = flag.Duration("subtree-timeout", 0, "per-subtree gather timeout under -fault-tolerant (0 = 5s default)")
-		crashDaemon = flag.String("crash-daemons", "", "inject: crash these daemons mid-gather (leaf-index ranges, e.g. 0-3,7); requires -fault-tolerant")
-		crashNodes  = flag.String("crash-nodes", "", "inject: crash these overlay nodes mid-gather (node-ID ranges); requires -fault-tolerant")
-		cutNodes    = flag.String("cut-nodes", "", "inject: partition these overlay nodes' uplinks (node-ID ranges); requires -fault-tolerant")
-		slowNodes   = flag.String("slow-nodes", "", "inject: delay these overlay nodes' uplinks (node-ID ranges); requires -fault-tolerant")
-		slowLink    = flag.Duration("slow-link", 50*time.Millisecond, "delay applied to -slow-nodes uplinks")
-		telem       = flag.Bool("telemetry", false, "enable the in-band telemetry plane: per-round span frames folded up the TBON, session metrics, and per-daemon flight recorders")
-		debugAddr   = flag.String("debug-addr", "", "serve live Prometheus metrics at /metrics and net/http/pprof at /debug/pprof/ on this address (implies -telemetry)")
+		machineName = fs.String("machine", "atlas", "machine model: atlas or bgl")
+		modeName    = fs.String("mode", "co", "BG/L execution mode: co or vn")
+		tasks       = fs.Int("tasks", 1024, "application task count")
+		topoName    = fs.String("topology", "2deep", "analysis tree: flat, 2deep, 3deep")
+		bitvecName  = fs.String("bitvec", "hierarchical", "task-set representation: original or hierarchical")
+		samples     = fs.Int("samples", 10, "stack samples per task")
+		threads     = fs.Int("threads", 1, "threads per task (Section VII extension)")
+		useSBRS     = fs.Bool("sbrs", false, "relocate binaries with SBRS before sampling")
+		unpatched   = fs.Bool("unpatched", false, "use the unpatched BG/L control system")
+		seed        = fs.Uint64("seed", 0, "determinism seed (0 = default)")
+		dotPath     = fs.String("dot", "", "write the 3D prefix tree as Graphviz DOT to this file")
+		savePath    = fs.String("save", "", "save the merged 3D prefix tree (wire format) for stat-view")
+		showTree    = fs.Bool("tree", false, "print the merged 3D prefix tree")
+		maxClasses  = fs.Int("classes", 10, "max equivalence classes to print")
+		progress    = fs.Bool("progress", false, "run a two-round progress check and report wedged tasks")
+		workers     = fs.Int("reduce-workers", 0, "TBON reduction worker count (0 = GOMAXPROCS; 1 = sequential pairwise fold)")
+		budget      = fs.Int64("reduce-budget", 0, "TBON reduction in-flight payload byte budget (0 = at most one unfolded payload per worker); while a budget has room, comm processes fold all their children in one call")
+		wireVersion = fs.Uint("wire", 0, "cap the negotiated wire format version (0 = build maximum, else 2..3: 2 = 8-aligned STR2, 3 = compressed-label STR3)")
+		sampWorkers = fs.Int("sample-workers", 0, "sampling engine's walk slots: daemon stack walks that may run at once (0 = GOMAXPROCS)")
+		stream      = fs.Int("stream", 0, "streaming temporal mode: run this many differential sample/gather rounds after the initial snapshot (delta frames on v2+ wires)")
+		streamWhole = fs.Bool("stream-whole", false, "stream whole trees every round instead of delta frames (the reference/debug leg)")
+		streamSave  = fs.String("stream-save", "", "record the streamed 2D rounds as a stream capture (STSM) for stat-view replay")
+		faultTol    = fs.Bool("fault-tolerant", false, "degrade gracefully when overlay subtrees fail: report partial results with a surviving-rank set instead of failing the run")
+		subTimeout  = fs.Duration("subtree-timeout", 0, "per-subtree gather timeout under -fault-tolerant (0 = 5s default)")
+		crashDaemon = fs.String("crash-daemons", "", "inject: crash these daemons mid-gather (leaf-index ranges, e.g. 0-3,7); requires -fault-tolerant")
+		crashNodes  = fs.String("crash-nodes", "", "inject: crash these overlay nodes mid-gather (node-ID ranges); requires -fault-tolerant")
+		cutNodes    = fs.String("cut-nodes", "", "inject: partition these overlay nodes' uplinks (node-ID ranges); requires -fault-tolerant")
+		slowNodes   = fs.String("slow-nodes", "", "inject: delay these overlay nodes' uplinks (node-ID ranges); requires -fault-tolerant")
+		slowLink    = fs.Duration("slow-link", 50*time.Millisecond, "delay applied to -slow-nodes uplinks")
+		telem       = fs.Bool("telemetry", false, "enable the in-band telemetry plane: per-round span frames folded up the TBON, session metrics, and per-daemon flight recorders")
+		debugAddr   = fs.String("debug-addr", "", "serve live Prometheus metrics at /metrics and net/http/pprof at /debug/pprof/ on this address (implies -telemetry)")
 	)
-	flag.Usage = groupedUsage
-	flag.Parse()
+	fs.Usage = func() { groupedUsage(fs) }
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 
 	if *wireVersion != 0 && (*wireVersion < proto.Version || *wireVersion > proto.MaxVersion) {
 		return fmt.Errorf("unknown wire version %d (this build speaks %d..%d)", *wireVersion, proto.Version, proto.MaxVersion)
@@ -438,7 +453,7 @@ func run() error {
 			if delta {
 				kind = "delta"
 			}
-			fmt.Printf("  stream round %3d: %s, %d classes\n", round, kind, len(t2.EquivalenceClasses()))
+			fmt.Fprintf(w, "  stream round %3d: %s, %d classes\n", round, kind, len(t2.EquivalenceClasses()))
 			if capture != nil {
 				capture.record(delta, t2)
 			}
@@ -447,7 +462,7 @@ func run() error {
 			// The follow line rides under each round's summary line: the
 			// round's fleet frame, compressed to the spans that steer tuning.
 			opts.StreamRoundTelemetry = func(round int, f *telemetry.Frame) {
-				fmt.Printf("       telemetry: walk %s×%d, merge %s×%d, reduce-wait %s, payload %s\n",
+				fmt.Fprintf(w, "       telemetry: walk %s×%d, merge %s×%d, reduce-wait %s, payload %s\n",
 					fmtNs(f.Spans[telemetry.SpanWalk].Mean()), f.Spans[telemetry.SpanWalk].Count,
 					fmtNs(f.Spans[telemetry.SpanMerge].Mean()), f.Spans[telemetry.SpanMerge].Count,
 					fmtNs(f.Spans[telemetry.SpanReduceWait].SumNs), byteCount(f.PayloadBytes))
@@ -464,23 +479,6 @@ func run() error {
 		// plan registered now is filled in below.
 		opts.GatherFaults = &tbon.FaultPlan{}
 	}
-	switch *samplerName {
-	case "batched":
-		opts.Sampler = core.SamplerBatched
-	case "legacy":
-		opts.Sampler = core.SamplerLegacy
-	default:
-		return fmt.Errorf("unknown sampler %q (batched|legacy)", *samplerName)
-	}
-	switch *overlapName {
-	case "snapshot":
-		opts.Overlap = core.OverlapSnapshot
-	case "quiesced":
-		opts.Overlap = core.OverlapQuiesced
-	default:
-		return fmt.Errorf("unknown overlap mode %q (snapshot|quiesced)", *overlapName)
-	}
-
 	switch *machineName {
 	case "atlas":
 		opts.Machine = machine.Atlas()
@@ -534,7 +532,7 @@ func run() error {
 			return err
 		}
 	}
-	fmt.Printf("STAT: %s, %d tasks, %d daemons, %s tree, %s bit vectors\n",
+	fmt.Fprintf(w, "STAT: %s, %d tasks, %d daemons, %s tree, %s bit vectors\n",
 		opts.Machine.Name, *tasks, tool.Daemons(), *topoName, opts.BitVec)
 	if *debugAddr != "" {
 		ds, err := telemetry.ServeDebug(*debugAddr, tool.TelemetryRegistry())
@@ -542,7 +540,7 @@ func run() error {
 			return fmt.Errorf("-debug-addr: %w", err)
 		}
 		defer ds.Close()
-		fmt.Printf("debug endpoint: http://%s/metrics (pprof under /debug/pprof/)\n", ds.Addr)
+		fmt.Fprintf(w, "debug endpoint: http://%s/metrics (pprof under /debug/pprof/)\n", ds.Addr)
 	}
 
 	res, err := tool.Run()
@@ -550,11 +548,11 @@ func run() error {
 		return err
 	}
 	if res.LaunchErr != nil {
-		fmt.Printf("launch FAILED after %.2fs: %v\n", res.Times.Launch, res.LaunchErr)
+		fmt.Fprintf(w, "launch FAILED after %.2fs: %v\n", res.Times.Launch, res.LaunchErr)
 		return nil
 	}
 	if res.MergeErr != nil {
-		fmt.Printf("merge FAILED: %v\n", res.MergeErr)
+		fmt.Fprintf(w, "merge FAILED: %v\n", res.MergeErr)
 		return nil
 	}
 	if res.Liveness != nil {
@@ -564,39 +562,39 @@ func run() error {
 				missing = append(missing, r)
 			}
 		}
-		fmt.Printf("\nDEGRADED RESULT: %d of %d ranks missing (ranks %s); trees cover the %d surviving ranks\n",
+		fmt.Fprintf(w, "\nDEGRADED RESULT: %d of %d ranks missing (ranks %s); trees cover the %d surviving ranks\n",
 			res.MissingRanks, *tasks, bitvec.FormatRanges(missing), res.Liveness.Count())
 		if len(res.FlightDumps) > 0 {
-			fmt.Print(renderFlightDumps(res.FlightDumps))
+			fmt.Fprint(w, renderFlightDumps(res.FlightDumps))
 		}
 	}
 
-	fmt.Printf("\nphase times (modeled):\n")
-	fmt.Printf("  launch   %8.2fs\n", res.Times.Launch)
+	fmt.Fprintf(w, "\nphase times (modeled):\n")
+	fmt.Fprintf(w, "  launch   %8.2fs\n", res.Times.Launch)
 	if opts.UseSBRS {
-		fmt.Printf("  sbrs     %8.3fs (relocated %d bytes)\n", res.Times.SBRS, res.SBRSReport.Bytes)
+		fmt.Fprintf(w, "  sbrs     %8.3fs (relocated %d bytes)\n", res.Times.SBRS, res.SBRSReport.Bytes)
 	}
-	fmt.Printf("  sample   %8.2fs\n", res.Times.Sample)
-	fmt.Printf("  merge    %8.4fs (front end received %d bytes, wire format v%d)\n",
+	fmt.Fprintf(w, "  sample   %8.2fs\n", res.Times.Sample)
+	fmt.Fprintf(w, "  merge    %8.4fs (front end received %d bytes, wire format v%d)\n",
 		res.Times.Merge, res.FrontEndInBytes, res.WireVersion)
 	if res.Times.Remap > 0 {
-		fmt.Printf("  remap    %8.3fs\n", res.Times.Remap)
+		fmt.Fprintf(w, "  remap    %8.3fs\n", res.Times.Remap)
 	}
 	if res.StreamRounds > 0 {
-		fmt.Printf("  stream   %8.4fs (%d rounds)\n", res.Times.Stream, res.StreamRounds)
+		fmt.Fprintf(w, "  stream   %8.4fs (%d rounds)\n", res.Times.Stream, res.StreamRounds)
 	}
-	fmt.Printf("  total    %8.2fs\n", res.Times.Total())
+	fmt.Fprintf(w, "  total    %8.2fs\n", res.Times.Total())
 	if res.Times.SampleSteady > 0 {
-		fmt.Printf("  steady-state rounds: %.4fs/round (%.4fs walk, %.4fs hidden behind the reduction)\n",
-			res.Times.SteadyRound(), res.Times.SampleSteady, res.Times.SampleHidden)
+		fmt.Fprintf(w, "  steady-state rounds: %.4fs/round (%.4fs walk)\n",
+			res.Times.SteadyRound(), res.Times.SampleSteady)
 	}
 
 	if hits, misses := res.AliasDecodeHits, res.AliasDecodeMisses; hits+misses > 0 {
-		fmt.Printf("\nmerge codec: %d label decodes, %.1f%% zero-copy (%d aliased, %d copied)\n",
+		fmt.Fprintf(w, "\nmerge codec: %d label decodes, %.1f%% zero-copy (%d aliased, %d copied)\n",
 			hits+misses, 100*float64(hits)/float64(hits+misses), hits, misses)
 	}
 	if ls := res.LabelStats; ls.Labels() > 0 {
-		fmt.Printf("v3 label containers: %d run (%s), %d array (%s), %d dense (%s)\n",
+		fmt.Fprintf(w, "v3 label containers: %d run (%s), %d array (%s), %d dense (%s)\n",
 			ls.Run, byteCount(ls.RunBytes), ls.Array, byteCount(ls.ArrayBytes), ls.Dense, byteCount(ls.DenseBytes))
 	}
 
@@ -605,41 +603,39 @@ func run() error {
 		if ss.PCsResolved > 0 {
 			pcRate = 1 - float64(ss.PCCacheMisses)/float64(ss.PCsResolved)
 		}
-		fmt.Printf("\nsampling engine: %d stacks walked, %.3f resolver calls per stack "+
+		fmt.Fprintf(w, "\nsampling engine: %d stacks walked, %.3f resolver calls per stack "+
 			"(%d PCs resolved, %.1f%% cache hits)",
 			ss.SampledStacks, float64(ss.PCsResolved)/float64(ss.SampledStacks), ss.PCsResolved, 100*pcRate)
 		if ss.SlotWaitNanos > 0 {
-			fmt.Printf(", %.3fms blocked on walk slots", float64(ss.SlotWaitNanos)/1e6)
+			fmt.Fprintf(w, ", %.3fms blocked on walk slots", float64(ss.SlotWaitNanos)/1e6)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		if ss.Snapshots > 0 {
-			fmt.Printf("snapshot overlap: %d snapshots sealed, %d torn-read retries, "+
-				"%d walks prefetched, %.3fms walk time hidden\n",
-				ss.Snapshots, ss.SnapshotTornReads, ss.PrefetchedWalks,
-				float64(ss.HiddenWalkNanos)/1e6)
+			fmt.Fprintf(w, "snapshots: %d sealed, %d torn-read retries\n",
+				ss.Snapshots, ss.SnapshotTornReads)
 		}
 	}
 
 	if res.Telemetry != nil {
-		printTelemetry(res.Telemetry)
+		printTelemetry(w, res.Telemetry)
 	}
 
 	if res.StreamRounds > 0 {
-		fmt.Printf("\nstreaming: %d rounds (%d delta, %d whole)", res.StreamRounds,
+		fmt.Fprintf(w, "\nstreaming: %d rounds (%d delta, %d whole)", res.StreamRounds,
 			res.StreamDeltaRounds, res.StreamRounds-res.StreamDeltaRounds)
 		if res.StreamDeltaRounds > 0 {
-			fmt.Printf("; delta ingress %s/round (%d nodes folded)",
+			fmt.Fprintf(w, "; delta ingress %s/round (%d nodes folded)",
 				byteCount(res.StreamDeltaBytes/int64(res.StreamDeltaRounds)), res.StreamDeltaNodes)
 		}
 		if whole := res.StreamRounds - res.StreamDeltaRounds; whole > 0 {
-			fmt.Printf("; whole-tree ingress %s/round", byteCount(res.StreamWholeBytes/int64(whole)))
+			fmt.Fprintf(w, "; whole-tree ingress %s/round", byteCount(res.StreamWholeBytes/int64(whole)))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		if res.StreamMixedRetries > 0 {
-			fmt.Printf("  %d mixed round(s) re-gathered as whole trees\n", res.StreamMixedRetries)
+			fmt.Fprintf(w, "  %d mixed round(s) re-gathered as whole trees\n", res.StreamMixedRetries)
 		}
 		for _, ev := range res.StreamEvents {
-			fmt.Printf("  class transition at round %d: %d -> %d classes\n",
+			fmt.Fprintf(w, "  class transition at round %d: %d -> %d classes\n",
 				ev.Round, ev.PrevClasses, ev.Classes)
 		}
 		if capture != nil {
@@ -651,7 +647,7 @@ func run() error {
 				return fmt.Errorf("stream capture: %w", err)
 			}
 			capture = nil
-			fmt.Printf("  recorded %d rounds (%s) to %s\n", records, byteCount(captured), *streamSave)
+			fmt.Fprintf(w, "  recorded %d rounds (%s) to %s\n", records, byteCount(captured), *streamSave)
 		}
 	}
 
@@ -665,21 +661,21 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\nprogress check: %d task(s) with frozen stacks: %v\n",
+		fmt.Fprintf(w, "\nprogress check: %d task(s) with frozen stacks: %v\n",
 			pr.Stuck.Count(), pr.Stuck.Members())
 	}
 
-	fmt.Printf("\nequivalence classes (%d):\n", len(res.Classes))
+	fmt.Fprintf(w, "\nequivalence classes (%d):\n", len(res.Classes))
 	for i, c := range res.Classes {
 		if i >= *maxClasses {
-			fmt.Printf("  … %d more\n", len(res.Classes)-i)
+			fmt.Fprintf(w, "  … %d more\n", len(res.Classes)-i)
 			break
 		}
-		fmt.Printf("  %s\n", c)
+		fmt.Fprintf(w, "  %s\n", c)
 	}
 
 	if *showTree {
-		fmt.Printf("\n3D trace/space/time prefix tree:\n%s", res.Tree3D)
+		fmt.Fprintf(w, "\n3D trace/space/time prefix tree:\n%s", res.Tree3D)
 	}
 	if *dotPath != "" {
 		f, err := os.Create(*dotPath)
@@ -691,7 +687,7 @@ func run() error {
 		if err := res.Tree3D.WriteDOT(f, title); err != nil {
 			return err
 		}
-		fmt.Printf("\nwrote %s\n", *dotPath)
+		fmt.Fprintf(w, "\nwrote %s\n", *dotPath)
 	}
 	if *savePath != "" {
 		// Save in the session's negotiated format; stat-view dispatches on
@@ -704,7 +700,7 @@ func run() error {
 		if err := os.WriteFile(*savePath, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("saved merged tree to %s (%d bytes, wire format v%d)\n", *savePath, len(data), res.WireVersion)
+		fmt.Fprintf(w, "saved merged tree to %s (%d bytes, wire format v%d)\n", *savePath, len(data), res.WireVersion)
 	}
 	return nil
 }

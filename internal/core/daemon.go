@@ -6,7 +6,6 @@ import (
 
 	"stat/internal/proto"
 	"stat/internal/sample"
-	"stat/internal/stackwalk"
 	"stat/internal/tbon"
 	"stat/internal/telemetry"
 	"stat/internal/trace"
@@ -65,12 +64,6 @@ type daemon struct {
 	// (Options.DaemonWireCaps). The attach negotiation can land at most
 	// here, and the session-wide minimum then carries the downgrade.
 	capVersion uint8
-	// pre is the daemon's outstanding speculative walk under the
-	// snapshot-emit pipeline (Options.Overlap): the next round's walk,
-	// started the moment this round's snapshot was sealed, still running
-	// while this round's trees travel up the overlay. The next gather
-	// claims it; detach cancels it.
-	pre *sample.Prefetch
 	// telemFrame and telemBuf are the daemon's reusable telemetry leaf
 	// state: the round's frame is built in telemFrame and encoded into
 	// telemBuf before being appended to the gather reply, so the
@@ -121,8 +114,6 @@ func (d *daemon) handleControl(p proto.Packet) proto.Ack {
 		if d.state == stateInit {
 			return fail("detach before attach")
 		}
-		d.pre.Cancel()
-		d.pre = nil
 		d.state = stateDetached
 		return proto.Ack{OK: 1}
 	default:
@@ -130,161 +121,57 @@ func (d *daemon) handleControl(p proto.Packet) proto.Ack {
 	}
 }
 
-// sampleBatch is one gather round's sampled trees plus the hook returning
-// their storage: a sample.Batch on the engine path, the trees' own Release
-// on the legacy path. A value type so the per-gather hot path carries no
-// closure.
-type sampleBatch struct {
-	t2, t3 *trace.Tree
-	batch  sample.Batch
-	legacy bool
-	// delta marks t2/t3 as delta frames (XOR trees from the engine's
-	// round-over-round extractor) rather than whole trees; the gather
-	// reply then goes out as MsgDelta.
-	delta bool
-	// walkNs and sealNs are the round's walk and seal durations,
-	// populated only when the gather requested telemetry.
-	walkNs int64
-	sealNs int64
-}
-
-func (b *sampleBatch) release() {
-	if b.legacy {
-		if b.t2 != nil {
-			b.t2.Release()
-		}
-		if b.t3 != nil {
-			b.t3.Release()
-		}
-		return
-	}
-	b.batch.Release()
-}
-
 // sampleTrees runs the daemon's sampling for one gather command — the
 // real per-daemon work of the tool's sample phase — and returns the
-// requested prefix trees. On the batched path (the default) the walk runs
-// through the shared direct-to-tree engine: raw PC stacks accumulate in
-// the daemon walker's persistent trie, frames descend by PC-range check
-// (only novel ranges reach the memoized resolver), and the trees emit
-// without any per-sample allocation.
-// The legacy path materializes resolved frames per sample and folds each
-// trace into a fresh tree, kept as the differential reference.
-func (d *daemon) sampleTrees(req proto.GatherRequest) (sampleBatch, error) {
+// requested prefix trees, as delta trees when the batch's DeltaOK is set.
+// The walk runs through the shared direct-to-tree engine: raw PC stacks
+// accumulate in a walker's persistent trie, frames descend by PC-range
+// check (only novel ranges reach the memoized resolver), and the trees
+// emit without any per-sample allocation.
+func (d *daemon) sampleTrees(req proto.GatherRequest) (sample.Batch, error) {
 	if d.state != stateSampled {
-		return sampleBatch{}, fmt.Errorf("core: daemon %d: gather while %s", d.leaf, d.state)
+		return sample.Batch{}, fmt.Errorf("core: daemon %d: gather while %s", d.leaf, d.state)
 	}
 	ranks := d.tool.merge.taskMap[d.leaf]
 	width := len(ranks)
 	if d.tool.opts.BitVec == Original {
 		width = d.tool.opts.Tasks
 	}
-	base := d.epoch - d.samples
-
-	if eng := d.tool.sampler; eng != nil {
-		sreq := sample.Request{
-			Ranks:       ranks,
-			GlobalIndex: d.tool.opts.BitVec == Original,
-			Width:       width,
-			Samples:     d.samples,
-			Threads:     d.threads,
-			Base:        base,
-			Detail:      req.Detail,
-			Want2D:      req.Which&proto.Tree2D != 0,
-			Want3D:      req.Which&proto.Tree3D != 0,
-			// Walk/seal span durations for the telemetry frame; clock
-			// reads happen only on instrumented rounds.
-			Timed: req.Telemetry,
-			// On a v3 stream the encode would pick compressed containers
-			// anyway; emitting them from the trie means the leaf serialize
-			// reads extents the walk already computed. Older streams carry
-			// dense labels, so compression would be pure overhead there.
-			Compress: d.wireVersion >= trace.WireV3,
-			Delta:    req.Delta,
-		}
-		if sreq.Delta {
-			// Streaming rounds need round-over-round trie continuity: the
-			// resident keyed walker guarantees consecutive rounds of this
-			// daemon seal consecutive epochs on one trie, which pooled
-			// checkout can't (walkers shuffle across daemons). The round
-			// before the first delta request may have walked a pooled
-			// walker, so the keyed walker's first round emits whole trees
-			// and deltas start one round later.
-			batch := eng.SampleKeyed(d.leaf, sreq)
-			if batch.DeltaOK {
-				return sampleBatch{t2: batch.Delta2D, t3: batch.Delta3D, batch: batch, delta: true,
-					walkNs: batch.WalkNanos, sealNs: batch.SealNanos}, nil
-			}
-			return sampleBatch{t2: batch.Tree2D, t3: batch.Tree3D, batch: batch,
-				walkNs: batch.WalkNanos, sealNs: batch.SealNanos}, nil
-		}
-		if d.tool.opts.Overlap == OverlapSnapshot && !d.tool.opts.FaultTolerant {
-			// Speculate the next round: same shape, advanced by one sample
-			// command (the next gather's base is this round's end epoch).
-			// A wrong guess costs nothing but the wasted background walk —
-			// the claim validates the real request and re-walks on
-			// mismatch. FaultTolerant gathers are excluded because a
-			// timed-out subtree's abandoned goroutine could reach d.pre
-			// after the session has moved on.
-			next := sreq
-			next.Base = d.epoch
-			batch, npre := eng.SampleOverlap(d.pre, sreq, &next)
-			d.pre = npre
-			return sampleBatch{t2: batch.Tree2D, t3: batch.Tree3D, batch: batch,
-				walkNs: batch.WalkNanos, sealNs: batch.SealNanos}, nil
-		}
-		batch := eng.Sample(sreq)
-		return sampleBatch{t2: batch.Tree2D, t3: batch.Tree3D, batch: batch,
-			walkNs: batch.WalkNanos, sealNs: batch.SealNanos}, nil
+	sreq := sample.Request{
+		Ranks:       ranks,
+		GlobalIndex: d.tool.opts.BitVec == Original,
+		Width:       width,
+		Samples:     d.samples,
+		Threads:     d.threads,
+		Base:        d.epoch - d.samples,
+		Detail:      req.Detail,
+		Want2D:      req.Which&proto.Tree2D != 0,
+		Want3D:      req.Which&proto.Tree3D != 0,
+		// Walk/seal span durations for the telemetry frame; clock reads
+		// happen only on instrumented rounds.
+		Timed: req.Telemetry,
+		// On a v3 stream the encode would pick compressed containers
+		// anyway; emitting them from the trie means the leaf serialize
+		// reads extents the walk already computed. Older streams carry
+		// dense labels, so compression would be pure overhead there.
+		Compress: d.wireVersion >= trace.WireV3,
+		Delta:    req.Delta,
 	}
-
-	var walkStart time.Time
-	if req.Telemetry {
-		walkStart = time.Now()
+	if !sreq.Delta {
+		return d.tool.sampler.Sample(sreq), nil
 	}
-	t2 := trace.NewTree(width)
-	t3 := trace.NewTree(width)
-	walker := stackwalk.NewWalker(d.tool.app, d.tool.symtab)
-	for local, rank := range ranks {
-		idx := local
-		if d.tool.opts.BitVec == Original {
-			idx = rank
-		}
-		for thread := 0; thread < d.threads; thread++ {
-			for s := 0; s < d.samples; s++ {
-				var frames []trace.Frame
-				if req.Detail {
-					frames = walker.SampleDetailed(rank, thread, base+s)
-				} else {
-					frames = walker.Sample(rank, thread, base+s)
-				}
-				tr := trace.Trace{Task: idx, Frames: frames}
-				if req.Which&proto.Tree3D != 0 {
-					t3.Add(tr)
-				}
-				if req.Which&proto.Tree2D != 0 && s == d.samples-1 {
-					t2.Add(tr)
-				}
-			}
-		}
-	}
-	sb := sampleBatch{t2: t2, t3: t3, legacy: true}
-	if req.Telemetry {
-		// The legacy loop has no distinct seal phase; the whole
-		// materialize-and-fold pass is its walk.
-		sb.walkNs = time.Since(walkStart).Nanoseconds()
-	}
-	return sb, nil
+	// Streaming rounds need round-over-round trie continuity: the resident
+	// keyed walker guarantees consecutive rounds of this daemon seal
+	// consecutive epochs on one trie, which pooled checkout can't (walkers
+	// shuffle across daemons). The round before the first delta request
+	// may have walked a pooled walker, so the keyed walker's first round
+	// emits whole trees and deltas start one round later.
+	return d.tool.sampler.SampleKeyed(d.leaf, sreq), nil
 }
 
-// gatherPacket performs the daemon's real work for a gather command as an
-// async sample/emit pipeline. sampleTrees claims the round's walk (already
-// running in the background when the previous gather speculated right, run
-// inline otherwise), seals the trie snapshot, and — under
-// Options.OverlapSnapshot — immediately kicks off the next round's walk
-// before emitting; the emit, the encode below, and the whole upstream
-// reduction then read only the sealed snapshot, concurrently with that
-// walk. The emitted trees alias snapshot storage, so the sampleTrees
+// gatherPacket performs the daemon's real work for a gather command.
+// sampleTrees walks the round, seals the trie snapshot and emits the
+// trees; the emitted trees alias snapshot storage, so the sampleTrees
 // result is handed to the gather reply without copying: the trees are
 // serialized — in the wire version negotiated at attach — as a complete
 // MsgResult packet minted from the shared buffer pool behind a lease. The
@@ -303,21 +190,25 @@ func (d *daemon) sampleTrees(req proto.GatherRequest) (sampleBatch, error) {
 func (d *daemon) gatherPacket(req proto.GatherRequest) (*tbon.Lease, error) {
 	version := d.wireVersion
 	telem := req.Telemetry && d.tool.telem != nil
-	sb, err := d.sampleTrees(req)
+	b, err := d.sampleTrees(req)
 	if err != nil {
 		return nil, err
+	}
+	t2, t3 := b.Tree2D, b.Tree3D
+	if b.DeltaOK {
+		t2, t3 = b.Delta2D, b.Delta3D
 	}
 	var treeBuf [2]*trace.Tree
 	var trees []*trace.Tree
 	switch req.Which {
 	case proto.Tree2D:
-		treeBuf[0] = sb.t2
+		treeBuf[0] = t2
 		trees = treeBuf[:1]
 	case proto.Tree3D:
-		treeBuf[0] = sb.t3
+		treeBuf[0] = t3
 		trees = treeBuf[:1]
 	default:
-		treeBuf[0], treeBuf[1] = sb.t2, sb.t3
+		treeBuf[0], treeBuf[1] = t2, t3
 		trees = treeBuf[:2]
 	}
 	hdr := proto.HeaderSize
@@ -334,14 +225,14 @@ func (d *daemon) gatherPacket(req proto.GatherRequest) (*tbon.Lease, error) {
 	if telem {
 		encStart = time.Now()
 	}
-	packet, err := encodeFramesInto(buf[:hdr], version, sb.delta, trees...)
-	sb.release()
+	packet, err := encodeFramesInto(buf[:hdr], version, b.DeltaOK, trees...)
+	b.Release()
 	if err != nil {
 		outBufs.Put(buf)
 		return nil, err
 	}
 	typ := proto.MsgResult
-	if sb.delta {
+	if b.DeltaOK {
 		typ = proto.MsgDelta
 	}
 	if telem {
@@ -354,16 +245,17 @@ func (d *daemon) gatherPacket(req proto.GatherRequest) (*tbon.Lease, error) {
 		round := int32(d.epoch)
 		f := &d.telemFrame
 		*f = telemetry.Frame{Daemons: 1, Round: round}
-		f.Observe(telemetry.SpanWalk, sb.walkNs)
-		f.Observe(telemetry.SpanSeal, sb.sealNs)
+		walkNs, sealNs := b.WalkNanos, b.SealNanos
+		f.Observe(telemetry.SpanWalk, walkNs)
+		f.Observe(telemetry.SpanSeal, sealNs)
 		f.Observe(telemetry.SpanEncode, encodeNs)
 		f.Observe(telemetry.SpanSend, sendNs)
 		f.PayloadBytes = int64(len(packet) - hdr)
 		f.LiveLeases = tbon.LiveLeases()
 		rec := d.tool.telem.recorders[d.leaf]
 		base := sendStart.UnixNano()
-		rec.Record(telemetry.SpanWalk, round, base-sb.sealNs-sb.walkNs, sb.walkNs)
-		rec.Record(telemetry.SpanSeal, round, base-sb.sealNs, sb.sealNs)
+		rec.Record(telemetry.SpanWalk, round, base-sealNs-walkNs, walkNs)
+		rec.Record(telemetry.SpanSeal, round, base-sealNs, sealNs)
 		rec.Record(telemetry.SpanEncode, round, encStart.UnixNano(), encodeNs)
 		rec.Record(telemetry.SpanSend, round, base, sendNs)
 		d.telemBuf = f.AppendTo(d.telemBuf[:0])

@@ -606,26 +606,12 @@ func (t *Tool) runMergePhase(res *Result) error {
 	if err := s.detach(); err != nil {
 		return err
 	}
-	// After the streamed rounds and the detach (which cancels outstanding
-	// speculation), so the counters cover every round of the session.
-	if t.sampler != nil {
-		res.SampleStats = t.sampler.Stats()
-	}
+	// After the streamed rounds, so the counters cover every round of the
+	// session.
+	res.SampleStats = t.sampler.Stats()
 
 	// Steady-state round model: repeated gathers of a long session walk
-	// all-warm (Times.Sample already charged the cold round), and the
-	// snapshot-emit pipeline hides the warm walk behind this round's
-	// reduction drain — at most all of it, at best all of Merge+Remap.
-	// Computed here, after Remap is known, so the hidden share reflects
-	// the full drain the walk can ride behind. Quiesced (or legacy /
-	// fault-tolerant) sessions hide nothing.
+	// all-warm (Times.Sample already charged the cold round).
 	res.Times.SampleSteady = t.steadyWalkSec()
-	if t.sampler != nil && t.opts.Overlap == OverlapSnapshot && !t.opts.FaultTolerant {
-		drain := res.Times.Merge + res.Times.Remap
-		res.Times.SampleHidden = res.Times.SampleSteady
-		if drain < res.Times.SampleHidden {
-			res.Times.SampleHidden = drain
-		}
-	}
 	return nil
 }

@@ -34,20 +34,21 @@
 //
 // # Session mode matrix
 //
-// Four orthogonal session behaviors compose — or explicitly refuse to.
-// First the sampling/streaming axes:
+// Three orthogonal session behaviors compose — or explicitly refuse to.
+// Every gather samples the same way: each daemon walks, seals and emits
+// its round in sequence on the goroutine that produces its gather payload
+// (Engine.Sample), and a delta round walks the daemon's resident keyed
+// walker instead (Engine.SampleKeyed). First the fault/streaming axes:
 //
 //	                 one-shot      streaming (Stream > 0)
-//	overlap=snapshot default: the  deltas ride the same snapshot chain;
-//	                 walk hides    the keyed resident walker adds round
-//	                 behind the    continuity on top of overlap, so both
-//	                 reduction     compose freely
-//	overlap=quiesced strict walk→  streams too — delta extraction happens
-//	                 gather        at seal time either way
+//	fault-free       default: one  deltas from the keyed resident
+//	                 walk per      walker's seal-time extraction
+//	                 daemon, then
+//	                 the reduction
 //	fault-tolerant   degraded      REJECTED (fillDefaults): a partial
 //	                 partial       fold has no well-defined delta base;
-//	                 results       see ROADMAP for the per-subtree
-//	                               re-sync epoch design that lifts this
+//	                 results, the  see ROADMAP for the per-subtree
+//	                 same walks    re-sync epoch design that lifts this
 //
 // Telemetry (Options.Telemetry) is a pure observer and composes with
 // every row, riding the same packets the row already sends:
@@ -109,60 +110,6 @@ func (m BitVecMode) String() string {
 	return "original"
 }
 
-// Sampler selects the daemon-side sampling implementation.
-type Sampler int
-
-const (
-	// SamplerBatched is the batched direct-to-tree engine
-	// (internal/sample): raw PC stacks walk into a persistent prefix trie
-	// whose edges are keyed by the PC ranges that resolve to them, so
-	// frames descend by range check and only novel ranges reach the
-	// memoized resolver; the trie emits the gather trees directly. The
-	// default.
-	SamplerBatched Sampler = iota
-	// SamplerLegacy is the original per-sample loop: materialize resolved
-	// frames per sample and fold each trace into a fresh tree. Kept as
-	// the differential reference and for measuring the engine's win.
-	SamplerLegacy
-)
-
-func (s Sampler) String() string {
-	if s == SamplerLegacy {
-		return "legacy"
-	}
-	return "batched"
-}
-
-// OverlapMode selects whether daemons overlap the next round's stack walk
-// with the current round's emit/encode/reduction (the snapshot-emit
-// pipeline) or quiesce between rounds.
-type OverlapMode int
-
-const (
-	// OverlapSnapshot is the snapshot-emit pipeline (the default): each
-	// gather seals an atomic snapshot of the walker trie, immediately
-	// starts the speculative next-round walk on a background goroutine,
-	// and emits/encodes the sealed trees while that walk runs — so the
-	// walk rides behind the TBON drain instead of on the critical path.
-	// Requires the batched sampler with SampleWorkers >= 2 to actually
-	// pipeline (a single worker degrades to quiesced rounds through the
-	// same snapshot path); disabled automatically under FaultTolerant,
-	// whose abandoned subtree goroutines could outlive the round.
-	OverlapSnapshot OverlapMode = iota
-	// OverlapQuiesced forces strict walk → seal → emit sequencing with no
-	// background speculation — the paper's sample-then-reduce ordering,
-	// kept as the differential reference for byte-identity and as the
-	// baseline leg of BenchmarkGatherOverlap.
-	OverlapQuiesced
-)
-
-func (m OverlapMode) String() string {
-	if m == OverlapQuiesced {
-		return "quiesced"
-	}
-	return "snapshot"
-}
-
 // Options configure one STAT run.
 type Options struct {
 	// Machine is the platform model (machine.Atlas() or machine.BGL()).
@@ -212,18 +159,10 @@ type Options struct {
 	// [proto.Version, proto.MaxVersion]. Pinning 2 keeps every label dense
 	// (STR2) — for measuring what v3's compressed containers save.
 	WireVersion uint8
-	// Sampler selects the daemon sampling implementation; the zero value
-	// is the batched direct-to-tree engine.
-	Sampler Sampler
-	// SampleWorkers is the batched engine's number of walk slots: how many
-	// daemons may walk stacks concurrently, each on a warm pooled trie. A
-	// pinned prefetch walker holds no slot. 0 means GOMAXPROCS. Ignored by
-	// SamplerLegacy.
+	// SampleWorkers is the sampling engine's number of walk slots: how
+	// many daemons may walk stacks concurrently, each on a warm pooled
+	// trie. 0 means GOMAXPROCS.
 	SampleWorkers int
-	// Overlap selects the walk/gather overlap mode; the zero value is the
-	// snapshot-emit pipeline. Ignored by SamplerLegacy (which always
-	// quiesces) and forced to quiesced under FaultTolerant.
-	Overlap OverlapMode
 	// DaemonWireCaps caps individual daemons' advertised data-stream wire
 	// version, keyed by leaf index — simulating a mixed-version fleet. A
 	// capped daemon negotiates at most its cap at attach, the ack merge's
@@ -321,14 +260,8 @@ func (o *Options) fillDefaults() error {
 	if o.WireVersion != 0 && (o.WireVersion < proto.Version || o.WireVersion > proto.MaxVersion) {
 		return fmt.Errorf("core: WireVersion %d outside this build's range %d..%d", o.WireVersion, proto.Version, proto.MaxVersion)
 	}
-	if o.Sampler != SamplerBatched && o.Sampler != SamplerLegacy {
-		return fmt.Errorf("core: unknown sampler %d", int(o.Sampler))
-	}
 	if o.SampleWorkers < 0 {
 		return fmt.Errorf("core: SampleWorkers must be >= 0, got %d", o.SampleWorkers)
-	}
-	if o.Overlap != OverlapSnapshot && o.Overlap != OverlapQuiesced {
-		return fmt.Errorf("core: unknown overlap mode %d", int(o.Overlap))
 	}
 	for leaf, cap := range o.DaemonWireCaps {
 		if cap < proto.Version || cap > proto.MaxVersion {
@@ -382,15 +315,11 @@ func (o *Options) gatherReduceOpts() tbon.ReduceOptions {
 // PhaseTimes holds the modeled duration of each tool phase in seconds.
 //
 // Sample is the first (cold) round: its first walk per task pays symbol
-// resolution and trie growth, and nothing earlier exists to hide it
-// behind, so it always sits on the critical path and Total() charges it
-// in full. SampleSteady/SampleHidden describe the repeated steady-state
-// rounds of a long session instead: an all-warm walk that the
-// snapshot-emit pipeline can overlap with the previous round's reduction
-// drain. They are reported separately rather than folded into Total() —
-// Total() remains the paper's single-gather wall clock, and double-
-// charging hidden walk time (once in Sample, once in SampleSteady) is
-// exactly the accounting bug the split exists to avoid.
+// resolution and trie growth, and Total() charges it in full.
+// SampleSteady describes the repeated steady-state rounds of a long
+// session instead: an all-warm walk. It is reported separately rather
+// than folded into Total(), which remains the paper's single-gather wall
+// clock.
 type PhaseTimes struct {
 	Launch float64
 	SBRS   float64
@@ -402,10 +331,6 @@ type PhaseTimes struct {
 	// round (every call path warm in the trie; no cold resolution, no jitter
 	// tail — steady rounds resample a stable working set).
 	SampleSteady float64
-	// SampleHidden is the portion of SampleSteady the snapshot-emit
-	// pipeline hides behind the round's reduction drain (Merge + Remap):
-	// min(SampleSteady, Merge+Remap) when overlap is on, 0 when quiesced.
-	SampleHidden float64
 	// Stream is the summed modeled reduction time of the streamed rounds
 	// (Options.Stream), each computed from that round's actual gather
 	// traffic — delta rounds ship far fewer bytes, and this is where the
@@ -422,8 +347,7 @@ func (p PhaseTimes) Total() float64 {
 }
 
 // SteadyRound is the modeled wall clock of one steady-state gather round:
-// the warm walk minus whatever the overlap pipeline hid behind the
-// reduction, plus the reduction itself.
+// the warm walk, then the reduction and the remap.
 func (p PhaseTimes) SteadyRound() float64 {
-	return p.SampleSteady - p.SampleHidden + p.Merge + p.Remap
+	return p.SampleSteady + p.Merge + p.Remap
 }

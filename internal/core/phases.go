@@ -63,18 +63,16 @@ func (t *Tool) runLaunchPhase() (float64, error) {
 // This phase models the session's FIRST (cold) gather round only: symbol
 // parsing happens once, machine.WalkSec charges the first walk per task
 // the cold price and the rest of the round the warm price, and the result
-// lands in PhaseTimes.Sample, charged in full on the critical path —
-// nothing earlier in the session exists to hide a cold round behind, with
-// or without overlap. Steady-state rounds are modeled separately
-// (steadyWalkSec → PhaseTimes.SampleSteady), and only THAT term earns an
-// overlap credit (PhaseTimes.SampleHidden); keeping the two models
-// disjoint is what prevents hidden walk time from being discounted twice.
+// lands in PhaseTimes.Sample, charged in full on the critical path.
+// Steady-state rounds are modeled separately (steadyWalkSec →
+// PhaseTimes.SampleSteady), and they too sit on the critical path: every
+// round walks before it reduces (PhaseTimes.SteadyRound).
 //
 // Only the clock is modeled here. The real sampling work — the walks that
 // produce the trees the merge phase reduces — runs at gather time in
 // daemon.sampleTrees, and is no longer the sequential per-sample
-// walk→resolve→merge loop this comment once described: by default it goes
-// through the batched direct-to-tree engine (internal/sample), where raw
+// walk→resolve→merge loop this comment once described: it goes through
+// the batched direct-to-tree engine (internal/sample), where raw
 // PC stacks accumulate in a per-walker trie, symbols resolve through a
 // shared memoized cache, and concurrency is bounded by the engine's
 // walk slots (Options.SampleWorkers) rather than being strictly
@@ -142,8 +140,8 @@ func (t *Tool) runSamplePhase() (float64, error) {
 // steadyWalkSec models one steady-state gather round's walk time: the
 // slowest daemon's all-warm resample of its task set. No symbol I/O (the
 // caches are hot), no cold first walk, and no jitter tail — the steady
-// model is the repeatable per-round cost the overlap pipeline hides, not
-// a worst-case draw. Feeds PhaseTimes.SampleSteady.
+// model is the repeatable per-round cost, not a worst-case draw. Feeds
+// PhaseTimes.SampleSteady.
 func (t *Tool) steadyWalkSec() float64 {
 	var worst float64
 	for d := 0; d < t.daemons; d++ {

@@ -10,14 +10,14 @@ import (
 
 // BenchmarkSamplePhase measures one daemon's real gather-time sampling
 // work — walk every local task's stack for the full sample count and
-// build the 2D+3D prefix trees — under the legacy per-sample loop and the
-// batched direct-to-tree engine, at both label widths that matter: the
+// build the 2D+3D prefix trees — through the batched direct-to-tree
+// engine, at both label widths that matter: the
 // hierarchical subtree-local width (128 tasks per BG/L VN daemon) and the
 // original full-job width at the paper's 208K-task scale. The workload is
 // the default hang population, so the daemon's tasks are the spinning
 // barrier crowd whose stacks the engine's caches exploit. Gated in CI by
-// cmd/benchgate against the committed baseline; the engine rows must also
-// stay allocation-free (TestSamplePhaseZeroAllocs is the hard guard).
+// cmd/benchgate against the committed baseline; the rows must also stay
+// allocation-free (TestSamplePhaseZeroAllocs is the hard guard).
 func BenchmarkSamplePhase(b *testing.B) {
 	cases := []struct {
 		name string
@@ -40,45 +40,35 @@ func BenchmarkSamplePhase(b *testing.B) {
 			Samples:  10,
 		}},
 	}
-	samplers := []struct {
-		name    string
-		sampler Sampler
-	}{
-		{"legacy", SamplerLegacy},
-		{"engine", SamplerBatched},
-	}
 	for _, tc := range cases {
-		for _, s := range samplers {
-			b.Run(tc.name+"/"+s.name, func(b *testing.B) {
-				opts := tc.opts
-				opts.Sampler = s.sampler
-				opts.SampleWorkers = 1
-				tool, err := New(opts)
+		b.Run(tc.name+"/engine", func(b *testing.B) {
+			opts := tc.opts
+			opts.SampleWorkers = 1
+			tool, err := New(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Daemon 0 of the VN task map serves 128 spinning ranks.
+			d := &daemon{
+				leaf: 0, tool: tool, state: stateSampled,
+				samples: opts.Samples, threads: 1, epoch: opts.Samples,
+				wireVersion: proto.MaxVersion,
+			}
+			req := proto.GatherRequest{Which: proto.TreeBoth}
+			stacks := len(tool.TaskMap()[0]) * opts.Samples
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch, err := d.sampleTrees(req)
 				if err != nil {
 					b.Fatal(err)
 				}
-				// Daemon 0 of the VN task map serves 128 spinning ranks.
-				d := &daemon{
-					leaf: 0, tool: tool, state: stateSampled,
-					samples: opts.Samples, threads: 1, epoch: opts.Samples,
-					wireVersion: proto.MaxVersion,
-				}
-				req := proto.GatherRequest{Which: proto.TreeBoth}
-				stacks := len(tool.TaskMap()[0]) * opts.Samples
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sb, err := d.sampleTrees(req)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sb.release()
-					// Each op is a fresh sample command, as in a real
-					// session: the stacks drift from op to op.
-					d.epoch += d.samples
-				}
-				b.ReportMetric(float64(stacks), "stacks/op")
-			})
-		}
+				batch.Release()
+				// Each op is a fresh sample command, as in a real
+				// session: the stacks drift from op to op.
+				d.epoch += d.samples
+			}
+			b.ReportMetric(float64(stacks), "stacks/op")
+		})
 	}
 }

@@ -225,7 +225,7 @@ func (s *session) gather(which proto.TreeKind, detail, delta bool) (gathered, er
 		wait := s.t.telem.takeWait()
 		s.lastFrame.Spans[telemetry.SpanReduceWait].Merge(&wait)
 		s.lastFrameOK = true
-		s.t.telem.publish(&s.lastFrame)
+		s.t.telem.publish(&s.lastFrame, s.t.sampler.Stats().SlotWaitNanos)
 	}
 	g.stats = stats
 	return g, nil

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"stat/internal/machine"
 	"stat/internal/mpisim"
@@ -248,7 +250,7 @@ func TestStreamEventsFireOnClassChange(t *testing.T) {
 
 // TestStreamSampleStatsCoverAllRounds: a streaming session's sampler
 // counters cover the cold round and every streamed round, and count each
-// walk a round used exactly once, whatever speculation ran beside them.
+// walk a round used exactly once.
 func TestStreamSampleStatsCoverAllRounds(t *testing.T) {
 	opts := Options{
 		Machine:        machine.Atlas(),
@@ -269,6 +271,57 @@ func TestStreamSampleStatsCoverAllRounds(t *testing.T) {
 	}
 	if ss.PCsResolved == 0 {
 		t.Error("PCsResolved = 0: the resolver counter is silent")
+	}
+}
+
+// TestStreamParksNoGoroutines: the sampling engine starts no goroutines
+// of its own, so between the rounds of a session nothing it started is
+// still alive. A whole-tree stream samples through the pooled walkers on
+// two walk slots; inside each round's hook, after the round's reduction
+// has returned, the process must run no more goroutines than before Run.
+// The reduction's workers have signalled their exit by then but may not
+// have finished it, so the hook gives them a moment; a goroutine parked
+// between rounds never leaves.
+func TestStreamParksNoGoroutines(t *testing.T) {
+	opts := Options{
+		Machine:         machine.Atlas(),
+		Tasks:           64,
+		Topology:        topology.Spec{Kind: topology.KindBalanced, Depth: 2},
+		BitVec:          Hierarchical,
+		Samples:         3,
+		SampleWorkers:   2,
+		Stream:          3,
+		StreamWholeTree: true,
+	}
+	var counts []int
+	before := 0
+	opts.StreamRound = func(round int, delta bool, t2, t3 *trace.Tree) {
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); n > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		counts = append(counts, n)
+	}
+	tool, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = runtime.NumGoroutine()
+	res, err := tool.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LaunchErr != nil || res.MergeErr != nil {
+		t.Fatalf("launch %v, merge %v", res.LaunchErr, res.MergeErr)
+	}
+	if len(counts) != opts.Stream+1 {
+		t.Fatalf("hook saw %d rounds, want %d", len(counts), opts.Stream+1)
+	}
+	for round, n := range counts {
+		if n > before {
+			t.Errorf("round %d: %d goroutines in the hook, %d before Run", round, n, before)
+		}
 	}
 }
 

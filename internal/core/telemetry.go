@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -54,6 +55,7 @@ type toolTelemetry struct {
 	waitHist     *telemetry.Histogram
 	liveLeases   *telemetry.Gauge
 	fanin        *telemetry.Gauge
+	slotWait     *telemetry.Counter
 
 	// Front-end reduce-wait aggregation, fed concurrently by the
 	// reduction engine's WaitObserver and drained into the round's
@@ -67,7 +69,9 @@ type toolTelemetry struct {
 	waitFn func(int64)
 }
 
-func newToolTelemetry(daemons int) *toolTelemetry {
+// newToolTelemetry builds the plane for a tool with the given daemon
+// count, walk-slot count and reduction worker count.
+func newToolTelemetry(daemons, walkSlots, reduceWorkers int) *toolTelemetry {
 	tt := &toolTelemetry{reg: telemetry.NewRegistry()}
 	tt.recorders = make([]*telemetry.Recorder, daemons)
 	for i := range tt.recorders {
@@ -94,6 +98,14 @@ func newToolTelemetry(daemons int) *toolTelemetry {
 		"High-water process-wide leased-buffer count observed during gathers.")
 	tt.fanin = tt.reg.Gauge("stat_filter_fanin_max",
 		"Most inputs (fan-in, accumulator included) folded by a single filter call.")
+	tt.slotWait = tt.reg.Counter("stat_sample_slot_wait_ns_total",
+		"Time daemon walks spent blocked on a walk slot (ns).")
+	tt.reg.Gauge("stat_gomaxprocs",
+		"GOMAXPROCS of the tool process.").Set(int64(runtime.GOMAXPROCS(0)))
+	tt.reg.Gauge("stat_sample_walk_slots",
+		"Walk slots of the sampling engine: daemon walks that may run at once.").Set(int64(walkSlots))
+	tt.reg.Gauge("stat_reduce_workers",
+		"Worker goroutines of each TBON reduction.").Set(int64(reduceWorkers))
 	tt.waitMin.Store(-1)
 	tt.waitFn = tt.observeWait
 	return tt
@@ -154,8 +166,9 @@ func (tt *toolTelemetry) takeWait() telemetry.SpanAgg {
 }
 
 // publish folds one round's fleet frame into the session-lifetime
-// registry metrics.
-func (tt *toolTelemetry) publish(f *telemetry.Frame) {
+// registry metrics, and brings the slot-wait counter up to the sampling
+// engine's cumulative slotWaitNs.
+func (tt *toolTelemetry) publish(f *telemetry.Frame, slotWaitNs int64) {
 	tt.rounds.Add(1)
 	tt.payloadBytes.Add(f.PayloadBytes)
 	tt.mergedBytes.Add(f.MergedBytes)
@@ -166,6 +179,7 @@ func (tt *toolTelemetry) publish(f *telemetry.Frame) {
 	tt.walkHist.MergeBuckets(f.WalkHist[:], f.Spans[telemetry.SpanWalk].SumNs)
 	tt.liveLeases.Max(f.LiveLeases)
 	tt.fanin.Max(f.QueueDepth)
+	tt.slotWait.Add(slotWaitNs - tt.slotWait.Load())
 }
 
 // telemFold is the pooled per-filter-call state of the telemetry fold:

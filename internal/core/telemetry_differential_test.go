@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"stat/internal/machine"
@@ -214,12 +217,40 @@ func TestTelemetryFullSessionDifferential(t *testing.T) {
 				t.Errorf("%v: exposition lacks %s", mode, metric)
 			}
 		}
+		// The pool sizes are gauges, and the slot-wait counter carries the
+		// sampling engine's own total (no walk runs after the gather).
+		procs := int64(runtime.GOMAXPROCS(0))
+		for _, m := range []struct {
+			name string
+			want int64
+		}{
+			{"stat_gomaxprocs", procs},
+			{"stat_sample_walk_slots", procs},
+			{"stat_reduce_workers", min(procs, int64(daemons))},
+			{"stat_sample_slot_wait_ns_total", results[1].SampleStats.SlotWaitNanos},
+		} {
+			if got, ok := exposedValue(expo.String(), m.name); !ok || got != m.want {
+				t.Errorf("%v: %s = %d (exposed %v), want %d", mode, m.name, got, ok, m.want)
+			}
+		}
 		// And the daemons' flight recorders hold the round's spans.
 		tail := instrTool.FlightTail(0, make([]telemetry.Span, 16))
 		if len(tail) == 0 {
 			t.Errorf("%v: daemon 0 flight recorder is empty after a session", mode)
 		}
 	}
+}
+
+// exposedValue reads the sample value of an unlabeled metric from a
+// Prometheus text exposition.
+func exposedValue(expo, name string) (int64, bool) {
+	for _, line := range strings.Split(expo, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			return n, err == nil
+		}
+	}
+	return 0, false
 }
 
 // buildTelemetryChildren wraps buildFilterChildren's payloads into

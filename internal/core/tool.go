@@ -29,8 +29,7 @@ type Tool struct {
 	symtab  *stackwalk.SymbolTable
 	rng     *sim.RNG
 	// sampler is the batched direct-to-tree sampling engine shared by
-	// every daemon of this tool; nil when Options.Sampler selects the
-	// legacy per-sample loop.
+	// every daemon of this tool.
 	sampler *sample.Engine
 	// merge is the gather's merge state: representation, task layout
 	// (merge.taskMap: per daemon, global ranks in local order), coverage
@@ -103,11 +102,9 @@ type Result struct {
 	// ratios they imply are what the direct-to-tree engine exploits:
 	// spinning tasks walk a small population of call paths, so nearly
 	// every frame descends by a span check and never reaches the
-	// resolver. The snapshot-emit pipeline adds its own
-	// counters: snapshots sealed, torn-read retries, walks claimed from a
-	// background prefetch, and the walk nanoseconds the overlap hid
-	// behind the reduction drain. They are read after the session's last
-	// round, streamed rounds included. All zero on the legacy sampler.
+	// resolver. Snapshots sealed, delta rounds and walk-slot waits count
+	// too. They are read after the session's last round, streamed rounds
+	// included.
 	SampleStats sample.Stats
 	// SBRSReport is non-nil when SBRS ran.
 	SBRSReport *sbrs.Report
@@ -206,11 +203,10 @@ func New(opts Options) (*Tool, error) {
 	if err := t.loadSymbols(); err != nil {
 		return nil, err
 	}
-	if opts.Sampler == SamplerBatched {
-		t.sampler = sample.New(t.app, t.symtab, opts.SampleWorkers)
-	}
+	t.sampler = sample.New(t.app, t.symtab, opts.SampleWorkers)
 	if opts.Telemetry {
-		t.telem = newToolTelemetry(t.daemons)
+		t.telem = newToolTelemetry(t.daemons, t.sampler.Slots(),
+			tbon.PoolWorkers(opts.ReduceWorkers, t.daemons))
 	}
 
 	// Per-run stream: identical configurations reproduce exactly; any

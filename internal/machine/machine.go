@@ -158,11 +158,8 @@ func (m *Machine) TaskMap(tasks, daemons int) [][]int {
 // WalkSec is the modeled per-task, per-thread stack-walk time of the
 // FIRST gather round of the given sample count: the first walk pays the
 // cold price (resolution, trie growth), every repeat descends the warm
-// trie at the warm price. This is the cold-round term of the
-// cold/warm split — it always sits on the critical path
-// (PhaseTimes.Sample) and never earns an overlap discount, so it composes
-// with the snapshot-emit pipeline without double-counting: overlap
-// credits apply only to WalkSecSteady rounds.
+// trie at the warm price. This is the cold-round term of the cold/warm
+// split (PhaseTimes.Sample); WalkSecSteady prices the rounds after it.
 func (m *Machine) WalkSec(samples int) float64 {
 	if samples < 1 {
 		return 0
@@ -173,9 +170,9 @@ func (m *Machine) WalkSec(samples int) float64 {
 // WalkSecSteady is the modeled per-task, per-thread walk time of a
 // steady-state gather round: the trie, its spans, and the resolver cache
 // already hold the round's whole working set, so every sample — the first
-// included — walks at the warm price. This is the round the
-// snapshot-emit pipeline can hide behind the previous round's reduction
-// drain (PhaseTimes.SampleSteady / SampleHidden).
+// included — walks at the warm price (PhaseTimes.SampleSteady). Each
+// such round walks before it reduces, so the whole walk is on the round's
+// critical path (PhaseTimes.SteadyRound).
 func (m *Machine) WalkSecSteady(samples int) float64 {
 	if samples < 1 {
 		return 0

@@ -26,18 +26,16 @@ import (
 // Request.Compress exactly like whole-tree seals), and the precomputed
 // per-tree child lists. emitDeltaTrees then builds trace trees from the
 // scratch alone — it never reads the live children arrays or
-// accumulator slots — so the emit is safe concurrently with the next
-// round's background walk, which touches neither scratch nor the sealed
-// parity slot.
+// accumulator slots.
 //
 // Why seal time, not emit time: round N−1's accumulator slot is parity
 // slot (N−1)&1 == (N+1)&1, which the *next* round's walk overwrites.
-// Inside seal the walker is quiesced (the next walk has not been
-// kicked), so both slots are stable and the two-round XOR is computed
-// from them directly. The single-buffered scratch is then valid until
-// the next seal — one round, strictly shorter than the two-seal
-// guarantee of whole-tree snapshots, and exactly the window the engine
-// pipeline gives a batch (encode, then Release, before the next round).
+// Inside seal the next walk has not started, so both slots are stable
+// and the two-round XOR is computed from them directly. The
+// single-buffered scratch is then valid until the next seal — one round,
+// strictly shorter than the two-seal guarantee of whole-tree snapshots,
+// and exactly the window the engine gives a batch (encode, then Release,
+// before the next round).
 
 // deltaCompatible reports whether two consecutively sealed requests
 // describe XOR-comparable rounds: same task-space shape and the same
@@ -59,7 +57,7 @@ func deltaCompatible(a, b Request) bool {
 }
 
 // sealDelta computes the round-over-round delta into the trie's scratch
-// fields. Must run inside seal (quiesced window, owning goroutine) with
+// fields. Must run inside seal (on the owning goroutine) with
 // w.epoch the just-walked round and w.epoch−1 the previous sealed one.
 func (w *walker) sealDelta(req Request) {
 	s := w.slot
@@ -161,8 +159,7 @@ func xorAccum(dst, src *bitvec.Vector) {
 
 // emitDeltaTrees adopts the sealed round's delta into the walker's
 // reusable delta tree headers. Must run after a seal that extracted a
-// delta (walker.deltaOK); reads only the delta scratch, so it is safe
-// while the next round's background walk runs.
+// delta (walker.deltaOK); reads only the delta scratch.
 func (w *walker) emitDeltaTrees(req Request) {
 	if req.Want3D {
 		w.d3h.AdoptRoot(w.sealedWidth, emitDelta(&w.root, false))

@@ -45,14 +45,14 @@
 // Ownership is split between two planes:
 //
 //   - The live plane — accumulator slots, child arrays, spans, the PC
-//     scratch — belongs to exactly one goroutine at a time: the
-//     Sample/SampleOverlap caller, or (between a seal and the next claim)
-//     the walker's background-walk goroutine. Ownership hands off through
-//     channels, never by shared access. Label accumulators are
-//     double-buffered by round parity: round N writes slot N&1 and lazily
-//     resets it on first touch, leaving the other slot — round N-1's
-//     sealed labels — untouched. Spans live only here: seal, emit and
-//     snapshot readers never read them, so walks append to them in place.
+//     scratch — belongs to the goroutine that called Sample or
+//     SampleKeyed, for the duration of that call. The engine starts no
+//     goroutines of its own, so a walker is only ever walked, sealed and
+//     emitted by its caller. Label accumulators are double-buffered by
+//     round parity: round N writes slot N&1 and lazily resets it on first
+//     touch, leaving the other slot — round N-1's sealed labels —
+//     untouched. Spans live only here: seal, emit and snapshot readers
+//     never read them, so walks append to them in place.
 //
 //   - The published plane — each node's nodeSnap chain behind an atomic
 //     pointer — is what everyone else may read. seal(N) freezes round N's
@@ -64,47 +64,40 @@
 //     chain, where round N is still pinned; Stats.SnapshotTornReads
 //     counts the hops. The chain is two deep, so the hard guarantee is:
 //     a sealed snapshot stays readable, bit-for-bit unchanged, until the
-//     second subsequent seal of the same walker. The Engine's own
-//     pipeline retires every emit before the next seal, so torn reads
-//     only occur when callers (or stress tests) pipeline deeper.
+//     second subsequent seal of the same walker. The engine emits every
+//     round before its walker walks again, so in production no reader
+//     runs beside a walk and torn reads only occur when stress tests
+//     pipeline deeper.
 //
-// Batches: the trees returned by Sample/SampleOverlap alias snapshot
+// Batches: the trees returned by Sample/SampleKeyed alias snapshot
 // storage owned by the walker — labels live in the sealed slot, headers
 // are the walker's two reusable Tree structs. They are read-only and die
 // at Batch.Release; encode before releasing, and never retain the trees
-// past it. Releasing does NOT quiesce the walker: under SampleOverlap the
-// background walk for the next round keeps running, which is the point.
+// past it.
 //
 // # Delta extraction (streaming mode)
 //
 // A round sealed with Request.Delta whose walker sealed the immediately
 // preceding epoch under a compatible shape additionally computes, inside
-// the same quiesced seal window, the XOR of the two rounds' labels per
-// trie node, and the batch then carries delta trees (Batch.Delta2D/3D)
-// instead of whole trees — the wire form of "only what changed". The
-// extraction must happen at seal time because the previous round's
-// parity slot is exactly the one the next walk overwrites; the results
-// live in single-buffered per-node scratch valid until the next seal,
-// one round — see delta.go for the full case analysis and validity
-// rules, and trace.ApplyDelta for the front-end fold.
+// the same seal, the XOR of the two rounds' labels per trie node, and the
+// batch then carries delta trees (Batch.Delta2D/3D) instead of whole
+// trees — the wire form of "only what changed". The extraction must
+// happen at seal time because the previous round's parity slot is
+// exactly the one the next walk overwrites; the results live in
+// single-buffered per-node scratch valid until the next seal, one round —
+// see delta.go for the full case analysis and validity rules, and
+// trace.ApplyDelta for the front-end fold.
 //
 // Workers: walk slots, not walkers, bound concurrency (the "parallel
 // daemon walkers"). The engine holds `workers` slot tokens, and a token is
-// held only while a walk and its seal run — on the Sample/SampleOverlap/
-// SampleKeyed caller's goroutine or on a background prefetch walk — so at
-// most `workers` walks run at once and callers past the bound block on a
-// slot (Stats.SlotWaitNanos). Walkers themselves live on a free list,
-// created on demand: a pooled walker stays checked out from its caller's
-// walk until Batch.Release, because the emitted trees alias its snapshot,
-// but it holds no slot while the batch is encoded and shipped. An
-// outstanding Prefetch pins its walker — a walker, never a slot — until
-// the daemon's next claim or Cancel, and its background walk takes a slot
-// like any other walk. A claim waits for its background walk before it
-// takes a slot, so no goroutine ever waits while holding one and the
-// scheme cannot deadlock. The engine caps outstanding prefetches at
-// workers-1, which now bounds only the pinned tries and the wasted
-// speculation (with a single worker, overlap silently degrades to the
-// quiesced pipeline).
+// held only while a walk and its seal run on the Sample/SampleKeyed
+// caller's goroutine, so at most `workers` walks run at once and callers
+// past the bound block on a slot (Stats.SlotWaitNanos). Walkers
+// themselves live on a free list, created on demand: a pooled walker
+// stays checked out from its caller's walk until Batch.Release, because
+// the emitted trees alias its snapshot, but it holds no slot while the
+// batch is encoded and shipped. A caller waits for a slot holding nothing
+// else, so the scheme cannot deadlock.
 package sample
 
 import (
@@ -120,7 +113,7 @@ import (
 
 // Engine is the shared sampling state of one tool instance: the resolver
 // caches (one per frame granularity), the walk slots and the walker pool.
-// Safe for concurrent Sample/SampleOverlap/SampleKeyed calls.
+// Safe for concurrent Sample/SampleKeyed calls.
 type Engine struct {
 	app    *mpisim.App
 	plain  *stackwalk.Cache
@@ -134,14 +127,10 @@ type Engine struct {
 
 	// free holds the pooled walkers no caller has checked out, warm tries
 	// kept for reuse; a checkout on an empty list builds a new walker. A
-	// walker is checked out from its round's walk until Batch.Release, or
-	// while a Prefetch pins it. Guarded by freeMu.
+	// walker is checked out from its round's walk until Batch.Release.
+	// Guarded by freeMu.
 	freeMu sync.Mutex
 	free   []*walker
-
-	// prefetches counts walkers currently pinned by an outstanding
-	// background walk; capped at workers-1 (see the package doc).
-	prefetches atomic.Int64
 
 	// keyed holds the resident per-key walkers of SampleKeyed — one trie
 	// per streaming daemon, alive for the engine's lifetime so consecutive
@@ -152,16 +141,13 @@ type Engine struct {
 	keyedMu sync.Mutex
 	keyed   map[int]*walker
 
-	sampled   atomic.Int64
-	resolved  atomic.Int64
-	unclaimed atomic.Int64
+	sampled  atomic.Int64
+	resolved atomic.Int64
 
-	snapshots   atomic.Int64
-	torn        atomic.Int64
-	prefetched  atomic.Int64
-	hiddenNanos atomic.Int64
-	deltas      atomic.Int64
-	slotWait    atomic.Int64
+	snapshots atomic.Int64
+	torn      atomic.Int64
+	deltas    atomic.Int64
+	slotWait  atomic.Int64
 }
 
 // New builds an engine sampling the given application through the given
@@ -197,6 +183,10 @@ func (e *Engine) acquireSlot() {
 
 // releaseSlot returns a walk slot.
 func (e *Engine) releaseSlot() { <-e.slots }
+
+// Slots reports the engine's walk-slot count: how many daemon walks may
+// run at once.
+func (e *Engine) Slots() int { return e.workers }
 
 // getWalker checks a pooled walker out, building one when none is free.
 func (e *Engine) getWalker() *walker {
@@ -252,17 +242,12 @@ type Request struct {
 	// under a compatible shape, the batch carries XOR delta trees
 	// (Delta2D/Delta3D, DeltaOK=true) instead of whole trees; otherwise —
 	// first round, re-walked round, shape change, recycled walker — it
-	// falls back to the whole trees as if Delta were unset. Delta is
-	// deliberately ignored by the prefetch-claim comparison (sameRequest):
-	// it affects only the seal, never the walk, so a speculative walk
-	// claimed across a Delta flag flip still seals — and extracts — under
-	// the real request.
+	// falls back to the whole trees as if Delta were unset. Delta affects
+	// only the seal, never the walk.
 	Delta bool
 	// Timed asks the engine to report the round's walk and seal durations
-	// in Batch.WalkNanos/SealNanos — the telemetry plane's leaf spans.
-	// Like Delta it changes nothing about the sampled trees, so it too is
-	// ignored by the prefetch-claim comparison; on a claimed background
-	// walk WalkNanos reports the background walk's duration.
+	// in Batch.WalkNanos/SealNanos — the telemetry plane's leaf spans. It
+	// changes nothing about the sampled trees.
 	Timed bool
 }
 
@@ -283,25 +268,20 @@ type Batch struct {
 	// true, whole trees when false.
 	DeltaOK bool
 	// WalkNanos and SealNanos are the round's walk and seal durations,
-	// populated only when Request.Timed was set. For a round that claimed
-	// a background walk, WalkNanos is that walk's duration (it already
-	// ran off the critical path; Stats.HiddenWalkNanos tracks the hidden
-	// share).
+	// populated only when Request.Timed was set.
 	WalkNanos int64
 	SealNanos int64
 	w         *walker
 	e         *Engine
-	// pinned marks a batch whose walker does not return to the pool at
-	// Release: a Prefetch owns it (the prefetch's claim or Cancel returns
-	// it), or it is a resident keyed walker.
-	pinned bool
+	// keyed marks a batch whose walker is a resident keyed one, which
+	// does not return to the pool at Release.
+	keyed bool
 }
 
-// Release ends the batch: the emitted trees die and — unless a Prefetch
-// has pinned the walker for an in-flight background walk, or the walker
+// Release ends the batch: the emitted trees die and — unless the walker
 // is a resident keyed one — the walker returns to the engine's pool.
 // Release is idempotent on the zero Batch but must be called exactly once
-// per Sample/SampleOverlap/SampleKeyed.
+// per Sample/SampleKeyed.
 func (b *Batch) Release() {
 	if b.w == nil {
 		return
@@ -324,46 +304,31 @@ func (b *Batch) Release() {
 	}
 	w := b.w
 	b.w = nil
-	if b.pinned {
+	if b.keyed {
 		return
 	}
 	b.e.putWalker(w)
 }
 
-// Sample runs one daemon's batched walk quiesced — walk, seal, emit, in
-// strict sequence on the caller's goroutine — and returns its trees. The
-// walk and seal block while `workers` walks hold every slot — the
-// bounded-worker guarantee; the emit runs after the slot is returned.
+// Sample runs one daemon's batched walk — walk, seal, emit, in strict
+// sequence on the caller's goroutine — on a pooled walker and returns its
+// trees. The walk and seal block while `workers` walks hold every slot —
+// the bounded-worker guarantee; the emit runs after the slot is returned.
 func (e *Engine) Sample(req Request) Batch {
 	e.acquireSlot()
-	w := e.getWalker()
-	walkNs := timedWalk(w, req)
-	sealNs := timedSeal(w, req)
-	e.releaseSlot()
-	b := e.finish(w, req, false)
-	b.WalkNanos, b.SealNanos = walkNs, sealNs
-	return b
+	return e.round(e.getWalker(), req, false)
 }
 
 // timedWalk and timedSeal run the walker phase, measuring it only when
 // the request asks (Request.Timed) so untimed rounds pay no clock reads.
-// timedWalk walks on the caller's goroutine for the round being served,
-// so its counts always go to the engine.
 func timedWalk(w *walker, req Request) int64 {
 	if !req.Timed {
-		w.eng.account(w.walk(req))
+		w.walk(req)
 		return 0
 	}
 	start := time.Now()
-	w.eng.account(w.walk(req))
+	w.walk(req)
 	return time.Since(start).Nanoseconds()
-}
-
-// account adds a walk's counts to the engine's counters. Only walks a
-// round uses are accounted; abandoned speculation counts as unclaimed.
-func (e *Engine) account(c walkCounts) {
-	e.sampled.Add(c.sampled)
-	e.resolved.Add(c.resolved)
 }
 
 func timedSeal(w *walker, req Request) int64 {
@@ -376,7 +341,7 @@ func timedSeal(w *walker, req Request) int64 {
 	return time.Since(start).Nanoseconds()
 }
 
-// SampleKeyed runs one quiesced round on the resident walker for key —
+// SampleKeyed runs one round on the resident walker for key —
 // the streaming mode's sampling entry point. Unlike Sample, which draws
 // whichever pooled walker frees up first, SampleKeyed guarantees that
 // every round with the same key lands on the same trie, which is what
@@ -392,12 +357,7 @@ func timedSeal(w *walker, req Request) int64 {
 func (e *Engine) SampleKeyed(key int, req Request) Batch {
 	w := e.keyedWalker(key)
 	e.acquireSlot()
-	walkNs := timedWalk(w, req)
-	sealNs := timedSeal(w, req)
-	e.releaseSlot()
-	b := e.finish(w, req, true)
-	b.WalkNanos, b.SealNanos = walkNs, sealNs
-	return b
+	return e.round(w, req, true)
 }
 
 // keyedWalker returns (creating on first use) the resident walker for key.
@@ -415,92 +375,16 @@ func (e *Engine) keyedWalker(key int) *walker {
 	return w
 }
 
-// SampleOverlap runs one round of the snapshot-emit pipeline. If pre is a
-// prefetch from the previous round whose speculation matches req, the
-// walk has already happened (or is finishing) in the background — the
-// round claims it instead of walking; otherwise it walks now (drawing a
-// pooled walker when pre is nil). Either way the round then seals the
-// snapshot, immediately kicks the walker's background goroutine into
-// `next` (when non-nil and admissible), and only then emits the trees —
-// so the returned batch's encode, and the whole upstream reduction,
-// overlap the next round's walk.
-//
-// The returned Prefetch (nil when no background walk was started) must be
-// passed to the next SampleOverlap on the same daemon, or Canceled when
-// the session ends. Speculation is validated, not trusted: a prefetch
-// claimed with a different request is discarded and the round walks
-// fresh, so the emitted trees are byte-identical to the quiesced path no
-// matter what was guessed.
-func (e *Engine) SampleOverlap(pre *Prefetch, req Request, next *Request) (Batch, *Prefetch) {
-	var w *walker
-	var walkNs int64
-	wasPinned := false
-	if pre != nil && pre.w != nil {
-		wasPinned = true
-		w = pre.w
-		pre.w = nil
-		// The claim waits for the background walk, which needs a slot of
-		// its own, so the round takes its slot only after the claim.
-		hit, hidden := w.claim(req)
-		e.acquireSlot()
-		if hit {
-			e.account(w.bgCounts)
-			e.prefetched.Add(1)
-			e.hiddenNanos.Add(hidden)
-			if req.Timed {
-				walkNs = hidden
-			}
-		} else {
-			e.unclaimed.Add(1)
-			walkNs = timedWalk(w, req)
-		}
-	} else {
-		e.acquireSlot()
-		// A fresh checkout counts against the prefetch cap only once it
-		// pins; nothing to do here.
-		w = e.getWalker()
-		walkNs = timedWalk(w, req)
-	}
+// round walks and seals on the walk slot the caller holds, returns the
+// slot, then emits the sealed round into the walker's tree headers and
+// wraps the batch. A round that qualified for delta extraction emits only
+// the delta trees — skipping the whole-tree emit is half the point of the
+// streaming mode's steady state.
+func (e *Engine) round(w *walker, req Request, keyed bool) Batch {
+	walkNs := timedWalk(w, req)
 	sealNs := timedSeal(w, req)
 	e.releaseSlot()
-
-	var npre *Prefetch
-	if next != nil && e.canPrefetch(w, req, *next) {
-		if wasPinned {
-			// The walker keeps its existing pin; the cap count carries over.
-			npre = w.startPrefetch(*next)
-		} else if n := e.prefetches.Add(1); n <= int64(e.workers-1) {
-			npre = w.startPrefetch(*next)
-		} else {
-			e.prefetches.Add(-1)
-		}
-	}
-	if npre == nil && wasPinned {
-		// Pipeline ends here: unpin.
-		close(w.bg)
-		w.bg, w.bgDone = nil, nil
-		e.prefetches.Add(-1)
-	}
-	b := e.finish(w, req, npre != nil)
-	b.WalkNanos, b.SealNanos = walkNs, sealNs
-	return b, npre
-}
-
-// canPrefetch gates speculation: never across a frame-granularity flip
-// (the flip's resetTrie would recycle nodes the current emit still
-// reads), and never for a request the claim would reject anyway on
-// fields the walk cannot absorb. Everything else — a wrong Base, width,
-// sample count — is admissible because a mismatched claim just re-walks.
-func (e *Engine) canPrefetch(w *walker, cur, next Request) bool {
-	return next.Detail == cur.Detail
-}
-
-// finish emits the sealed round into the walker's tree headers and wraps
-// the batch. A round that qualified for delta extraction emits only the
-// delta trees — skipping the whole-tree emit is half the point of the
-// streaming mode's steady state.
-func (e *Engine) finish(w *walker, req Request, pinned bool) Batch {
-	b := Batch{w: w, e: e, pinned: pinned}
+	b := Batch{w: w, e: e, keyed: keyed, WalkNanos: walkNs, SealNanos: sealNs}
 	if w.deltaOK {
 		w.emitDeltaTrees(req)
 		b.DeltaOK = true
@@ -525,9 +409,7 @@ func (e *Engine) finish(w *walker, req Request, pinned bool) Batch {
 // Stats are the engine's cumulative sampling counters.
 type Stats struct {
 	// SampledStacks counts stack walks (task × thread × sample) of the
-	// rounds served. Like every walk counter below it counts a walk when
-	// a round uses it: a speculative background walk counts only once a
-	// round claims it, and otherwise only in UnclaimedWalks.
+	// rounds served.
 	SampledStacks int64
 	// StackMemoHits and DistinctStacks are always 0.
 	//
@@ -535,41 +417,28 @@ type Stats struct {
 	// span-keyed trie edges replaced the memo. Read PCsResolved instead.
 	StackMemoHits  int64
 	DistinctStacks int64
-	// UnclaimedWalks counts speculative background walks that no round
-	// used: discarded on a request mismatch, or canceled when the session
-	// ended. Their stacks appear in no other walk counter.
-	UnclaimedWalks int64
 	// PCsResolved counts per-PC resolver calls: frames whose PC fell in
 	// none of its trie node's spans (span hits skip them);
 	// PCCacheMisses counts the ones that fell through to a real
 	// symbol-table search — each distinct PC pays exactly once while the
-	// cache is below its cap. PCCacheMisses is read off the shared
-	// resolver caches, so a PC first met by an unclaimed walk counts too.
+	// cache is below its cap.
 	PCsResolved   int64
 	PCCacheMisses int64
-	// Snapshots counts sealed trie snapshots — one per sampled round,
-	// quiesced or overlapped.
+	// Snapshots counts sealed trie snapshots — one per sampled round.
 	Snapshots int64
 	// SnapshotTornReads counts snapshot reads that observed a later seal
 	// and recovered by hopping to the pinned previous version. Zero under
-	// the engine's own pipeline depth; nonzero means something read a
-	// round behind a live seal (stress tests, or external readers).
+	// the engine's own sequencing (every emit precedes its walker's next
+	// walk); nonzero means something read a round behind a live seal
+	// (stress tests, or external readers).
 	SnapshotTornReads int64
-	// PrefetchedWalks counts rounds whose walk ran as a claimed
-	// background prefetch instead of on the gather's critical path.
-	PrefetchedWalks int64
-	// HiddenWalkNanos sums the background-walk time that had already run
-	// when its round was claimed — walk time the overlap hid behind the
-	// previous round's emit, encode, and reduction drain.
-	HiddenWalkNanos int64
 	// DeltaRounds counts sealed rounds that qualified for and extracted a
 	// round-over-round delta (delta.go); rounds requested with Delta but
 	// falling back to whole trees do not count.
 	DeltaRounds int64
 	// SlotWaitNanos sums the time walks spent blocked on a walk slot
-	// because `workers` walks already held every slot — foreground rounds
-	// and background prefetch walks alike. Near zero when the slots keep
-	// up with the callers.
+	// because `workers` walks already held every slot. Near zero when the
+	// slots keep up with the callers.
 	SlotWaitNanos int64
 }
 
@@ -577,13 +446,10 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	return Stats{
 		SampledStacks:     e.sampled.Load(),
-		UnclaimedWalks:    e.unclaimed.Load(),
 		PCsResolved:       e.resolved.Load(),
 		PCCacheMisses:     e.plain.Misses() + e.detail.Misses(),
 		Snapshots:         e.snapshots.Load(),
 		SnapshotTornReads: e.torn.Load(),
-		PrefetchedWalks:   e.prefetched.Load(),
-		HiddenWalkNanos:   e.hiddenNanos.Load(),
 		DeltaRounds:       e.deltas.Load(),
 		SlotWaitNanos:     e.slotWait.Load(),
 	}

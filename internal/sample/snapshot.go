@@ -1,18 +1,15 @@
 package sample
 
 import (
-	"time"
-
 	"stat/internal/bitvec"
 	"stat/internal/trace"
 )
 
-// This file implements the epoch-stamped atomic trie snapshot that lets a
-// daemon emit round N's trees while its walker already walks round N+1 —
-// the same atomic-copy discipline as stackwalk.Cache's lock-free read
-// path (immutable versions behind atomic pointers; readers validate and
-// retry instead of locking), applied to a structure that mutates every
-// round instead of growing monotonically.
+// This file implements the epoch-stamped atomic trie snapshot that the
+// emitted trees read: the same atomic-copy discipline as stackwalk.Cache's
+// lock-free read path (immutable versions behind atomic pointers; readers
+// validate and retry instead of locking), applied to a structure that
+// mutates every round instead of growing monotonically.
 //
 // Mechanism. Each trie node owns two nodeSnap structs (snapBuf) rotating
 // by round parity, published through an atomic pointer (snap) as an
@@ -30,10 +27,9 @@ import (
 // hop down the chain, where the wanted version is still pinned, and the
 // engine counts the retry (Stats.SnapshotTornReads). The chain is two
 // deep, so the guarantee is exactly: a sealed snapshot stays readable
-// until the *second* subsequent seal. The engine's own pipeline never
-// runs that deep — emit N completes before seal N+1 starts — so in
-// production the hop only fires if callers drive walkers harder than the
-// Engine does; the race-stress tests do exactly that.
+// until the *second* subsequent seal. The engine itself emits every round
+// before its walker walks again, so in production the hop never fires;
+// the race-stress tests drive walkers harder to exercise it.
 
 // nodeSnap is one published, immutable per-node snapshot version.
 type nodeSnap struct {
@@ -57,22 +53,19 @@ type nodeSnap struct {
 // node's labels and structure become reachable through the atomic
 // pointers, and the walker records the sealed epoch and width for the
 // emits that follow. seal must run on the walker's owning goroutine
-// between the round's walk and the start of the next one; after it
-// returns, the next walk may begin immediately, because walks write only
-// the other parity slot and replace child arrays copy-on-write.
+// between the round's walk and the start of the next one.
 func (w *walker) seal(req Request) {
 	prev, prevReq := w.sealed, w.prevSealReq
 	w.sealed = w.epoch
 	w.sealedWidth = w.width
 	w.prevSealReq = req
 	w.sealNode(&w.root, req.Want2D, req.Compress)
-	// Delta extraction (delta.go) rides the same quiesced window: it needs
-	// the previous round's parity slot, which the *next* walk will
-	// overwrite, so this is the only place the two-round XOR can be
-	// computed. Valid only against an immediately preceding seal of
-	// compatible shape — a claim-mismatch re-walk (epoch jump of 2), a
-	// walker fresh from the pool, or a shape change all fall back to
-	// whole-tree emission via deltaOK=false.
+	// Delta extraction (delta.go) rides the seal: it needs the previous
+	// round's parity slot, which the *next* walk will overwrite, so this
+	// is the only place the two-round XOR can be computed. Valid only
+	// against an immediately preceding seal of compatible shape — a walker
+	// fresh from the pool or a shape change fall back to whole-tree
+	// emission via deltaOK=false.
 	w.deltaOK = req.Delta && prev != 0 && prev == w.epoch-1 && deltaCompatible(prevReq, req)
 	if w.deltaOK {
 		w.sealDelta(req)
@@ -145,9 +138,9 @@ func loadSnap(n *trieNode, epoch uint64, torn *int64) *nodeSnap {
 
 // emitTree converts the sealed snapshot into pooled trace nodes — the
 // tree the gather reply serializes. It reads only published snapshots
-// (plus the immutable node names), so it is safe concurrently with the
-// next round's walk; torn reads recover through the version chain and are
-// counted into *torn.
+// (plus the immutable node names), so it would be safe concurrently with
+// the next round's walk; torn reads recover through the version chain and
+// are counted into *torn.
 func (w *walker) emitTree(last bool, torn *int64) *trace.Node {
 	root := loadSnap(&w.root, w.sealed, torn)
 	return emitSnap(&w.root, root, last, torn)
@@ -170,86 +163,4 @@ func emitSnap(n *trieNode, s *nodeSnap, last bool, torn *int64) *trace.Node {
 		out.Children = append(out.Children, emitSnap(c, cs, last, torn))
 	}
 	return out
-}
-
-// Prefetch is an outstanding background walk: a walker pinned off the
-// engine pool, its resident goroutine walking a speculative next round
-// while the current round's trees travel up the overlay. The pin holds
-// the walker, never a walk slot: only the background walk itself runs on
-// one. Exactly one of Engine.SampleOverlap (which claims it) or Cancel
-// must consume it.
-type Prefetch struct {
-	w *walker
-}
-
-// Cancel abandons the prefetched walk: it waits for the background walk
-// to finish (the trie tolerates the wasted round — its epoch stamps make
-// the stale touches invisible), counts it in Stats.UnclaimedWalks, stops
-// the walker's background goroutine, and returns the walker to the engine
-// pool. Safe on nil and idempotent.
-func (p *Prefetch) Cancel() {
-	if p == nil || p.w == nil {
-		return
-	}
-	w := p.w
-	p.w = nil
-	<-w.bgDone
-	w.eng.unclaimed.Add(1)
-	close(w.bg)
-	w.bg, w.bgDone = nil, nil
-	w.preLive = false
-	w.eng.prefetches.Add(-1)
-	w.eng.putWalker(w)
-}
-
-// startPrefetch hands the walker's resident goroutine the speculative
-// next round and returns the handle (embedded in the walker — no
-// allocation per round). Caller holds the walker and has already sealed
-// the current round.
-func (w *walker) startPrefetch(req Request) *Prefetch {
-	if w.bg == nil {
-		w.bg = make(chan Request)
-		w.bgDone = make(chan int64, 1)
-		go w.bgLoop()
-	}
-	w.preReq = req
-	w.preLive = true
-	w.preHdl = Prefetch{w: w}
-	w.bg <- req
-	return &w.preHdl
-}
-
-// claim waits for the outstanding background walk and reports whether it
-// matches the round actually requested, plus the walk nanoseconds that
-// ran before the claim arrived (the time the overlap hid). On a mismatch
-// the caller re-walks with the real request; the speculative round's
-// trie writes are invisible at the new epoch.
-func (w *walker) claim(req Request) (hit bool, hiddenNanos int64) {
-	waitStart := time.Now()
-	walkNanos := <-w.bgDone
-	wait := time.Since(waitStart).Nanoseconds()
-	w.preLive = false
-	hiddenNanos = walkNanos - wait
-	if hiddenNanos < 0 {
-		hiddenNanos = 0
-	}
-	return sameRequest(w.preReq, req), hiddenNanos
-}
-
-// sameRequest reports whether a speculative prefetch request matches the
-// round the front end actually asked for.
-func sameRequest(a, b Request) bool {
-	if a.GlobalIndex != b.GlobalIndex || a.Width != b.Width ||
-		a.Samples != b.Samples || a.Threads != b.Threads || a.Base != b.Base ||
-		a.Detail != b.Detail || a.Compress != b.Compress ||
-		a.Want2D != b.Want2D || a.Want3D != b.Want3D ||
-		len(a.Ranks) != len(b.Ranks) {
-		return false
-	}
-	for i, r := range a.Ranks {
-		if r != b.Ranks[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -3,7 +3,6 @@ package sample
 import (
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"stat/internal/bitvec"
 	"stat/internal/stackwalk"
@@ -12,10 +11,9 @@ import (
 
 // walker is one pooled daemon-walk state: the persistent trie, the PC
 // scratch buffer, and the reusable tree headers. At any instant a walker
-// has exactly one owner — the Sample/SampleOverlap caller or, between a
-// seal and the next claim, the background walk goroutine — and ownership
-// hands off through channels, so every plain field is single-writer. The
-// only cross-owner reads go through each trie node's atomically published
+// has exactly one owner — the Sample/SampleKeyed caller that checked it
+// out — so every plain field is single-writer. The only reads that could
+// cross goroutines go through each trie node's atomically published
 // snapshot (see snapshot.go).
 type walker struct {
 	eng   *Engine
@@ -24,15 +22,13 @@ type walker struct {
 	// epoch advances per round; trie labels reset lazily on first touch of
 	// the round, so stale branches cost nothing. The epoch's parity selects
 	// which accumulator slot the round writes (slot), leaving the other
-	// slot — the previous round's sealed labels — untouched for concurrent
-	// snapshot readers.
+	// slot — the previous round's sealed labels — untouched for delta
+	// extraction and snapshot readers.
 	epoch uint64
 	slot  int
 
 	// sealed is the epoch of the last published snapshot; sealedWidth its
-	// task-space width. Emits read these instead of epoch/width because a
-	// background walk for the next round may already be advancing the live
-	// fields.
+	// task-space width. Emits read these rather than the live epoch/width.
 	sealed      uint64
 	sealedWidth int
 	// torn accumulates snapshot reads that had to hop back one published
@@ -43,20 +39,6 @@ type walker struct {
 	free []*trieNode // recycled trie nodes (after a granularity flip)
 
 	pcs []uint64
-
-	// Background-walk machinery (the overlap pipeline). bg feeds the
-	// resident walk goroutine one Request per prefetch; bgDone returns the
-	// walk's duration in nanoseconds. Both are created at the first
-	// prefetch and live until Cancel closes bg, so a steady-state
-	// overlapped round costs two channel operations and no allocation.
-	bg     chan Request
-	bgDone chan int64
-	// bgCounts are the last background walk's counters, handed over with
-	// bgDone and accounted only if a round claims the walk.
-	bgCounts walkCounts
-	preReq   Request
-	preHdl   Prefetch
-	preLive  bool
 
 	// Delta-extraction state (delta.go): the request the last seal ran
 	// under (the compatibility reference for the next round's delta) and
@@ -80,7 +62,8 @@ type walker struct {
 // writes slot N&1 while snapshot readers of round N-1 read slot (N-1)&1.
 // A slot's contents are therefore immutable from the moment its round is
 // sealed until the walk two rounds later — the window the snapshot/emit
-// contract (package doc) promises readers.
+// contract (package doc) promises readers, and what delta extraction
+// reads the previous round from.
 type trieNode struct {
 	name string
 	id   uint32
@@ -97,8 +80,7 @@ type trieNode struct {
 	epochs     [2]uint64
 	lastEpochs [2]uint64
 	// children is replaced copy-on-write on insert (never mutated in
-	// place) because published snapshots capture the slice and read it
-	// concurrently with the next round's walk.
+	// place) because published snapshots capture the slice.
 	children []*trieNode
 	// spans map PC ranges to children: a PC in [lo, lo+n) resolves to c's
 	// edge. Live plane only — walks read and append them, seal, emit and
@@ -114,7 +96,7 @@ type trieNode struct {
 	// per-tree child lists computed at seal time, read by the delta emit.
 	// Single-buffered on purpose — the scratch is consumed by this round's
 	// emit, which the engine retires before the next seal can overwrite
-	// it, and the next round's background walk never touches these fields.
+	// it, and walks never touch these fields.
 	dAll, dLast       *bitvec.Vector
 	dAllSet, dLastSet *bitvec.Set
 	dAllOut, dLastOut bitvec.Label
@@ -169,10 +151,9 @@ func (n *trieNode) child(id uint32, name string) *trieNode {
 }
 
 // insertChild adds an edge copy-on-write: the old children array may be
-// captured by a published snapshot whose emit is running concurrently, so
-// a sorted in-place shift would tear under the reader. Novel edges only
-// exist while the call-path population is still growing, so the copy is
-// never on the steady-state path.
+// captured by a published snapshot, so a sorted in-place shift would tear
+// it. Novel edges only exist while the call-path population is still
+// growing, so the copy is never on the steady-state path.
 func (n *trieNode) insertChild(c *trieNode) {
 	i := sort.Search(len(n.children), func(i int) bool {
 		return n.children[i].name >= c.name
@@ -236,9 +217,8 @@ func (w *walker) newNode(id uint32, name string) *trieNode {
 // spans from the plain and detailed caches mean different things, so a
 // trie built under one cannot be probed under the other — the root's
 // spans included, or the first frame of every stack would descend to a
-// recycled node. The engine never starts a background walk across a
-// granularity flip (Engine canPrefetch), so resetTrie only ever runs with
-// no snapshot reader live.
+// recycled node. A walk runs only after its walker's previous batch is
+// released, so resetTrie never runs with a snapshot reader live.
 func (w *walker) resetTrie() {
 	var rec func(n *trieNode)
 	rec = func(n *trieNode) {
@@ -256,18 +236,11 @@ func (w *walker) resetTrie() {
 	w.root.lastEpochs[0], w.root.lastEpochs[1] = 0, 0
 }
 
-// walkCounts are one walk's contributions to the engine's cumulative
-// counters. A walk returns them instead of adding them itself, so a
-// speculative walk that no round claims is counted only as unclaimed
-// (Engine.account, Stats.UnclaimedWalks).
-type walkCounts struct {
-	sampled, resolved int64
-}
-
 // walk executes one round's sampling: every (rank, thread, sample) stack
-// accumulates into the trie under the round's parity slot. It does not
-// seal or emit — run seal and then emitTrees for the round's trees.
-func (w *walker) walk(req Request) walkCounts {
+// accumulates into the trie under the round's parity slot, and the walk's
+// counts add to the engine's. It does not seal or emit — run seal and then
+// emitTrees for the round's trees.
+func (w *walker) walk(req Request) {
 	cache := w.eng.plain
 	if req.Detail {
 		cache = w.eng.detail
@@ -300,7 +273,7 @@ func (w *walker) walk(req Request) walkCounts {
 		}
 	}
 
-	var cnt walkCounts
+	var sampled, resolved int64
 	lastSample := req.Samples - 1
 	for local, rank := range req.Ranks {
 		idx := local
@@ -310,7 +283,7 @@ func (w *walker) walk(req Request) walkCounts {
 		for thread := 0; thread < req.Threads; thread++ {
 			for smp := 0; smp < req.Samples; smp++ {
 				w.pcs = w.eng.app.AppendStackPCs(w.pcs[:0], rank, thread, req.Base+smp)
-				cnt.sampled++
+				sampled++
 				last := req.Want2D && smp == lastSample
 
 				// Descend by span. A node already stamped this round takes
@@ -322,7 +295,7 @@ func (w *walker) walk(req Request) walkCounts {
 					c := n.childAt(pc)
 					if c == nil {
 						c = w.resolveChild(n, pc)
-						cnt.resolved++
+						resolved++
 					}
 					if !last && c.epochs[s] == w.epoch {
 						c.all[s].Set(idx)
@@ -334,29 +307,12 @@ func (w *walker) walk(req Request) walkCounts {
 			}
 		}
 	}
-	return cnt
-}
-
-// bgLoop is the walker's resident background-walk goroutine: one walk per
-// request, run on a walk slot like any other walk, its duration reported
-// back on bgDone once the slot is returned. Started lazily at the first
-// prefetch, it parks on bg between rounds and exits when Cancel closes
-// the channel, so a pipelined walker costs one goroutine for the life of
-// its pipeline and an overlapped round allocates nothing.
-func (w *walker) bgLoop() {
-	for req := range w.bg {
-		w.eng.acquireSlot()
-		start := time.Now()
-		w.bgCounts = w.walk(req)
-		ns := time.Since(start).Nanoseconds()
-		w.eng.releaseSlot()
-		w.bgDone <- ns
-	}
+	w.eng.sampled.Add(sampled)
+	w.eng.resolved.Add(resolved)
 }
 
 // emitTrees adopts the sealed round's snapshot emission into the walker's
-// reusable tree headers. Must run after seal; safe while a background
-// walk for the next round is already running.
+// reusable tree headers. Must run after seal.
 func (w *walker) emitTrees(req Request) {
 	if req.Want3D {
 		w.t3h.AdoptRoot(w.sealedWidth, w.emitTree(false, &w.torn))

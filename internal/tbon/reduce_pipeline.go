@@ -66,6 +66,16 @@ func (r *pipeRun) fail(err error) {
 	})
 }
 
+// PoolWorkers is the worker count a reduction over the given number of
+// leaves runs with: ReduceOptions.Workers, GOMAXPROCS when that is not
+// positive, and never more workers than leaves.
+func PoolWorkers(workers, leaves int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(workers, leaves))
+}
+
 // ReduceNodeLeasedWith runs one upstream reduction through a
 // position-aware NodeFilter — required for partial-result reductions,
 // where the filter must know which children each input covers
@@ -127,11 +137,7 @@ func (n *Network) ReduceNodeLeasedWith(opts ReduceOptions, leaf LeafFunc, filter
 	}
 	root := index(n.topo.Root, 0)
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = max(1, min(workers, len(leaves)))
+	workers := PoolWorkers(opts.Workers, len(leaves))
 	r := &pipeRun{
 		filter:  filter,
 		gate:    newByteGate(opts.BudgetBytes, workers, len(byRank)),
