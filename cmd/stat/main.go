@@ -265,7 +265,7 @@ func printFlag(w io.Writer, f *flag.Flag) {
 	}
 	fmt.Fprintf(w, "%s\n    \t%s", line, strings.ReplaceAll(usage, "\n", "\n    \t"))
 	switch f.DefValue {
-	case "", "false", "0":
+	case "", "false", "0", "0s":
 	default:
 		fmt.Fprintf(w, " (default %s)", f.DefValue)
 	}
@@ -611,8 +611,7 @@ func run(args []string, w io.Writer) error {
 		}
 		fmt.Fprintln(w)
 		if ss.Snapshots > 0 {
-			fmt.Fprintf(w, "snapshots: %d sealed, %d torn-read retries\n",
-				ss.Snapshots, ss.SnapshotTornReads)
+			fmt.Fprintf(w, "snapshots: %d sealed\n", ss.Snapshots)
 		}
 	}
 

@@ -125,3 +125,20 @@ func TestFlagGroupsCoverEveryFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestHelpHidesZeroDefaults: -h prints "(default ...)" only for a non-zero
+// default, and a duration's zero default reads "0s", not "0".
+func TestHelpHidesZeroDefaults(t *testing.T) {
+	_, text, err := runStderr(t, "-h")
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
+	}
+	if !strings.Contains(text, "-subtree-timeout") {
+		t.Fatal("-h does not list -subtree-timeout, the duration flag this test is about")
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasSuffix(line, "(default 0s)") {
+			t.Errorf("-h prints a zero duration default: %q", line)
+		}
+	}
+}

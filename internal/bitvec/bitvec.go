@@ -52,15 +52,14 @@ func (v *Vector) Len() int { return v.n }
 
 // Set marks task i as a member. Out-of-range indexes panic: labels are
 // always constructed against a known task space and a violation is a bug.
-// The panic lives in a helper so Set itself stays inlinable — it is the
-// innermost operation of the sampling walk, called once per stack frame
-// per sample.
+// The panic lives in a helper so Set itself stays inlinable — the
+// sampling walk calls it once per sampled stack, on the node where the
+// stack ends.
 func (v *Vector) Set(i int) {
 	if uint(i) >= uint(v.n) {
 		v.rangePanic("Set", i)
 	}
-	// A signed shift count keeps Set within the inliner's budget; the
-	// sampling trie's walk calls it once per frame.
+	// A signed shift count keeps Set within the inliner's budget.
 	v.words[i>>6] |= 1 << (i & 63)
 }
 
@@ -118,6 +117,26 @@ func (v *Vector) UnionWith(o *Vector) error {
 		v.words[i] |= w
 	}
 	return nil
+}
+
+// UnionWords ORs the listed words of o into v: UnionWith restricted to
+// the words a caller knows can hold members, so a sparse population pays
+// for its words rather than for the full width. The sampling seal folds
+// each child's label into its parent this way, over the words the round's
+// task indexes occupy. Word i covers bits [64i, 64i+64). Mismatched widths
+// and a word index past the end panic: the caller built both vectors and
+// the list against one task space, so either is a bug.
+func (v *Vector) UnionWords(o *Vector, words []uint32) {
+	if o.n != v.n {
+		panic(fmt.Sprintf("bitvec: UnionWords width mismatch: %d vs %d", v.n, o.n))
+	}
+	dst, src := v.words, o.words[:len(v.words)]
+	for _, i := range words {
+		if int(i) >= len(dst) {
+			panic(fmt.Sprintf("bitvec: UnionWords word %d out of range [0,%d)", i, len(dst)))
+		}
+		dst[i] |= src[i]
+	}
 }
 
 // IntersectWith keeps only members present in both sets.

@@ -81,6 +81,45 @@ func TestUnionWith(t *testing.T) {
 	}
 }
 
+// TestUnionWords: the word-list OR touches exactly the listed words, is a
+// no-op on an empty list, covers the partial last word of a width that is
+// not a multiple of 64, and panics on a word past the end or a width
+// mismatch instead of writing outside the vector.
+func TestUnionWords(t *testing.T) {
+	src := FromMembers(150, 3, 64, 100, 130, 149)
+	dst := FromMembers(150, 5)
+	dst.UnionWords(src, nil)
+	if got := dst.Members(); !reflect.DeepEqual(got, []int{5}) {
+		t.Errorf("empty word list changed the vector: %v", got)
+	}
+	// Word 2 is the partial word [128, 150); word 1 is skipped.
+	dst.UnionWords(src, []uint32{0, 2})
+	if got, want := dst.Members(), []int{3, 5, 130, 149}; !reflect.DeepEqual(got, want) {
+		t.Errorf("words {0, 2}: members = %v, want %v", got, want)
+	}
+	dst.UnionWords(src, []uint32{1})
+	full := FromMembers(150, 5)
+	if err := full.UnionWith(src); err != nil {
+		t.Fatal(err)
+	}
+	if !dst.Equal(full) {
+		t.Errorf("every word listed: got %v, want the full union %v", dst.Members(), full.Members())
+	}
+	for name, fn := range map[string]func(){
+		"word past the end": func() { dst.UnionWords(src, []uint32{3}) },
+		"width mismatch":    func() { dst.UnionWords(New(149), []uint32{0}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
 func TestIntersectAndNot(t *testing.T) {
 	a := FromMembers(64, 1, 2, 3, 4)
 	b := FromMembers(64, 3, 4, 5)

@@ -170,8 +170,8 @@ func (d *daemon) sampleTrees(req proto.GatherRequest) (sample.Batch, error) {
 }
 
 // gatherPacket performs the daemon's real work for a gather command.
-// sampleTrees walks the round, seals the trie snapshot and emits the
-// trees; the emitted trees alias snapshot storage, so the sampleTrees
+// sampleTrees walks the round, seals the trie and emits the trees; the
+// emitted trees alias the sealed labels, so the sampleTrees
 // result is handed to the gather reply without copying: the trees are
 // serialized — in the wire version negotiated at attach — as a complete
 // MsgResult packet minted from the shared buffer pool behind a lease. The

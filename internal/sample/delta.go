@@ -33,7 +33,7 @@ import (
 // Inside seal the next walk has not started, so both slots are stable
 // and the two-round XOR is computed from them directly. The
 // single-buffered scratch is then valid until the next seal — one round,
-// strictly shorter than the two-seal guarantee of whole-tree snapshots,
+// strictly shorter than the two-seal lifetime of whole-tree labels,
 // and exactly the window the engine gives a batch (encode, then Release,
 // before the next round).
 
@@ -41,7 +41,7 @@ import (
 // describe XOR-comparable rounds: same task-space shape and the same
 // tree views. Samples, Threads and Base vary freely round to round (the
 // accumulators always hold full task labels), as does Compress (it only
-// shapes the frozen snapshot copies, never the accumulator vectors).
+// shapes the frozen compressed views, never the accumulator vectors).
 func deltaCompatible(a, b Request) bool {
 	if a.GlobalIndex != b.GlobalIndex || a.Width != b.Width ||
 		a.Detail != b.Detail || a.Want2D != b.Want2D || a.Want3D != b.Want3D ||
@@ -106,10 +106,10 @@ func (w *walker) deltaNode(n *trieNode, s, p int, req Request, isRoot bool) (has
 		own2 = !n.dLast.Empty()
 	}
 
-	// The live children array is a superset of both rounds' structure
-	// (arrays only ever grow, copy-on-write): round-N inserts are in it,
-	// and a subtree that vanished in round N is still present with its
-	// round-N−1 stamps, which is exactly how removals recurse.
+	// The children array is a superset of both rounds' structure (it
+	// only ever grows): round-N inserts are in it, and a subtree that
+	// vanished in round N is still present with its round-N−1 stamps,
+	// which is exactly how removals recurse.
 	n.dKids = n.dKids[:0]
 	n.dLastKids = n.dLastKids[:0]
 	for _, c := range n.children {

@@ -7,9 +7,10 @@
 // batched pipeline:
 //
 //  1. Raw PC stacks walk straight into a prefix trie — one node per
-//     distinct call-path edge, with the task-set bit vectors (all-samples
-//     and last-sample) accumulated in place. No per-sample frame slice,
-//     no intermediate trees, no tree merges.
+//     distinct call-path edge — and each stack sets its task bit once,
+//     on the node where it ends (in the all-samples label, and for the
+//     last sample in the last-sample label). No per-sample frame slice,
+//     no intermediate trees, no tree merges, no per-frame bit sets.
 //  2. Each trie edge is keyed by the PC ranges that resolve to it. A
 //     frame descends by range check against its node's spans — one
 //     unsigned compare per span, no hashing — and only a PC outside
@@ -21,13 +22,21 @@
 //     inserts it, and records the span. At plain granularity a drifting
 //     stack whose PCs stay inside functions the node has seen therefore
 //     resolves nothing at all, and a frozen stack descends exactly like a
-//     drifting one.
-//  3. The round seals an atomic snapshot of the trie and emits
-//     trace.Trees from it: pooled nodes (trace.NewPooledNode) referencing
-//     the snapshot's frozen labels, so emission copies nothing and the
-//     wire encode reads labels exactly where the walk accumulated them.
+//     drifting one. The walker also keeps the previous stack's descent
+//     as a path of spans: the next stack follows it while its PCs stay
+//     inside them — one compare per shared frame — and searches spans
+//     only from its first differing frame on.
+//  3. The round seals the trie in post-order: each child touched this
+//     round is ORed into its parent over the label words the round's
+//     task indexes occupy, so a sealed label is exactly the set of tasks
+//     whose stacks pass through the edge, and a node joins the 2D view
+//     when a last-sample stack ended on it or below it. Seal then
+//     compresses the labels under Request.Compress, and the round emits
+//     trace.Trees: pooled nodes (trace.NewPooledNode) referencing the
+//     sealed labels, so emission copies nothing and the wire encode reads
+//     labels exactly where the seal left them.
 //
-// # The snapshot/emit contract
+// # The seal/emit contract
 //
 // A walker's trie persists across rounds (epochs) — the structural
 // working set of a spinning application is stable, so steady-state rounds
@@ -42,34 +51,19 @@
 // many rounds it walks, and a warm round allocates nothing whether its
 // stacks are frozen or drifting.
 //
-// Ownership is split between two planes:
+// A walker — trie, spans, path and scratch — belongs to the goroutine
+// that called Sample or SampleKeyed, for the duration of that call and
+// of the batch it returns. The engine starts no goroutines of its own,
+// so a walker is only ever walked, sealed and emitted by its caller, in
+// that order, and nothing reads a trie while it is walked. Label
+// accumulators are double-buffered by round parity: round N writes slot
+// N&1 and lazily resets it on first touch, leaving the other slot —
+// round N-1's sealed labels — untouched for delta extraction. Emit reads
+// the sealed slot directly and keeps the children stamped with the
+// sealed epoch; a sealed slot stays unchanged until the walk two rounds
+// later.
 //
-//   - The live plane — accumulator slots, child arrays, spans, the PC
-//     scratch — belongs to the goroutine that called Sample or
-//     SampleKeyed, for the duration of that call. The engine starts no
-//     goroutines of its own, so a walker is only ever walked, sealed and
-//     emitted by its caller. Label accumulators are double-buffered by
-//     round parity: round N writes slot N&1 and lazily resets it on first
-//     touch, leaving the other slot — round N-1's sealed labels —
-//     untouched. Spans live only here: seal, emit and snapshot readers
-//     never read them, so walks append to them in place.
-//
-//   - The published plane — each node's nodeSnap chain behind an atomic
-//     pointer — is what everyone else may read. seal(N) freezes round N's
-//     labels (compressed sets included: frozen bitvec.Set containers are
-//     immutable and shared safely) and the copy-on-write child arrays
-//     into immutable snapshot versions. Any goroutine may then read round
-//     N through loadSnap while round N+1 walks. A reader that observes a
-//     later seal (a torn read) retries one hop down the per-node version
-//     chain, where round N is still pinned; Stats.SnapshotTornReads
-//     counts the hops. The chain is two deep, so the hard guarantee is:
-//     a sealed snapshot stays readable, bit-for-bit unchanged, until the
-//     second subsequent seal of the same walker. The engine emits every
-//     round before its walker walks again, so in production no reader
-//     runs beside a walk and torn reads only occur when stress tests
-//     pipeline deeper.
-//
-// Batches: the trees returned by Sample/SampleKeyed alias snapshot
+// Batches: the trees returned by Sample/SampleKeyed alias label
 // storage owned by the walker — labels live in the sealed slot, headers
 // are the walker's two reusable Tree structs. They are read-only and die
 // at Batch.Release; encode before releasing, and never retain the trees
@@ -95,7 +89,7 @@
 // past the bound block on a slot (Stats.SlotWaitNanos). Walkers
 // themselves live on a free list, created on demand: a pooled walker
 // stays checked out from its caller's walk until Batch.Release, because
-// the emitted trees alias its snapshot, but it holds no slot while the
+// the emitted trees alias its labels, but it holds no slot while the
 // batch is encoded and shipped. A caller waits for a slot holding nothing
 // else, so the scheme cannot deadlock.
 package sample
@@ -144,10 +138,9 @@ type Engine struct {
 	sampled  atomic.Int64
 	resolved atomic.Int64
 
-	snapshots atomic.Int64
-	torn      atomic.Int64
-	deltas    atomic.Int64
-	slotWait  atomic.Int64
+	sealed   atomic.Int64
+	deltas   atomic.Int64
+	slotWait atomic.Int64
 }
 
 // New builds an engine sampling the given application through the given
@@ -252,7 +245,7 @@ type Request struct {
 }
 
 // Batch is one gather round's product. The trees alias walker-owned
-// snapshot storage; see the package contract notes.
+// label storage; see the package contract notes.
 type Batch struct {
 	// Tree2D and Tree3D are the requested trees (nil when not requested,
 	// or when the round produced delta trees instead — see DeltaOK).
@@ -424,14 +417,8 @@ type Stats struct {
 	// cache is below its cap.
 	PCsResolved   int64
 	PCCacheMisses int64
-	// Snapshots counts sealed trie snapshots — one per sampled round.
+	// Snapshots counts sealed rounds — one per sampled round.
 	Snapshots int64
-	// SnapshotTornReads counts snapshot reads that observed a later seal
-	// and recovered by hopping to the pinned previous version. Zero under
-	// the engine's own sequencing (every emit precedes its walker's next
-	// walk); nonzero means something read a round behind a live seal
-	// (stress tests, or external readers).
-	SnapshotTornReads int64
 	// DeltaRounds counts sealed rounds that qualified for and extracted a
 	// round-over-round delta (delta.go); rounds requested with Delta but
 	// falling back to whole trees do not count.
@@ -445,12 +432,11 @@ type Stats struct {
 // Stats reports the engine's counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		SampledStacks:     e.sampled.Load(),
-		PCsResolved:       e.resolved.Load(),
-		PCCacheMisses:     e.plain.Misses() + e.detail.Misses(),
-		Snapshots:         e.snapshots.Load(),
-		SnapshotTornReads: e.torn.Load(),
-		DeltaRounds:       e.deltas.Load(),
-		SlotWaitNanos:     e.slotWait.Load(),
+		SampledStacks: e.sampled.Load(),
+		PCsResolved:   e.resolved.Load(),
+		PCCacheMisses: e.plain.Misses() + e.detail.Misses(),
+		Snapshots:     e.sealed.Load(),
+		DeltaRounds:   e.deltas.Load(),
+		SlotWaitNanos: e.slotWait.Load(),
 	}
 }

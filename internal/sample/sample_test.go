@@ -86,31 +86,115 @@ func assertTreesMatch(t *testing.T, label string, got, want *trace.Tree) {
 // the trie-emitted trees must be Equal to — and encode byte-identically
 // with — the legacy per-sample fold. Repeated rounds on the same engine
 // exercise the epoch-reset and span-hit paths; the detail case flips the
-// granularity each round.
+// granularity each round. The round-robin cases run on a wider ring: their
+// global indexes fall in several label words, in order and out of it, so
+// the seal's fold has to OR exactly the words the round's tasks occupy.
 func TestEngineMatchesLegacy(t *testing.T) {
 	app, st := testApp(t, 12, 2)
 	eng := New(app, st, 2)
+	wideApp, _ := testApp(t, 320, 2)
+	wide := New(wideApp, st, 2)
 	ranks := []int{3, 7, 1, 9, 0}
 	cases := []struct {
 		name string
+		eng  *Engine
 		req  Request
 	}{
-		{"hier", Request{Ranks: ranks, Width: len(ranks), Samples: 4, Threads: 1, Want2D: true, Want3D: true}},
-		{"hier-threads", Request{Ranks: ranks, Width: len(ranks), Samples: 3, Threads: 2, Want2D: true, Want3D: true}},
-		{"original", Request{Ranks: ranks, GlobalIndex: true, Width: 12, Samples: 4, Threads: 1, Want2D: true, Want3D: true}},
-		{"detail", Request{Ranks: ranks, Width: len(ranks), Samples: 3, Threads: 1, Detail: true, Want2D: true, Want3D: true}},
-		{"hier-later-epoch", Request{Ranks: ranks, Width: len(ranks), Samples: 4, Threads: 1, Base: 8, Want2D: true, Want3D: true}},
-		{"single-sample", Request{Ranks: ranks[:2], Width: 2, Samples: 1, Threads: 1, Want2D: true, Want3D: true}},
+		{"hier", eng, Request{Ranks: ranks, Width: len(ranks), Samples: 4, Threads: 1, Want2D: true, Want3D: true}},
+		{"hier-threads", eng, Request{Ranks: ranks, Width: len(ranks), Samples: 3, Threads: 2, Want2D: true, Want3D: true}},
+		{"original", eng, Request{Ranks: ranks, GlobalIndex: true, Width: 12, Samples: 4, Threads: 1, Want2D: true, Want3D: true}},
+		{"detail", eng, Request{Ranks: ranks, Width: len(ranks), Samples: 3, Threads: 1, Detail: true, Want2D: true, Want3D: true}},
+		{"hier-later-epoch", eng, Request{Ranks: ranks, Width: len(ranks), Samples: 4, Threads: 1, Base: 8, Want2D: true, Want3D: true}},
+		{"single-sample", eng, Request{Ranks: ranks[:2], Width: 2, Samples: 1, Threads: 1, Want2D: true, Want3D: true}},
+		{"original-round-robin", wide, Request{Ranks: []int{1, 65, 129, 193, 257, 319}, GlobalIndex: true,
+			Width: 320, Samples: 3, Threads: 2, Want2D: true, Want3D: true, Compress: true}},
+		{"original-scattered", wide, Request{Ranks: []int{200, 3, 130, 2, 131, 64}, GlobalIndex: true,
+			Width: 300, Samples: 4, Threads: 1, Want2D: true, Want3D: true}},
 	}
 	for round := 0; round < 3; round++ {
 		for _, tc := range cases {
-			b := eng.Sample(tc.req)
-			w2, w3 := legacyTrees(app, st, tc.req)
+			b := tc.eng.Sample(tc.req)
+			w2, w3 := legacyTrees(tc.eng.app, st, tc.req)
 			assertTreesMatch(t, tc.name+"/3D", b.Tree3D, w3)
 			assertTreesMatch(t, tc.name+"/2D", b.Tree2D, w2)
 			b.Release()
 			w2.Release()
 			w3.Release()
+		}
+	}
+}
+
+// TestWalkShorterStackEndsOnInteriorNode: the ring's progress loop gives
+// stacks that stop inside another stack's path. When such a stack follows
+// a longer one on the same prefix, the walk descends the cached path and
+// must set its bit on the interior node where it ends, not on the deeper
+// node the cached path continues to; seal then folds the longer stack's
+// bit up into that interior node.
+func TestWalkShorterStackEndsOnInteriorNode(t *testing.T) {
+	app, st := testApp(t, 64, 1)
+	// long: a barrier stack six frames down to the pollfcn, then three
+	// advance/CMadvance pairs; short: the same call path stopping at the
+	// pollfcn.
+	long, short := -1, -1
+	var prefix []string
+	for r := 0; r < 64 && long < 0; r++ {
+		if f := app.StackFuncs(r, 0, 0); len(f) == 12 {
+			long, prefix = r, f[:6]
+		}
+	}
+	if long < 0 || prefix[5] != "BGLML_pollfcn" {
+		t.Fatalf("no task's sample 0 is a barrier stack three progress pairs deep (found %v)", prefix)
+	}
+	for r := 0; r < 64; r++ {
+		if f := app.StackFuncs(r, 0, 0); slices.Equal(f, prefix) {
+			short = r
+			break
+		}
+	}
+	if short < 0 {
+		t.Fatalf("no task's sample 0 stops at %v; the test needs one", prefix)
+	}
+
+	w := &walker{eng: New(app, st, 1)}
+	req := Request{Ranks: []int{long, short}, Width: 2, Samples: 1, Threads: 1, Want2D: true, Want3D: true}
+	w.walk(req)
+	if len(w.path) != 12 {
+		t.Fatalf("after the short stack the cached path is %d deep, want the long stack's 12", len(w.path))
+	}
+	s := w.slot
+	end := &w.root
+	for _, name := range prefix {
+		i := slices.IndexFunc(end.children, func(c *trieNode) bool { return c.name == name })
+		if i < 0 {
+			t.Fatalf("no trie edge %q on the path %v", name, prefix)
+		}
+		end = end.children[i]
+	}
+	if len(end.children) != 1 {
+		t.Fatalf("the interior node %q has %d children, want 1", end.name, len(end.children))
+	}
+	below := end.children[0]
+	// Before seal each node holds only the stacks that end on it.
+	if got := end.all[s].Members(); !slices.Equal(got, []int{1}) {
+		t.Errorf("walked: interior node's all = %v, want the short stack's [1]", got)
+	}
+	if got := end.last[s].Members(); end.lastEpochs[s] != w.epoch || !slices.Equal(got, []int{1}) {
+		t.Errorf("walked: interior node's last = %v (stamped %v), want [1]", got, end.lastEpochs[s] == w.epoch)
+	}
+	if got := below.all[s].Members(); len(got) != 0 {
+		t.Errorf("walked: the node below holds %v, want nothing", got)
+	}
+	w.seal(req)
+	for _, tc := range []struct {
+		name string
+		n    *trieNode
+		want []int
+	}{{"interior", end, []int{0, 1}}, {"below", below, []int{0}}} {
+		if got := tc.n.all[s].Members(); !slices.Equal(got, tc.want) {
+			t.Errorf("sealed: %s node's all = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := tc.n.last[s].Members(); !slices.Equal(got, tc.want) {
+			t.Errorf("sealed: %s node's last = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -266,7 +350,8 @@ func TestBatchReleaseIdempotent(t *testing.T) {
 // TestGranularityFlipResetsTrie: alternating detailed and plain rounds on
 // one walker must stay correct — the ID namespaces and span widths
 // differ, so the trie resets on each flip, and no span of the old
-// granularity survives it, the root's included.
+// granularity survives it, the root's included, nor does the cached path
+// of the previous round's last stack.
 func TestGranularityFlipResetsTrie(t *testing.T) {
 	app, st := testApp(t, 8, 1)
 	eng := New(app, st, 1)
@@ -299,6 +384,7 @@ func TestGranularityFlipResetsTrie(t *testing.T) {
 			}
 		}
 		checkSpans(t, "after flip", w)
+		checkPath(t, "after flip", w)
 		eng.putWalker(w)
 	}
 }

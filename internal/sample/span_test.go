@@ -34,6 +34,29 @@ func checkSpans(t *testing.T, label string, w *walker) {
 	rec("", &w.root)
 }
 
+// checkPath asserts that the walker's cached path is a chain through its
+// current trie — each entry one of the spans of the node the entry before
+// it led to, the root's for the first — and that every node on it is
+// stamped into the round last walked. A path surviving a trie reset, or
+// leading to a node the round never stamped, fails it.
+func checkPath(t *testing.T, label string, w *walker) {
+	t.Helper()
+	if len(w.path) == 0 {
+		t.Errorf("%s: the cached path is empty", label)
+	}
+	n := &w.root
+	for d, sp := range w.path {
+		if !slices.Contains(n.spans, sp) {
+			t.Errorf("%s: path[%d] [%#x, +%#x) → %q is not a span of %q", label, d, sp.lo, sp.n, sp.c.name, n.name)
+			return
+		}
+		if sp.c.epochs[w.slot] != w.epoch {
+			t.Errorf("%s: path[%d] leads to %q, which the round did not stamp", label, d, sp.c.name)
+		}
+		n = sp.c
+	}
+}
+
 // stacksDiffer reports whether any stack of req's walk differs from the
 // same (rank, thread, sample) stack prevBase samples earlier — the
 // precondition of every "drifting" assertion: the round really walks

@@ -1,8 +1,8 @@
 package sample
 
 import (
+	"slices"
 	"sort"
-	"sync/atomic"
 
 	"stat/internal/bitvec"
 	"stat/internal/stackwalk"
@@ -12,9 +12,8 @@ import (
 // walker is one pooled daemon-walk state: the persistent trie, the PC
 // scratch buffer, and the reusable tree headers. At any instant a walker
 // has exactly one owner — the Sample/SampleKeyed caller that checked it
-// out — so every plain field is single-writer. The only reads that could
-// cross goroutines go through each trie node's atomically published
-// snapshot (see snapshot.go).
+// out — and every field, the trie included, is read and written only by
+// that owner.
 type walker struct {
 	eng   *Engine
 	cache *stackwalk.Cache
@@ -23,22 +22,30 @@ type walker struct {
 	// the round, so stale branches cost nothing. The epoch's parity selects
 	// which accumulator slot the round writes (slot), leaving the other
 	// slot — the previous round's sealed labels — untouched for delta
-	// extraction and snapshot readers.
+	// extraction.
 	epoch uint64
 	slot  int
 
-	// sealed is the epoch of the last published snapshot; sealedWidth its
-	// task-space width. Emits read these rather than the live epoch/width.
+	// sealed is the epoch of the last seal; sealedWidth its task-space
+	// width. Emits read these rather than the live epoch/width.
 	sealed      uint64
 	sealedWidth int
-	// torn accumulates snapshot reads that had to hop back one published
-	// version (snapshot.go); flushed to the engine counter per emit.
-	torn int64
 
 	root trieNode
 	free []*trieNode // recycled trie nodes (after a granularity flip)
 
 	pcs []uint64
+	// path is the previous stack's descent: path[i] is the span taken
+	// out of the depth-i node. The next stack follows it while its PCs
+	// stay inside those spans. A stack that ends inside the path leaves
+	// the deeper entries in place; they still continue the same chain.
+	// Cleared at the start of every walk, so every node it leads to is
+	// stamped into the current round.
+	path []span
+	// words lists, ascending and without repeats, the label words the
+	// round's task indexes occupy — the only words seal's child-to-parent
+	// fold has to OR.
+	words []uint32
 
 	// Delta-extraction state (delta.go): the request the last seal ran
 	// under (the compatibility reference for the next round's delta) and
@@ -58,39 +65,43 @@ type walker struct {
 // the PC ranges known to resolve to it, and asks the resolver only when a
 // PC falls in none of them.
 //
-// Every mutable accumulator is double-buffered by round parity: round N
-// writes slot N&1 while snapshot readers of round N-1 read slot (N-1)&1.
-// A slot's contents are therefore immutable from the moment its round is
-// sealed until the walk two rounds later — the window the snapshot/emit
-// contract (package doc) promises readers, and what delta extraction
-// reads the previous round from.
+// Every label accumulator is double-buffered by round parity: round N
+// writes slot N&1 while slot (N-1)&1 keeps round N-1's sealed labels. A
+// slot's contents are therefore unchanged from the moment its round is
+// sealed until the walk two rounds later — what emitted trees alias and
+// what delta extraction reads the previous round from.
 type trieNode struct {
 	name string
 	id   uint32
 	// all accumulates every sample's tasks; last only the final sample's
-	// (the 2D tree). Valid only at their slot's epoch stamps.
-	all  [2]*bitvec.Vector
-	last [2]*bitvec.Vector
+	// (the 2D tree). Valid only at their slot's epoch stamps. During the
+	// walk a node holds only the tasks whose stacks end on it; seal ORs
+	// each child's label into its parent, so a sealed label is the node's
+	// own ends plus its children's labels: every task whose stack passes
+	// through the edge. epochs stamps every node a stack of the round
+	// passed; lastEpochs the nodes of the 2D view — where a last-sample
+	// stack ended at walk time, and their ancestors at seal.
+	all        [2]*bitvec.Vector
+	last       [2]*bitvec.Vector
+	epochs     [2]uint64
+	lastEpochs [2]uint64
 	// allSet / lastSet cache the frozen compressed views built at seal
 	// under Request.Compress; CompressVector rebuilds a slot's set in
 	// place every other round, reusing its extent storage, so compression
-	// allocates nothing at steady state.
+	// allocates nothing at steady state. allPacked / lastPacked record
+	// whether the slot's sealed label is that set rather than the dense
+	// accumulator.
 	allSet     [2]*bitvec.Set
 	lastSet    [2]*bitvec.Set
-	epochs     [2]uint64
-	lastEpochs [2]uint64
-	// children is replaced copy-on-write on insert (never mutated in
-	// place) because published snapshots capture the slice.
+	allPacked  [2]bool
+	lastPacked [2]bool
+	// children grow in place, sorted by name. A child stays in the array
+	// once inserted; seal, emit and delta extraction pick the ones of a
+	// round by its epoch stamps.
 	children []*trieNode
 	// spans map PC ranges to children: a PC in [lo, lo+n) resolves to c's
-	// edge. Live plane only — walks read and append them, seal, emit and
-	// snapshot readers never do — so they grow in place.
+	// edge. Only walks read and append them.
 	spans []span
-
-	// snap is the node's published snapshot chain; snapBuf the two
-	// rotating backing structs. See snapshot.go.
-	snap    atomic.Pointer[nodeSnap]
-	snapBuf [2]nodeSnap
 
 	// Delta scratch (delta.go): the round-over-round XOR labels and the
 	// per-tree child lists computed at seal time, read by the delta emit.
@@ -111,29 +122,28 @@ type span struct {
 	c     *trieNode
 }
 
-// childAt returns the child whose span holds pc, or nil when no span
-// does (the walk then resolves pc and records its span).
-func (n *trieNode) childAt(pc uint64) *trieNode {
-	for i := range n.spans {
-		if sp := &n.spans[i]; pc-sp.lo < sp.n {
-			return sp.c
+// childSpan returns n's span holding pc. When no span does, it resolves
+// pc, finds or creates the child for its name, and records the span so
+// later PCs in the same range descend without the resolver; resolved
+// reports that slow path.
+func (w *walker) childSpan(n *trieNode, pc uint64) (sp span, resolved bool) {
+	for _, sp := range n.spans {
+		if pc-sp.lo < sp.n {
+			return sp, false
 		}
 	}
-	return nil
-}
-
-// resolveChild is childAt's slow path: resolve pc, find or create the
-// child for its name, and record the span so later PCs in the same range
-// descend without the resolver.
-func (w *walker) resolveChild(n *trieNode, pc uint64) *trieNode {
 	id, name, lo, hi := w.cache.ResolveSpan(pc)
 	c := n.child(id, name)
 	if c == nil {
 		c = w.newNode(id, name)
-		n.insertChild(c)
+		i := sort.Search(len(n.children), func(i int) bool {
+			return n.children[i].name >= name
+		})
+		n.children = slices.Insert(n.children, i, c)
 	}
-	n.spans = append(n.spans, span{lo: lo, n: hi - lo, c: c})
-	return c
+	sp = span{lo: lo, n: hi - lo, c: c}
+	n.spans = append(n.spans, sp)
+	return sp, true
 }
 
 // child finds the edge for a resolved frame. The dense ID is the fast
@@ -150,58 +160,44 @@ func (n *trieNode) child(id uint32, name string) *trieNode {
 	return nil
 }
 
-// insertChild adds an edge copy-on-write: the old children array may be
-// captured by a published snapshot, so a sorted in-place shift would tear
-// it. Novel edges only exist while the call-path population is still
-// growing, so the copy is never on the steady-state path.
-func (n *trieNode) insertChild(c *trieNode) {
-	i := sort.Search(len(n.children), func(i int) bool {
-		return n.children[i].name >= c.name
-	})
-	kids := make([]*trieNode, len(n.children)+1)
-	copy(kids, n.children[:i])
-	kids[i] = c
-	copy(kids[i+1:], n.children[i:])
-	n.children = kids
-}
-
-// touch stamps a node into the current round (lazily resetting its
-// round-parity label slot) and sets the task bit.
-func (w *walker) touch(n *trieNode, idx int, last bool) {
+// stamp marks n as part of the current round, lazily resetting its
+// round-parity all slot on the round's first touch.
+func (w *walker) stamp(n *trieNode) {
 	s := w.slot
-	if n.epochs[s] != w.epoch {
-		n.epochs[s] = w.epoch
-		if n.all[s] == nil {
-			n.all[s] = bitvec.New(w.width)
-		} else {
-			n.all[s].Reset(w.width)
-		}
+	if n.epochs[s] == w.epoch {
+		return
 	}
-	n.all[s].Set(idx)
-	if last {
-		if n.lastEpochs[s] != w.epoch {
-			n.lastEpochs[s] = w.epoch
-			if n.last[s] == nil {
-				n.last[s] = bitvec.New(w.width)
-			} else {
-				n.last[s].Reset(w.width)
-			}
-		}
-		n.last[s].Set(idx)
-	}
+	n.epochs[s] = w.epoch
+	n.all[s] = resetLabel(n.all[s], w.width)
 }
 
-// newNode draws a trie node from the free list or the heap. A recycled
-// node's published snapshot (if any) belongs to a pre-flip epoch that no
-// reader can still want, but clearing it keeps stale chains from pinning
-// label storage.
+// stampLast marks n as part of the current round's 2D view, lazily
+// resetting its last slot.
+func (w *walker) stampLast(n *trieNode) {
+	s := w.slot
+	if n.lastEpochs[s] == w.epoch {
+		return
+	}
+	n.lastEpochs[s] = w.epoch
+	n.last[s] = resetLabel(n.last[s], w.width)
+}
+
+// resetLabel clears v to width bits, allocating it on first use.
+func resetLabel(v *bitvec.Vector, width int) *bitvec.Vector {
+	if v == nil {
+		return bitvec.New(width)
+	}
+	v.Reset(width)
+	return v
+}
+
+// newNode draws a trie node from the free list or the heap.
 func (w *walker) newNode(id uint32, name string) *trieNode {
 	var n *trieNode
 	if k := len(w.free); k > 0 {
 		n = w.free[k-1]
 		w.free[k-1] = nil
 		w.free = w.free[:k-1]
-		n.snap.Store(nil)
 	} else {
 		n = &trieNode{}
 	}
@@ -218,7 +214,7 @@ func (w *walker) newNode(id uint32, name string) *trieNode {
 // trie built under one cannot be probed under the other — the root's
 // spans included, or the first frame of every stack would descend to a
 // recycled node. A walk runs only after its walker's previous batch is
-// released, so resetTrie never runs with a snapshot reader live.
+// released, so no emitted tree still aliases a recycled node's labels.
 func (w *walker) resetTrie() {
 	var rec func(n *trieNode)
 	rec = func(n *trieNode) {
@@ -237,9 +233,10 @@ func (w *walker) resetTrie() {
 }
 
 // walk executes one round's sampling: every (rank, thread, sample) stack
-// accumulates into the trie under the round's parity slot, and the walk's
-// counts add to the engine's. It does not seal or emit — run seal and then
-// emitTrees for the round's trees.
+// descends the trie under the round's parity slot, stamping the nodes it
+// passes and setting its task bit on the node where it ends, and the
+// walk's counts add to the engine's. It does not seal or emit — run seal,
+// which folds the end bits up into full labels, and then emitTrees.
 func (w *walker) walk(req Request) {
 	cache := w.eng.plain
 	if req.Detail {
@@ -252,29 +249,21 @@ func (w *walker) walk(req Request) {
 	w.width = req.Width
 	w.epoch++
 	w.slot = int(w.epoch & 1)
+	w.setWords(req)
 
 	// The root participates in every trace (its label is every
 	// contributing task) and must exist even for an empty round, exactly
 	// like trace.NewTree's sentinel.
 	r := &w.root
 	s := w.slot
-	r.epochs[s] = w.epoch
-	if r.all[s] == nil {
-		r.all[s] = bitvec.New(w.width)
-	} else {
-		r.all[s].Reset(w.width)
-	}
+	w.stamp(r)
 	if req.Want2D {
-		r.lastEpochs[s] = w.epoch
-		if r.last[s] == nil {
-			r.last[s] = bitvec.New(w.width)
-		} else {
-			r.last[s].Reset(w.width)
-		}
+		w.stampLast(r)
 	}
 
 	var sampled, resolved int64
 	lastSample := req.Samples - 1
+	path := w.path[:0]
 	for local, rank := range req.Ranks {
 		idx := local
 		if req.GlobalIndex {
@@ -284,44 +273,78 @@ func (w *walker) walk(req Request) {
 			for smp := 0; smp < req.Samples; smp++ {
 				w.pcs = w.eng.app.AppendStackPCs(w.pcs[:0], rank, thread, req.Base+smp)
 				sampled++
-				last := req.Want2D && smp == lastSample
 
-				// Descend by span. A node already stamped this round takes
-				// its bit inline (the common case for every frame a
-				// previous stack shared); touch runs only otherwise.
+				// Follow the previous stack's path while the PCs stay in
+				// its spans. Every span of a node holding a PC leads to
+				// the child that PC resolves to, so a hit is exactly the
+				// child the span search would find, and already stamped.
+				pcs := w.pcs
 				n := r
-				w.touch(n, idx, last)
-				for _, pc := range w.pcs {
-					c := n.childAt(pc)
-					if c == nil {
-						c = w.resolveChild(n, pc)
-						resolved++
+				d := 0
+				for ; d < len(pcs) && d < len(path); d++ {
+					sp := &path[d]
+					if pcs[d]-sp.lo >= sp.n {
+						break
 					}
-					if !last && c.epochs[s] == w.epoch {
-						c.all[s].Set(idx)
-					} else {
-						w.touch(c, idx, last)
+					n = sp.c
+				}
+				// Past the first miss, search the spans, stamp, and
+				// rewrite the path from there.
+				if d < len(pcs) {
+					path = path[:d]
+					for _, pc := range pcs[d:] {
+						sp, res := w.childSpan(n, pc)
+						if res {
+							resolved++
+						}
+						n = sp.c
+						w.stamp(n)
+						path = append(path, sp)
 					}
-					n = c
+				}
+				n.all[s].Set(idx)
+				if req.Want2D && smp == lastSample {
+					w.stampLast(n)
+					n.last[s].Set(idx)
 				}
 			}
 		}
 	}
+	w.path = path
 	w.eng.sampled.Add(sampled)
 	w.eng.resolved.Add(resolved)
 }
 
-// emitTrees adopts the sealed round's snapshot emission into the walker's
-// reusable tree headers. Must run after seal.
+// setWords builds the round's label word list from its task indexes.
+// Consecutive indexes share a word, so dropping repeats of the previous
+// entry keeps the list (and its storage) at the distinct-word count for
+// both local and round-robin global ranks; a sort and compaction handle
+// any other order.
+func (w *walker) setWords(req Request) {
+	w.words = w.words[:0]
+	for local, rank := range req.Ranks {
+		idx := local
+		if req.GlobalIndex {
+			idx = rank
+		}
+		wd := uint32(idx >> 6)
+		if k := len(w.words); k == 0 || w.words[k-1] != wd {
+			w.words = append(w.words, wd)
+		}
+	}
+	if !slices.IsSorted(w.words) {
+		slices.Sort(w.words)
+		w.words = slices.Compact(w.words)
+	}
+}
+
+// emitTrees adopts the sealed round's emission into the walker's reusable
+// tree headers. Must run after seal.
 func (w *walker) emitTrees(req Request) {
 	if req.Want3D {
-		w.t3h.AdoptRoot(w.sealedWidth, w.emitTree(false, &w.torn))
+		w.t3h.AdoptRoot(w.sealedWidth, w.emitTree(false))
 	}
 	if req.Want2D {
-		w.t2h.AdoptRoot(w.sealedWidth, w.emitTree(true, &w.torn))
-	}
-	if w.torn != 0 {
-		w.eng.torn.Add(w.torn)
-		w.torn = 0
+		w.t2h.AdoptRoot(w.sealedWidth, w.emitTree(true))
 	}
 }

@@ -14,8 +14,8 @@ type SpanKind uint8
 const (
 	// SpanWalk is a daemon's stack-walk (sampling) phase for a round.
 	SpanWalk SpanKind = iota
-	// SpanSeal is snapshot sealing: claiming or fixing the walker trie
-	// the round's trees are built from.
+	// SpanSeal is sealing the walker trie the round's trees are built
+	// from: folding its labels up and compressing them.
 	SpanSeal
 	// SpanEncode is wire-encoding the round's trees at a leaf.
 	SpanEncode
