@@ -139,6 +139,14 @@ func (v *Vector) UnionWords(o *Vector, words []uint32) {
 	}
 }
 
+// ClearWords zeroes the listed words of v: Reset restricted to the words
+// a caller knows hold every member. A word past the end panics.
+func (v *Vector) ClearWords(words []uint32) {
+	for _, i := range words {
+		v.words[i] = 0
+	}
+}
+
 // IntersectWith keeps only members present in both sets.
 func (v *Vector) IntersectWith(o *Vector) error {
 	if o.n != v.n {

@@ -14,7 +14,7 @@ import (
 // configuration must match byte for byte. "pipelined" is the default pool.
 // "concurrent" has as much in flight as the engine allows — eight workers
 // under a budget no test session reaches, so no producer waits and every
-// comm process folds all its children in one filter call.
+// comm process folds all its children in one Fold call.
 type testEngine struct {
 	name    string
 	workers int

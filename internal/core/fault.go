@@ -7,7 +7,6 @@ import (
 	"stat/internal/bitvec"
 	"stat/internal/proto"
 	"stat/internal/tbon"
-	"stat/internal/telemetry"
 	"stat/internal/topology"
 )
 
@@ -38,9 +37,9 @@ func (m *merger) coverage(n *topology.Node) *bitvec.Vector {
 	return v
 }
 
-// posIn reports whether pos is one of the engine-reported missing child
-// positions. Missing lists are tiny (bounded by one node's fanout), so a
-// linear scan beats building a set.
+// posIn reports whether pos is one of the listed child positions —
+// engine-reported missing ones, or partial children. The lists are tiny
+// (bounded by one node's fanout), so a linear scan beats building a set.
 func posIn(missing []int, pos int) bool {
 	for _, m := range missing {
 		if m == pos {
@@ -50,91 +49,48 @@ func posIn(missing []int, pos int) bool {
 	return false
 }
 
-// mergePartial is resultFilter's degraded path, taken whenever this node's
-// output cannot claim complete coverage: a child delivered a partial result,
-// or the engine reported missing child subtrees. It computes the liveness
-// set of the surviving ranks — explicit liveness from partial children,
-// coverage-implied liveness from full children (their span's child
-// positions, minus the positions reported missing) — and emits a
-// MsgPartialResult whose payload carries the liveness ahead of the merged
-// tree body (see proto.PutPartialPrefix for the framing). bodies arrive as
-// payload sub-leases with any telemetry section already stripped by
-// resultFilter (the section is the outermost trailer, outside the partial
-// prefix), so the partial split below reads the body lease, not the raw
-// packet; partial children are re-sliced to just their tree body before
-// the merge. The caller's folded telemetry frame (tf, nil when the plane
-// is off) passes through to the merger, which appends
-// it to the degraded output exactly as on the fast path. Unlike the fast
-// path this one allocates — it only runs when a fault already cost a
+// takeLiveness folds a partial child's explicit liveness set into the
+// accumulator, records the child's position, and returns the tree body
+// behind the liveness prefix (see proto.PutPartialPrefix). Like the rest
+// of the degraded path it allocates: it only runs once a fault has cost a
 // subtree, so the zero-alloc contract stays a fault-free-path property.
-func (m *merger) mergePartial(ctx *tbon.FilterCtx, children, bodies []*tbon.Lease,
-	merge mergeFunc, version uint8, tf *telemetry.Frame) (*tbon.Lease, error) {
+func (m *merger) takeLiveness(a *foldAcc, pos int, body []byte) ([]byte, error) {
+	lv, body, err := proto.SplitPartialPayload(body)
+	if err != nil {
+		return nil, err
+	}
+	childLive, _, err := bitvec.UnmarshalBinary(lv)
+	if err != nil {
+		return nil, err
+	}
+	if a.live == nil {
+		a.live = bitvec.New(m.tasks)
+	}
+	a.partials = append(a.partials, pos)
+	return body, a.live.UnionWith(childLive)
+}
 
-	release := func() {
-		for _, b := range bodies {
-			b.Release()
-		}
+// liveness builds a degraded node's liveness set, once, at Emit, and
+// marshals it for the MsgPartialResult prefix: the partial children's
+// explicit liveness plus the coverage of every other child position not
+// reported missing, since a full result implies exactly its subtree's
+// coverage.
+func (m *merger) liveness(ctx *tbon.FilterCtx, a *foldAcc) ([]byte, error) {
+	if ctx == nil || ctx.Node == nil {
+		return nil, errors.New("core: partial result without filter context")
 	}
-	live := bitvec.New(m.tasks)
-	for i, c := range children {
-		p, err := proto.Decode(c.Bytes())
-		if err != nil {
-			release()
-			return nil, err
-		}
-		if p.Type == proto.MsgPartialResult {
-			lv, body, err := proto.SplitPartialPayload(bodies[i].Bytes())
-			if err != nil {
-				release()
-				return nil, err
-			}
-			childLive, _, err := bitvec.UnmarshalBinary(lv)
-			if err != nil {
-				release()
-				return nil, err
-			}
-			if err := live.UnionWith(childLive); err != nil {
-				release()
-				return nil, err
-			}
-			sub := bodies[i].Sub(body)
-			bodies[i].Release()
-			bodies[i] = sub
-			continue
-		}
-		// A full result implies complete coverage of every child position
-		// its span covers, except the ones the engine reported missing.
-		if ctx == nil || ctx.Node == nil {
-			release()
-			return nil, errors.New("core: partial result without filter context")
-		}
-		from, to := i, i+1
-		if ctx.Spans != nil {
-			from, to = ctx.Spans[i].From, ctx.Spans[i].To
-		}
-		for pos := from; pos < to; pos++ {
-			if posIn(ctx.Missing, pos) {
-				continue
-			}
-			if err := live.UnionWith(m.coverage(ctx.Node.Children[pos])); err != nil {
-				release()
+	live := a.live
+	if live == nil {
+		live = bitvec.New(m.tasks)
+	}
+	for pos, child := range ctx.Node.Children {
+		if !posIn(ctx.Missing, pos) && !posIn(a.partials, pos) {
+			if err := live.UnionWith(m.coverage(child)); err != nil {
 				return nil, err
 			}
 		}
 	}
-	lvBytes, err := live.MarshalBinary()
-	if err != nil {
-		release()
-		return nil, err
-	}
-	prefix := proto.PartialPrefixLen(len(lvBytes))
-	packet, err := merge(bodies, proto.HeaderSize+prefix, version, tf)
-	release()
-	if err != nil {
-		return nil, err
-	}
-	proto.PutPartialPrefix(packet[proto.HeaderSize:], lvBytes)
-	return mintPacket(packet, version, proto.MsgPartialResult), nil
+	return live.MarshalBinary()
 }
 
 // rankRemapperLive compiles the hierarchical remap for a partial gather. A

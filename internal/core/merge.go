@@ -15,24 +15,30 @@ import (
 	"stat/internal/trace"
 )
 
-// mergeScratch is the per-invocation state a filter worker borrows for
-// one merge-kernel call: a wire codec (arena, intern table, node and tree
-// free lists) plus every slice the call needs, kept warm across
-// invocations. A scratch leaves the pool only for the duration of one
-// call and returns with no live trees, so at steady state the whole
-// decode→merge→encode cycle runs without a single heap allocation.
+// mergeScratch is a pooled wire codec (arena, intern table, node and
+// tree free lists) plus the slices a merge needs, kept warm across
+// merges: a merge borrows one to decode its children, and an accumulator
+// keeps one for its live trees. A scratch returns to the pool only with
+// no live trees, so at steady state the fold allocates nothing.
 type mergeScratch struct {
-	codec    *trace.Codec
-	flat     []*trace.Tree   // all decoded trees, in child order
-	lists    [][]*trace.Tree // per-child views into flat
-	parts    []*trace.Tree   // parallel trees handed to one MergeConcat
-	out      []*trace.Tree   // merged trees, in tree-index order
-	telemBuf []byte          // encoded telemetry frame scratch
+	codec *trace.Codec
+	flat  []*trace.Tree   // decoded child trees, in child order
+	lists [][]*trace.Tree // per-child views into flat
+	parts []*trace.Tree   // parallel trees handed to one MergeConcat
+	out   []*trace.Tree   // an accumulator's live trees, by tree index
 }
 
 var scratchPool = sync.Pool{New: func() any {
 	return &mergeScratch{codec: trace.NewCodec()}
 }}
+
+// putScratch pools s, unless its codec still has live trees (an error
+// path bailed early): then s is simply dropped.
+func putScratch(s *mergeScratch) {
+	if s.codec.Live() == 0 {
+		scratchPool.Put(s)
+	}
+}
 
 // outBufs recycles payload buffers across the whole reduction: filter
 // outputs and (since the leaves went leased) the daemons' gather payloads
@@ -290,176 +296,195 @@ func releaseDecoded(dst []*trace.Tree, base int, err error) ([]*trace.Tree, erro
 	return dst[:base], err
 }
 
-// treeMerger returns resultFilter's merge kernel for whole trees: decode
-// every child's encodeTrees body, merge tree i of every child into output
-// tree i under the configured representation, and encode the merged list
-// — in the requested wire version — into a pooled buffer, leaving
-// prefixLen bytes unwritten at the front for the caller's framing (zero
-// for a bare body, the version's packet header size for a result packet
-// — written in place, so the payload is never copied into a frame). The
-// returned buffer belongs to outBufs; callers hand it onward inside a
-// lease whose free hook is recycleOutBuf.
-//
-// With a non-nil tf (the caller's folded telemetry frame — child
-// sections already stripped and folded by resultFilter), the kernel
-// observes its own merge span and output bytes into tf and appends the
-// encoded frame as a telemetry section trailer after the trees. The
-// section's bytes are reserved when the output buffer is drawn, so the
-// append never grows the buffer and the instrumented cycle stays
-// allocation-free. Child bodies handed in must already be bare tree
-// bodies — the decode rejects trailing bytes by design.
-//
-// This is the showcase of the leased-buffer contract. In hierarchical
-// mode the decode aliases label words straight into the child packet
-// buffers (retaining each lease until the decoded tree is released), the
-// merge routes output labels through the codec's arena, and the encode
-// writes into a recycled buffer — so a warm steady-state cycle touches
-// the heap zero times and copies label words exactly once, from input
-// packet to output packet. On a v2 (STR2) stream every label passes the
-// alignment check, so the copy count is exactly zero on the decode side;
-// the codec's alias hit/miss counters are folded into the merger's totals
-// so the realized rate is observable per merge phase. Original mode
-// merges by in-place union (or XOR) into child 0's trees, so only that
-// accumulator must own its labels: child 0 takes the copying decode and
-// every later child aliases, since the union only reads its source.
-// Everything decoded or merged dies before the merger returns: nodes and
-// tree headers return to the codec's free lists, arena storage recycles,
-// and the input leases drop back to the engine's reference.
-func (m *merger) treeMerger() mergeFunc {
-	return m.frameMerger(false)
+// foldAcc is one interior node's accumulator (see resultFold): its
+// merged trees so far, kept decoded between Fold calls and encoded once,
+// by Emit, plus the running minimum wire version, the frame kind, the
+// liveness of partial children and the telemetry aggregate. Pooled, so a
+// warm node allocates nothing.
+type foldAcc struct {
+	acc *mergeScratch // the live trees, in acc.out; nil before the first merge
+	// in holds the child bodies added since the last merge, each viewing
+	// its pin: a child lease valid only for the current Fold call.
+	in      []pendingBody
+	started bool
+	version uint8
+	delta   bool
+	live    *bitvec.Vector // partial children's liveness, nil until one arrives
+	// partials lists the partial children's positions.
+	partials []int
+	agg      telemetry.Frame
+	mergeNs  int64 // decode and merge time, for the node's merge span
+	telemBuf []byte
 }
 
-// mergeFunc is the merge-kernel shape shared by the tree and delta
-// mergers: merge the child bodies into a pooled buffer after prefixLen
-// reserved bytes, emit at the given wire version, and — when tf is
-// non-nil — append tf as the body's telemetry section.
-type mergeFunc = func(children []*tbon.Lease, prefixLen int, version uint8, tf *telemetry.Frame) ([]byte, error)
-
-// deltaMerger is the merge kernel for MsgDelta bodies: identical cycle,
-// identical framing, but every frame is a delta frame. Hierarchical mode
-// needs no new merge at all — XOR labels concatenate exactly like task
-// sets (disjoint task spaces), and a concat of canonical delta frames is
-// canonical: a node survives iff some part included it, and a part that
-// included it for descent alone contributes an empty slice to a label
-// whose other slices may be empty too, in which case the node had
-// included children. Original mode combines matching nodes by XOR
-// (trace.MergeXor) — the operation that commutes with the downstream
-// fold — instead of union.
-func (m *merger) deltaMerger() mergeFunc {
-	return m.frameMerger(true)
+type pendingBody struct {
+	b   []byte
+	pin *tbon.Lease
 }
 
-func (m *merger) frameMerger(delta bool) mergeFunc {
-	hierarchical := m.mode != Original
-	return func(children []*tbon.Lease, prefixLen int, version uint8, tf *telemetry.Frame) (out []byte, err error) {
-		if len(children) == 0 {
-			return nil, errors.New("core: filter with no inputs")
-		}
-		var mergeStart time.Time
-		if tf != nil {
-			mergeStart = time.Now()
-		}
-		s := scratchPool.Get().(*mergeScratch)
-		s.flat, s.lists, s.out = s.flat[:0], s.lists[:0], s.out[:0]
-		hits0, misses0 := s.codec.AliasStats()
-		labels0 := s.codec.LabelStats()
-		defer func() {
-			// All decoded inputs die here. In Original mode the merged
-			// trees alias lists[*][ti] entries (the union folds in
-			// place), so the sweep over flat covers them; hierarchical
-			// outputs are fresh codec trees accumulated in s.out and
-			// release separately. Once nothing borrows the codec's arena
-			// the scratch goes back in the pool; a scratch whose codec
-			// still has live trees (an error path bailed early) is
-			// simply dropped.
-			for _, tr := range s.flat {
-				tr.Release()
-			}
-			if hierarchical {
-				for _, tr := range s.out {
-					tr.Release()
-				}
-			}
-			hits, misses := s.codec.AliasStats()
-			m.aliasHits.Add(hits - hits0)
-			m.aliasMisses.Add(misses - misses0)
-			if delta := s.codec.LabelStats().Sub(labels0); delta.Labels() != 0 {
-				m.labelStatsMu.Lock()
-				m.labelStats.Add(delta)
-				m.labelStatsMu.Unlock()
-			}
-			if s.codec.Live() == 0 {
-				scratchPool.Put(s)
-			}
-		}()
-		for i, c := range children {
-			start := len(s.flat)
-			// Original mode folds children 1..k-1 into child 0's trees in
-			// place, so child 0 alone decodes by copy.
-			o := trace.DecodeOpts{Codec: s.codec, Pin: c, Delta: delta}
-			if !hierarchical && i == 0 {
-				o.Pin = nil
-			}
-			s.flat, err = decodeTrees(s.flat, c.Bytes(), o)
-			if err != nil {
-				return nil, err
-			}
-			s.lists = append(s.lists, s.flat[start:len(s.flat):len(s.flat)])
-		}
-		for i := 1; i < len(s.lists); i++ {
-			if len(s.lists[i]) != len(s.lists[0]) {
-				return nil, fmt.Errorf("core: child %d carries %d trees, child 0 carries %d",
-					i, len(s.lists[i]), len(s.lists[0]))
-			}
-		}
-		for ti := range s.lists[0] {
-			if !hierarchical {
-				acc := s.lists[0][ti]
-				for ci := 1; ci < len(s.lists); ci++ {
-					if delta {
-						err = trace.MergeXor(acc, s.lists[ci][ti])
-					} else {
-						err = trace.MergeUnion(acc, s.lists[ci][ti])
-					}
-					if err != nil {
-						return nil, err
-					}
-				}
-				s.out = append(s.out, acc)
-			} else {
-				if cap(s.parts) < len(s.lists) {
-					s.parts = make([]*trace.Tree, len(s.lists))
-				}
-				parts := s.parts[:len(s.lists)]
-				for ci := range s.lists {
-					parts[ci] = s.lists[ci][ti]
-				}
-				s.out = append(s.out, s.codec.MergeConcat(parts...))
-			}
-		}
-		// Size the output exactly, draw a capacity-matched recycled
-		// buffer, and encode after the caller's reserved prefix; the
-		// in-place append can never grow (and therefore never strands a
-		// pooled buffer). Telemetry section bytes are reserved alongside.
-		size := encodedTreesSize(version, s.out)
-		extra := 0
-		if tf != nil {
-			extra = proto.TelemetrySectionLen(telemetry.EncodedFrameSize)
-		}
-		buf := outBufs.Get(prefixLen + size + extra)
-		body, err := encodeFramesInto(buf[:prefixLen], version, delta, s.out...)
-		if err != nil {
-			outBufs.Put(buf)
-			return nil, err
-		}
-		if tf != nil {
-			tf.MergedBytes += int64(len(body) - prefixLen)
-			tf.Observe(telemetry.SpanMerge, time.Since(mergeStart).Nanoseconds())
-			s.telemBuf = tf.AppendTo(s.telemBuf[:0])
-			body = proto.AppendTelemetrySection(body, s.telemBuf)
-		}
-		return body, nil
+var foldAccPool = sync.Pool{New: func() any { return new(foldAcc) }}
+
+// add queues one child body for the next merge. Children whose frame
+// kinds differ — delta frames against whole trees or partial results —
+// abort the round with errMixedDeltaRound: they occupy disjoint task
+// slices and there is nothing sound to combine them into. The streaming
+// front end recovers by re-gathering the round whole, which is
+// deterministic because sampling re-runs at the same base.
+func (a *foldAcc) add(body []byte, pin *tbon.Lease, version uint8, delta bool) error {
+	switch {
+	case !a.started:
+		a.started, a.version, a.delta = true, version, delta
+	case delta != a.delta:
+		return errMixedDeltaRound
 	}
+	a.version = min(a.version, version)
+	a.in = append(a.in, pendingBody{body, pin})
+	return nil
+}
+
+// merge decodes the added bodies — every one by alias, pinning its child
+// lease — folds them into the live trees, and releases them, so no child
+// payload outlives its Fold call. Original mode unions (XORs, for delta
+// frames: the operation that commutes with the downstream fold) each
+// child tree in place into the accumulator's tree of the same index,
+// which the first merge creates empty. Hierarchical mode runs one
+// MergeConcat of the live trees and the children per tree index (XOR
+// labels concatenate like task sets) in the decoding scratch, which then
+// holds the new live trees; the old ones are released.
+func (m *merger) merge(a *foldAcc) (err error) {
+	s := scratchPool.Get().(*mergeScratch)
+	hits0, misses0 := s.codec.AliasStats()
+	labels0 := s.codec.LabelStats()
+	want := -1
+	if a.acc != nil {
+		want = len(a.acc.out)
+	}
+	for _, p := range a.in {
+		start := len(s.flat)
+		if s.flat, err = decodeTrees(s.flat, p.b, trace.DecodeOpts{Codec: s.codec, Pin: p.pin, Delta: a.delta}); err != nil {
+			break
+		}
+		if n := len(s.flat) - start; want >= 0 && n != want {
+			err = fmt.Errorf("core: child carries %d trees, the fold so far %d", n, want)
+			break
+		}
+		want = len(s.flat) - start
+		s.lists = append(s.lists, s.flat[start:len(s.flat):len(s.flat)])
+	}
+	if err == nil && len(s.lists) > 0 {
+		if m.mode == Original {
+			err = unionInto(a, s.lists)
+		} else {
+			concatInto(a, s)
+		}
+	}
+	for _, tr := range s.flat {
+		tr.Release()
+	}
+	clear(s.flat)
+	clear(s.lists)
+	s.flat, s.lists = s.flat[:0], s.lists[:0]
+	hits, misses := s.codec.AliasStats()
+	m.aliasHits.Add(hits - hits0)
+	m.aliasMisses.Add(misses - misses0)
+	if delta := s.codec.LabelStats().Sub(labels0); delta.Labels() != 0 {
+		m.labelStatsMu.Lock()
+		m.labelStats.Add(delta)
+		m.labelStatsMu.Unlock()
+	}
+	if a.acc != s {
+		putScratch(s)
+	}
+	return err
+}
+
+func unionInto(a *foldAcc, lists [][]*trace.Tree) error {
+	if a.acc == nil {
+		a.acc = scratchPool.Get().(*mergeScratch)
+		for _, tr := range lists[0] {
+			a.acc.out = append(a.acc.out, a.acc.codec.NewTree(tr.NumTasks))
+		}
+	}
+	merge := trace.MergeUnion
+	if a.delta {
+		merge = trace.MergeXor
+	}
+	for _, list := range lists {
+		for ti, tr := range list {
+			if err := merge(a.acc.out[ti], tr); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func concatInto(a *foldAcc, s *mergeScratch) {
+	for ti := range s.lists[0] {
+		parts := s.parts[:0]
+		if a.acc != nil {
+			parts = append(parts, a.acc.out[ti])
+		}
+		for _, list := range s.lists {
+			parts = append(parts, list[ti])
+		}
+		s.out = append(s.out, s.codec.MergeConcat(parts...))
+		clear(parts)
+		s.parts = parts[:0]
+	}
+	releaseTrees(a.acc)
+	a.acc = s
+}
+
+// releaseTrees releases an accumulator's live trees and pools its
+// scratch; nil is a no-op.
+func releaseTrees(s *mergeScratch) {
+	if s == nil {
+		return
+	}
+	for _, tr := range s.out {
+		tr.Release()
+	}
+	clear(s.out)
+	s.out = s.out[:0]
+	putScratch(s)
+}
+
+// release drops an accumulator, emitted or not, into the pool.
+func (a *foldAcc) release() {
+	releaseTrees(a.acc)
+	clear(a.in)
+	*a = foldAcc{in: a.in[:0], partials: a.partials[:0], telemBuf: a.telemBuf}
+	foldAccPool.Put(a)
+}
+
+// encode writes the live trees at the accumulator's version and frame
+// kind into a pooled buffer, after prefixLen bytes left for the caller's
+// framing (the packet header, and a partial result's liveness prefix) so
+// the payload is never copied into a frame. The buffer is drawn
+// capacity-matched at the exact size, so the in-place append never grows
+// it. With telem set the encode closes the node's merge span, counts the
+// body into MergedBytes, and appends the aggregate as the telemetry
+// section, whose bytes were reserved with the buffer.
+func (a *foldAcc) encode(prefixLen int, telem bool) ([]byte, error) {
+	start := time.Now()
+	extra := 0
+	if telem {
+		extra = proto.TelemetrySectionLen(telemetry.EncodedFrameSize)
+	}
+	buf := outBufs.Get(prefixLen + encodedTreesSize(a.version, a.acc.out) + extra)
+	body, err := encodeFramesInto(buf[:prefixLen], a.version, a.delta, a.acc.out...)
+	if err != nil {
+		outBufs.Put(buf)
+		return nil, err
+	}
+	if telem {
+		a.agg.MergedBytes += int64(len(body) - prefixLen)
+		a.agg.Observe(telemetry.SpanMerge, a.mergeNs+time.Since(start).Nanoseconds())
+		a.telemBuf = a.agg.AppendTo(a.telemBuf[:0])
+		body = proto.AppendTelemetrySection(body, a.telemBuf)
+	}
+	return body, nil
 }
 
 // MergeTrees reduces one prefix tree per daemon through the gather

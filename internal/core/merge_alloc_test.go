@@ -13,34 +13,130 @@ import (
 	"stat/internal/trace"
 )
 
-// mergeFilter returns the tree-merge filter for the configured
-// representation, operating on leased encodeTrees bodies: the treeMerger
-// body encode wrapped in a pooled output lease. The output body carries
-// the LOWEST wire version seen among the children — the min-merge rule.
-// In a homogeneous session (the common case) every child agrees after
-// negotiation and the version simply propagates; in a mixed-version fleet
-// (per-daemon caps) a v2-capped daemon's subtree downgrades every merge
-// on its path to the root, while disjoint subtrees keep shipping v3 until
-// the join — mirroring how the ack merge's minimum carries the negotiated
-// session version upward.
+// mergeFilter returns the tree merge for the configured representation
+// as a byte Filter over bare encodeTrees bodies: each call takes a fresh
+// accumulator through the production merge and encode (foldAcc), so under
+// ReduceWith a node's every call after the first re-decodes the previous
+// output as its first input. The output body carries the LOWEST wire
+// version seen among the children — the min-merge rule. In a homogeneous
+// session (the common case) every child agrees after negotiation and the
+// version simply propagates; in a mixed-version fleet (per-daemon caps) a
+// v2-capped daemon's subtree downgrades every merge on its path to the
+// root, while disjoint subtrees keep shipping v3 until the join —
+// mirroring how the ack merge's minimum carries the negotiated session
+// version upward.
 func (m *merger) mergeFilter() tbon.Filter {
-	merge := m.treeMerger()
 	return func(children []*tbon.Lease) (*tbon.Lease, error) {
-		version := uint8(0)
+		a := foldAccPool.Get().(*foldAcc)
+		defer a.release()
 		for _, c := range children {
 			v, err := bodyWireVersion(c.Bytes())
 			if err != nil {
 				return nil, err
 			}
-			if version == 0 || v < version {
-				version = v
+			if err := a.add(c.Bytes(), c, v, false); err != nil {
+				return nil, err
 			}
 		}
-		body, err := merge(children, 0, version, nil)
+		if err := m.merge(a); err != nil {
+			return nil, err
+		}
+		body, err := a.encode(0, false)
 		if err != nil {
 			return nil, err
 		}
 		return tbon.NewLease(body, recycleOutBuf), nil
+	}
+}
+
+// foldEmit drives f over one interior node's children the way the engine
+// does: Fold calls of up to per children each into the live accumulator,
+// then one Emit. per 1 is the one-worker fold, len(children) a whole
+// child row in one call.
+func foldEmit(f tbon.NodeFilter, children []*tbon.Lease, per int) (*tbon.Lease, error) {
+	var acc any
+	for i := 0; i < len(children); i += per {
+		var err error
+		if acc, err = f.Fold(nil, acc, children[i:min(i+per, len(children))]); err != nil {
+			if acc != nil {
+				f.Drop(acc)
+			}
+			return nil, err
+		}
+	}
+	return f.Emit(nil, acc)
+}
+
+// resultChildren encodes k gather reply packets the way daemons produce
+// them — a 2D+3D tree pair each, as whole trees or delta frames — under
+// the mode's label layout: job-width labels over disjoint rank ranges in
+// Original mode, ragged local widths in Hierarchical mode.
+func resultChildren(t testing.TB, mode BitVecMode, delta bool, version uint8, k int) []*tbon.Lease {
+	t.Helper()
+	width := func(ci int) int { return 5 + 3*(ci%2) }
+	total := 0
+	for ci := 0; ci < k; ci++ {
+		total += width(ci)
+	}
+	typ := proto.MsgResult
+	if delta {
+		typ = proto.MsgDelta
+	}
+	children := make([]*tbon.Lease, k)
+	base := 0
+	for ci := range children {
+		n, off := width(ci), 0
+		if mode == Original {
+			n, off = total, base
+		}
+		t2, t3 := trace.NewTree(n), trace.NewTree(n)
+		for task := off; task < off+width(ci); task++ {
+			t2.AddStack(task, "main", "solve", "mpi_wait")
+			t2.AddStack(task, "main", "io")
+			t3.AddStack(task, "main", "solve", "mpi_wait")
+			t3.AddStack(task, "main", "solve", "barrier")
+		}
+		base += width(ci)
+		body, err := encodeFramesInto(nil, version, delta, t2, t3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t2.Release()
+		t3.Release()
+		p := proto.Packet{Stream: proto.DataStream, Type: typ, Version: version, Payload: body}
+		children[ci] = tbon.NewLease(p.Encode(), nil)
+	}
+	return children
+}
+
+// foldCycleZeroAllocs asserts that a warm interior node — k children
+// folded into a live accumulator, one by one and as a whole row, then
+// one Emit — touches the heap zero times.
+func foldCycleZeroAllocs(t *testing.T, mode BitVecMode, delta bool, version uint8) {
+	t.Helper()
+	const k = 4
+	filter := newAllocTool(t, mode).merge.resultFilter(false)
+	children := resultChildren(t, mode, delta, version, k)
+	for _, per := range []int{1, k} {
+		cycle := func() {
+			out, err := foldEmit(filter, children, per)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.Release()
+		}
+		// Warm every pool on the path: codec free lists, arena slabs,
+		// intern table, output buffer pool, lease pool, accumulators.
+		for i := 0; i < 10; i++ {
+			cycle()
+		}
+		if n := testing.AllocsPerRun(200, cycle); n != 0 {
+			t.Errorf("%v v%d delta=%v: warm node folding %d children %d per call allocates %v per op, want 0",
+				mode, version, delta, k, per, n)
+		}
+	}
+	for _, c := range children {
+		c.Release()
 	}
 }
 
@@ -196,42 +292,20 @@ func TestFilterCycleAliasRate(t *testing.T) {
 	}
 }
 
-// TestResultFilterCycleZeroAllocs guards the actual production path — the
-// session's resultFilter, which unwraps MsgResult packets into sub-leases,
-// runs the tree merger, and frames the output by writing the packet
-// header in place in the pooled buffer. It too must be allocation-free at
-// steady state, modulo the small fixed per-call slices (bodies, sub-lease
-// structs) that the lease pool absorbs.
+// TestResultFilterCycleZeroAllocs guards the actual production path —
+// the session's resultFilter, which unwraps MsgResult packets, folds
+// their trees into the node's live accumulator and, at Emit, frames the
+// output by writing the packet header in place in the pooled buffer. A
+// warm node must not touch the heap in either representation, whether
+// its children fold one per call or all at once.
 func TestResultFilterCycleZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
-	filter := newAllocTool(t, Hierarchical).merge.resultFilter(false)
-	inner := buildFilterChildren(t, true, trace.WireV2)
-	children := make([]*tbon.Lease, len(inner))
-	for i, b := range inner {
-		p := proto.Packet{Stream: proto.DataStream, Type: proto.MsgResult, Version: 2, Payload: b.Bytes()}
-		children[i] = tbon.NewLease(p.Encode(), nil)
-		b.Release()
+	for _, mode := range []BitVecMode{Original, Hierarchical} {
+		foldCycleZeroAllocs(t, mode, false, trace.WireV2)
 	}
-	cycle := func() {
-		out, err := filter(nil, children)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.Release()
-	}
-	for i := 0; i < 10; i++ {
-		cycle()
-	}
-	// The bodies slice and release closure in resultFilter are the only
-	// per-call allocations left; they are O(children), not O(payload).
-	if n := testing.AllocsPerRun(200, cycle); n > 3 {
-		t.Errorf("steady-state result-packet filter cycle allocates %v per op, want <= 3", n)
-	}
-	for _, c := range children {
-		c.Release()
-	}
+	foldCycleZeroAllocs(t, Hierarchical, false, trace.WireV3)
 }
 
 // BenchmarkFilterCycle is the per-interior-node cost of a reduction: one

@@ -150,7 +150,7 @@ type Options struct {
 	// bounds payloads instead, admitting at most one produced-but-unfolded
 	// payload per worker ahead of the fold. While a byte budget has room,
 	// comm processes defer their folds to merge all their children in one
-	// filter call; the default bound folds as payloads arrive.
+	// Fold call; the default bound folds as payloads arrive.
 	ReduceBudgetBytes int64
 	// WireVersion caps the data-stream wire version this tool's front end
 	// and daemons advertise during the attach handshake; the session

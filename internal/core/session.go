@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"stat/internal/bitvec"
@@ -278,160 +277,133 @@ func unwrapRoot(out []byte, version uint8, delta bool, frame *telemetry.Frame) (
 	return g, nil
 }
 
-// resultFilter merges MsgResult packets: unwrap, merge the carried trees
-// under the configured representation, rewrap at the LOWEST wire version
-// the children carry — uniform after negotiation in a homogeneous
-// session, and the min-merge downgrade rule when per-daemon caps put a
-// v2-capped daemon inside a v3 fleet (see Options.DaemonWireCaps: the
-// session version is the minimum over daemons, and taking the minimum at
-// every join is what makes the root packet land exactly there).
-// proto.Decode aliases
-// the packet body rather than copying it, so each body is handed to the
-// tree merge as a sub-lease of the child packet: if the merge's zero-copy
-// decode pins a body (its labels view the wire bytes), the pin holds the
-// whole packet buffer alive through the sub-lease's parent reference. On
-// the way out, the merger encodes the merged trees directly after a
-// reserved frame header in the pooled output buffer, so the result packet
-// is built without copying the payload.
+// resultFold is the gather's result filter (tbon.NodeFilter): each
+// interior node folds its children's MsgResult packets into a foldAcc.
+// Fold unwraps the packets — proto.Decode aliases the body, so the trees
+// decode by alias straight out of the engine's leases — and merges them
+// into the live trees under the configured representation. Emit encodes
+// the trees once, behind a packet header written in place, at the LOWEST
+// wire version the children carried: uniform after negotiation in a
+// homogeneous session, and the min-merge downgrade rule when per-daemon
+// caps put a v2-capped daemon inside a v3 fleet (Options.DaemonWireCaps:
+// taking the minimum at every join lands the root packet on the session
+// version). Uniform delta children fold into a MsgDelta packet exactly
+// like whole trees.
 //
-// Under fault tolerance the filter has a second job: whenever its output
-// cannot claim complete coverage — a child delivered a MsgPartialResult, or
-// the engine's FilterCtx reports missing child subtrees — it switches to
-// mergePartial, which computes the surviving-rank liveness set and emits a
-// MsgPartialResult carrying it ahead of the tree body. The complete case
-// below is byte-for-byte the fault-free filter, so fault-free runs (with or
-// without Options.FaultTolerant) produce identical packets and keep the
+// Under fault tolerance Emit has a second job: when the node cannot claim
+// complete coverage — a child delivered a MsgPartialResult, or the engine
+// reports missing children — it emits a MsgPartialResult carrying the
+// surviving ranks (liveness) ahead of the trees. A complete node's packet
+// is byte-for-byte the fault-free one, so fault-free runs with or without
+// Options.FaultTolerant produce identical packets and keep the
 // zero-allocation cycle.
 //
-// With telem set the filter also runs the telemetry fold: each child
-// body arrives with the child subtree's frame as its outermost trailer,
-// which is stripped (before the body sub-lease is taken, so the mergers
-// see bare tree bytes) and folded into a pooled aggregate along with this
-// filter's own fold span, fan-in, and lease high-water marks. The merger
-// re-appends the aggregate to its output, keeping the invariant that
-// every packet on a telemetry session carries exactly one section.
-// bodySlicePool recycles the per-filter-call slice of child body
-// sub-leases; fan-in varies per node, so pooled slices grow to the
-// widest join they've served and are reused at length.
-var bodySlicePool = sync.Pool{New: func() any {
-	s := make([]*tbon.Lease, 0, 16)
-	return &s
-}}
+// With telem set Fold strips each child's telemetry section (the
+// outermost trailer) and folds it into the accumulator's aggregate with
+// the call's fold span, fan-in and lease high-water mark; Emit adds the
+// node's merge span and output bytes and appends the aggregate, so every
+// packet on a telemetry session carries exactly one section.
+type resultFold struct {
+	m     *merger
+	telem bool
+}
 
-func (m *merger) resultFilter(telem bool) tbon.NodeFilter {
-	merge := m.treeMerger()
-	mergeDelta := m.deltaMerger()
-	return func(ctx *tbon.FilterCtx, children []*tbon.Lease) (*tbon.Lease, error) {
-		bp := bodySlicePool.Get().(*[]*tbon.Lease)
-		if cap(*bp) < len(children) {
-			*bp = make([]*tbon.Lease, len(children))
+func (m *merger) resultFilter(telem bool) tbon.NodeFilter { return &resultFold{m: m, telem: telem} }
+
+func (f *resultFold) Fold(ctx *tbon.FilterCtx, acc any, in []*tbon.Lease) (any, error) {
+	a, _ := acc.(*foldAcc)
+	if a == nil {
+		a = foldAccPool.Get().(*foldAcc)
+	}
+	start := time.Now()
+	err := f.take(ctx, a, in)
+	if err == nil && f.telem {
+		// One clock pair times the whole intake loop: per-child timers
+		// would cost more than what they'd exclude.
+		a.agg.Observe(telemetry.SpanFold, time.Since(start).Nanoseconds())
+		a.agg.Filters++
+		inputs := int64(len(in))
+		if acc != nil {
+			inputs++
 		}
-		bodies := (*bp)[:len(children)]
-		defer func() {
-			// Drop the lease pointers before pooling so a recycled slice
-			// can't keep released buffers reachable.
-			for i := range bodies {
-				bodies[i] = nil
-			}
-			*bp = bodies[:0]
-			bodySlicePool.Put(bp)
-		}()
-		release := func(n int) {
-			for i := 0; i < n; i++ {
-				bodies[i].Release()
-			}
+		a.agg.QueueDepth = max(a.agg.QueueDepth, inputs)
+		a.agg.LiveLeases = max(a.agg.LiveLeases, tbon.LiveLeases())
+	}
+	if err == nil {
+		start = time.Now()
+		err = f.m.merge(a)
+		a.mergeNs += time.Since(start).Nanoseconds()
+	}
+	clear(a.in)
+	a.in = a.in[:0]
+	return a, err
+}
+
+// take unwraps in's packets into the accumulator's pending bodies,
+// folding telemetry sections into the aggregate and taking partial
+// results' liveness.
+func (f *resultFold) take(ctx *tbon.FilterCtx, a *foldAcc, in []*tbon.Lease) error {
+	for i, c := range in {
+		p, err := proto.Decode(c.Bytes())
+		if err != nil {
+			return err
 		}
-		var tf *telemFold
-		var intakeStart time.Time
-		if telem {
-			tf = telemFoldPool.Get().(*telemFold)
-			tf.agg = telemetry.Frame{}
-			defer telemFoldPool.Put(tf)
-			intakeStart = time.Now()
+		if p.Type != proto.MsgResult && p.Type != proto.MsgPartialResult && p.Type != proto.MsgDelta {
+			return fmt.Errorf("core: expected result, got %v", p.Type)
 		}
-		version := uint8(0)
-		anyPartial := false
-		deltas := 0
-		for i, c := range children {
-			p, err := proto.Decode(c.Bytes())
+		body := p.Payload
+		if f.telem {
+			rest, sect, err := proto.SplitTelemetrySection(body)
 			if err != nil {
-				release(i)
-				return nil, err
+				return err
 			}
-			if p.Type != proto.MsgResult && p.Type != proto.MsgPartialResult && p.Type != proto.MsgDelta {
-				release(i)
-				return nil, fmt.Errorf("core: expected result, got %v", p.Type)
+			if !telemetry.FoldEncoded(&a.agg, sect) {
+				return errors.New("core: malformed telemetry section on child result")
 			}
-			if p.Type == proto.MsgPartialResult {
-				anyPartial = true
-			}
-			if p.Type == proto.MsgDelta {
-				deltas++
-			}
-			if version == 0 || p.Version < version {
-				version = p.Version
-			}
-			body := p.Payload
-			if telem {
-				rest, sect, err := proto.SplitTelemetrySection(body)
-				if err != nil {
-					release(i)
-					return nil, err
-				}
-				if !telemetry.FoldEncoded(&tf.agg, sect) {
-					release(i)
-					return nil, errors.New("core: malformed telemetry section on child result")
-				}
-				body = rest
-			}
-			bodies[i] = c.Sub(body)
+			body = rest
 		}
-		var frame *telemetry.Frame
-		if telem {
-			// The fold span times the whole child-intake loop with one clock
-			// pair rather than bracketing each child's strip+decode+fold —
-			// the loop's bare packet walk is a few pointer reads per child,
-			// and per-child timers would cost more than what they'd exclude.
-			tf.agg.Observe(telemetry.SpanFold, time.Since(intakeStart).Nanoseconds())
-			tf.agg.Filters++
-			if qd := int64(len(children)); qd > tf.agg.QueueDepth {
-				tf.agg.QueueDepth = qd
+		if p.Type == proto.MsgPartialResult {
+			pos := i
+			if ctx != nil && ctx.Spans != nil {
+				pos = ctx.Spans[i].From
 			}
-			if ll := tbon.LiveLeases(); ll > tf.agg.LiveLeases {
-				tf.agg.LiveLeases = ll
+			if body, err = f.m.takeLiveness(a, pos, body); err != nil {
+				return err
 			}
-			frame = &tf.agg
 		}
-		// Delta children merge only against delta children: a delta frame
-		// and a whole tree occupy disjoint task slices and there is nothing
-		// sound to combine them into. Uniform-delta joins concatenate (or
-		// XOR) exactly like whole trees; a mixed set — some daemons could
-		// delta this round, some could not — aborts the gather with a typed
-		// error the streaming front end recognizes (errMixedDeltaRound) and
-		// recovers from by re-gathering the round whole, which is
-		// deterministic because sampling re-runs at the same base.
-		if deltas > 0 && (deltas < len(children) || anyPartial) {
-			release(len(children))
+		if err := a.add(body, c, p.Version, p.Type == proto.MsgDelta); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (f *resultFold) Emit(ctx *tbon.FilterCtx, acc any) (*tbon.Lease, error) {
+	a := acc.(*foldAcc)
+	defer a.release()
+	typ, prefix := proto.MsgResult, proto.HeaderSize
+	if a.delta {
+		typ = proto.MsgDelta
+	}
+	var lv []byte
+	if a.live != nil || ctx.Incomplete() {
+		if a.delta {
 			return nil, errMixedDeltaRound
 		}
-		if anyPartial || ctx.Incomplete() {
-			if deltas > 0 {
-				release(len(bodies))
-				return nil, errMixedDeltaRound
-			}
-			return m.mergePartial(ctx, children, bodies, merge, version, frame)
-		}
-		outType := proto.MsgResult
-		doMerge := merge
-		if deltas > 0 {
-			outType = proto.MsgDelta
-			doMerge = mergeDelta
-		}
-		packet, err := doMerge(bodies, proto.HeaderSize, version, frame)
-		release(len(bodies))
-		if err != nil {
+		var err error
+		if lv, err = f.m.liveness(ctx, a); err != nil {
 			return nil, err
 		}
-		return mintPacket(packet, version, outType), nil
+		typ, prefix = proto.MsgPartialResult, prefix+proto.PartialPrefixLen(len(lv))
 	}
+	packet, err := a.encode(prefix, f.telem)
+	if err != nil {
+		return nil, err
+	}
+	if lv != nil {
+		proto.PutPartialPrefix(packet[proto.HeaderSize:], lv)
+	}
+	return mintPacket(packet, a.version, typ), nil
 }
+
+func (f *resultFold) Drop(acc any) { acc.(*foldAcc).release() }

@@ -371,7 +371,7 @@ func TestResultFilterMixedDeltaRound(t *testing.T) {
 		mkResultChild(t, true, 4, 0),
 		mkResultChild(t, false, 4, 1),
 	}
-	_, err := filter(nil, children)
+	_, err := foldEmit(filter, children, len(children))
 	if !errors.Is(err, errMixedDeltaRound) {
 		t.Fatalf("mixed children returned %v, want errMixedDeltaRound", err)
 	}
@@ -391,7 +391,7 @@ func TestResultFilterUniformDelta(t *testing.T) {
 		mkResultChild(t, true, 3, 0),
 		mkResultChild(t, true, 5, 2),
 	}
-	out, err := filter(nil, children)
+	out, err := foldEmit(filter, children, len(children))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,47 +421,20 @@ func TestResultFilterUniformDelta(t *testing.T) {
 	}
 }
 
-// TestDeltaFilterCycleZeroAllocs extends the leased-buffer guarantee to
-// the delta merge kernel: one decode→concat→encode cycle over delta
-// frames in hierarchical mode, on a warm codec, must not touch the heap.
+// TestDeltaFilterCycleZeroAllocs extends the guarantee to delta frames:
+// a warm node folding delta children into its live accumulator —
+// concatenated in Hierarchical mode, XORed in Original mode — and
+// emitting once must not touch the heap.
 func TestDeltaFilterCycleZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
 	for _, version := range []uint8{trace.WireV2, trace.WireV3} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			merge := newAllocTool(t, Hierarchical).merge.deltaMerger()
-			children := make([]*tbon.Lease, 2)
-			for ci := range children {
-				width := 5 + ci*3
-				t2, t3 := trace.NewTree(width), trace.NewTree(width)
-				for task := 0; task < width; task++ {
-					t2.AddStack(task, "main", "solve", "mpi_wait")
-					t3.AddStack(task, "main", "solve", "barrier")
-				}
-				body, err := encodeFramesInto(nil, version, true, t2, t3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t2.Release()
-				t3.Release()
-				children[ci] = tbon.NewLease(body, nil)
-			}
-			cycle := func() {
-				out, err := merge(children, 0, version, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				outBufs.Put(out)
-			}
-			for i := 0; i < 10; i++ {
-				cycle()
-			}
-			if n := testing.AllocsPerRun(200, cycle); n != 0 {
-				t.Errorf("steady-state delta filter cycle allocates %v per op, want 0", n)
-			}
-			for _, c := range children {
-				c.Release()
+			foldCycleZeroAllocs(t, Hierarchical, true, version)
+			if version == trace.WireV2 {
+				// Original mode tops out at v2 on the wire.
+				foldCycleZeroAllocs(t, Original, true, version)
 			}
 		})
 	}

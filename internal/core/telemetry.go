@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"stat/internal/bitvec"
@@ -30,8 +29,9 @@ import (
 //
 // Everything on the gather path must stay off the allocation budget:
 // daemons and filters write into per-daemon / pooled scratch
-// (telemFold, mergeScratch.telemBuf, daemon.telemBuf), and the
-// filter-cycle zero-alloc guards run with telemetry enabled.
+// (daemon.telemBuf, and the aggregate and telemBuf of the pooled fold
+// accumulator, foldAcc), and the filter-cycle zero-alloc guards run with
+// telemetry enabled.
 
 // flightRingSize is each daemon's flight-recorder capacity in spans. A
 // round records four leaf spans, so the ring holds the last ~64 rounds.
@@ -181,17 +181,6 @@ func (tt *toolTelemetry) publish(f *telemetry.Frame, slotWaitNs int64) {
 	tt.fanin.Max(f.QueueDepth)
 	tt.slotWait.Add(slotWaitNs - tt.slotWait.Load())
 }
-
-// telemFold is the pooled per-filter-call state of the telemetry fold:
-// the aggregate frame a filter builds for its output section (child
-// sections fold straight off the wire via telemetry.FoldEncoded, no
-// scratch decode). Pooled (like mergeScratch) so a filter call with
-// telemetry on still allocates nothing at steady state.
-type telemFold struct {
-	agg telemetry.Frame
-}
-
-var telemFoldPool = sync.Pool{New: func() any { return new(telemFold) }}
 
 // TelemetryRegistry returns the run's metric registry for exposition
 // (the CLI's -debug-addr endpoint), or nil when Options.Telemetry is

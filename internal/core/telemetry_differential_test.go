@@ -22,7 +22,10 @@ import (
 // popping the telemetry section, must be byte-identical (modulo the
 // header's size field, which counts the section) to the telemetry-off
 // packet. The popped section must decode into a frame whose
-// leaf/filter census matches the topology exactly.
+// leaf/filter census matches the topology exactly, and whose MergedBytes
+// reconciles with the engine's traffic counters: it sums the tree bodies
+// the interior nodes emitted, each node's tbon.Stats.NodeOutBytes less
+// its packet header and telemetry section.
 func TestTelemetryDifferentialAcrossTopologies(t *testing.T) {
 	topos := []struct {
 		name  string
@@ -47,7 +50,7 @@ func TestTelemetryDifferentialAcrossTopologies(t *testing.T) {
 				nLeaves := topo.NumLeaves()
 				tasks := 8 * nLeaves
 
-				run := func(telem bool, engine testEngine) []byte {
+				run := func(telem bool, engine testEngine) ([]byte, *tbon.Stats) {
 					tool, err := New(Options{
 						Machine:        machine.Atlas(),
 						Tasks:          tasks,
@@ -73,16 +76,16 @@ func TestTelemetryDifferentialAcrossTopologies(t *testing.T) {
 					leaf := func(i int) (*tbon.Lease, error) {
 						return daemons[i].gatherPacket(greq)
 					}
-					out, _, err := net.ReduceNodeLeasedWith(engine.reduceOpts(), leaf, tool.merge.resultFilter(telem))
+					out, stats, err := net.ReduceNodeLeasedWith(engine.reduceOpts(), leaf, tool.merge.resultFilter(telem))
 					if err != nil {
 						t.Fatalf("%v/v%d/%s/%v: %v", mode, version, tc.name, engine, err)
 					}
-					return out
+					return out, stats
 				}
 
 				for _, engine := range engines {
-					plain := run(false, engine)
-					instr := run(true, engine)
+					plain, _ := run(false, engine)
+					instr, stats := run(true, engine)
 					pp, err := proto.Decode(plain)
 					if err != nil {
 						t.Fatal(err)
@@ -126,6 +129,19 @@ func TestTelemetryDifferentialAcrossTopologies(t *testing.T) {
 					}
 					if minFilters > 0 && f.MergedBytes <= 0 {
 						t.Errorf("%v/v%d/%s/%v: MergedBytes = %d with interior filters", mode, version, tc.name, engine, f.MergedBytes)
+					}
+					framing := int64(proto.HeaderSize + proto.TelemetrySectionLen(telemetry.EncodedFrameSize))
+					var emitted int64
+					for _, level := range topo.Levels {
+						for _, nd := range level {
+							if !nd.IsLeaf() {
+								emitted += stats.NodeOutBytes[nd.ID] - framing
+							}
+						}
+					}
+					if f.MergedBytes != emitted {
+						t.Errorf("%v/v%d/%s/%v: MergedBytes = %d, interior nodes emitted %d body bytes",
+							mode, version, tc.name, engine, f.MergedBytes, emitted)
 					}
 				}
 			}
@@ -281,8 +297,8 @@ func buildTelemetryChildren(t testing.TB, version uint8) []*tbon.Lease {
 // allocation guard to the instrumented path: stripping, decoding, and
 // folding child telemetry frames, plus re-encoding the aggregate onto
 // the output, must stay within the same small fixed budget as the bare
-// cycle — the fold state is pooled (telemFold) and both the section
-// scratch and the output reservation recycle.
+// cycle — the aggregate lives in the pooled accumulator (foldAcc) and
+// both the section scratch and the output reservation recycle.
 func TestResultFilterTelemetryZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
@@ -290,7 +306,7 @@ func TestResultFilterTelemetryZeroAllocs(t *testing.T) {
 	filter := newAllocTool(t, Hierarchical).merge.resultFilter(true)
 	children := buildTelemetryChildren(t, trace.WireV2)
 	cycle := func() {
-		out, err := filter(nil, children)
+		out, err := foldEmit(filter, children, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,8 +315,8 @@ func TestResultFilterTelemetryZeroAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		cycle()
 	}
-	if n := testing.AllocsPerRun(200, cycle); n > 3 {
-		t.Errorf("instrumented result-filter cycle allocates %v per op, want <= 3", n)
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Errorf("instrumented result-filter cycle allocates %v per op, want 0", n)
 	}
 	for _, c := range children {
 		c.Release()
@@ -441,7 +457,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, err := filter(nil, children)
+				out, err := foldEmit(filter, children, len(children))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -69,22 +69,16 @@ type Result struct {
 	// AliasDecodeHits / AliasDecodeMisses count the labels the merge
 	// phase's zero-copy decode aliased in place versus copied because the
 	// wire offset failed the word-alignment check. On a v2 stream the
-	// miss count is zero by construction; original (union) mode decodes
-	// each filter call's accumulator (child 0) by copy, uncounted, and
-	// aliases the rest. The totals are a process metric, not a data
-	// metric: a node that folds in several calls decodes its accumulator
-	// again at every step, so absolute counts vary with the reduction's
-	// worker count and budget even though the merged trees are
-	// byte-identical — compare rates, not counts, across configurations.
+	// miss count is zero by construction. Every interior node decodes
+	// each child payload exactly once, into its live accumulator, so the
+	// totals do not depend on the reduction's worker count or budget.
 	AliasDecodeHits   int64
 	AliasDecodeMisses int64
 	// LabelStats counts the labels the merge phase decoded from v3 (STR3)
 	// streams by container kind — dense words, run extents, member arrays —
 	// with the wire bytes each kind contributed. All zero on v2 streams,
-	// where every label travels dense. Like the alias counters, these are a
-	// process metric: incremental folds re-decode their accumulator, so
-	// compare the kind mix and bytes-per-label, not absolute counts, across
-	// reduction engines.
+	// where every label travels dense. Like the alias counters they count
+	// each child payload once, whatever the reduction's grouping.
 	LabelStats trace.LabelStats
 	// MaxLeafPayloadBytes is the largest single daemon payload.
 	MaxLeafPayloadBytes int64

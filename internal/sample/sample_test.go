@@ -402,3 +402,31 @@ func TestEmptyRanks(t *testing.T) {
 	}
 	b.Release()
 }
+
+// TestWalkerSharedAcrossWordLists: a round clears only the label words
+// its task indexes occupy when the slot was last written under the same
+// word list. The single pooled walker of a one-slot engine serves two
+// daemons in turn — round-robin global ranks over different words at one
+// width, then local daemons whose lists agree but whose widths differ —
+// in an order where each parity slot is last written by the other
+// daemon, and every round's trees must equal the reference.
+func TestWalkerSharedAcrossWordLists(t *testing.T) {
+	app, st := testApp(t, 320, 2)
+	eng := New(app, st, 1)
+	a := Request{Ranks: []int{1, 65, 129, 193, 257, 319}, GlobalIndex: true, Width: 320,
+		Samples: 3, Threads: 2, Want2D: true, Want3D: true}
+	b := Request{Ranks: []int{2, 3, 66, 130}, GlobalIndex: true, Width: 320,
+		Samples: 3, Threads: 2, Want2D: true, Want3D: true}
+	c := Request{Ranks: []int{4, 9, 17, 30, 31}, Width: 5, Samples: 3, Threads: 1, Want2D: true, Want3D: true}
+	d := Request{Ranks: []int{5, 8, 40}, Width: 3, Samples: 3, Threads: 1, Want2D: true, Want3D: true}
+	for i, req := range []Request{a, b, b, a, a, b, a, c, d, d, c, c, d} {
+		req.Base = i
+		batch := eng.Sample(req)
+		w2, w3 := legacyTrees(app, st, req)
+		assertTreesMatch(t, "3D", batch.Tree3D, w3)
+		assertTreesMatch(t, "2D", batch.Tree2D, w2)
+		batch.Release()
+		w2.Release()
+		w3.Release()
+	}
+}

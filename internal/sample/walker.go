@@ -44,8 +44,11 @@ type walker struct {
 	path []span
 	// words lists, ascending and without repeats, the label words the
 	// round's task indexes occupy — the only words seal's child-to-parent
-	// fold has to OR.
-	words []uint32
+	// fold has to OR. spare keeps the previous list's storage.
+	words, spare []uint32
+	// wordsGen advances whenever a round's word list differs from the
+	// last one's (pooled walkers serve daemons with different lists).
+	wordsGen uint64
 
 	// Delta-extraction state (delta.go): the request the last seal ran
 	// under (the compatibility reference for the next round's delta) and
@@ -85,6 +88,8 @@ type trieNode struct {
 	last       [2]*bitvec.Vector
 	epochs     [2]uint64
 	lastEpochs [2]uint64
+	// allGen / lastGen are the wordsGen each slot was last reset under.
+	allGen, lastGen [2]uint64
 	// allSet / lastSet cache the frozen compressed views built at seal
 	// under Request.Compress; CompressVector rebuilds a slot's set in
 	// place every other round, reusing its extent storage, so compression
@@ -168,7 +173,7 @@ func (w *walker) stamp(n *trieNode) {
 		return
 	}
 	n.epochs[s] = w.epoch
-	n.all[s] = resetLabel(n.all[s], w.width)
+	n.all[s] = w.resetLabel(n.all[s], &n.allGen[s])
 }
 
 // stampLast marks n as part of the current round's 2D view, lazily
@@ -179,15 +184,23 @@ func (w *walker) stampLast(n *trieNode) {
 		return
 	}
 	n.lastEpochs[s] = w.epoch
-	n.last[s] = resetLabel(n.last[s], w.width)
+	n.last[s] = w.resetLabel(n.last[s], &n.lastGen[s])
 }
 
-// resetLabel clears v to width bits, allocating it on first use.
-func resetLabel(v *bitvec.Vector, width int) *bitvec.Vector {
-	if v == nil {
-		return bitvec.New(width)
+// resetLabel clears a label slot, allocating it on first use. Walks and
+// seal write only the round's words, so a slot last reset under the same
+// word list and width is cleared over those words alone (128 of 3,328 on
+// a round-robin 208K daemon); any other is cleared whole.
+func (w *walker) resetLabel(v *bitvec.Vector, gen *uint64) *bitvec.Vector {
+	switch {
+	case v == nil:
+		v = bitvec.New(w.width)
+	case *gen == w.wordsGen && v.Len() == w.width:
+		v.ClearWords(w.words)
+	default:
+		v.Reset(w.width)
 	}
-	v.Reset(width)
+	*gen = w.wordsGen
 	return v
 }
 
@@ -321,21 +334,25 @@ func (w *walker) walk(req Request) {
 // both local and round-robin global ranks; a sort and compaction handle
 // any other order.
 func (w *walker) setWords(req Request) {
-	w.words = w.words[:0]
+	words := w.spare[:0]
 	for local, rank := range req.Ranks {
 		idx := local
 		if req.GlobalIndex {
 			idx = rank
 		}
 		wd := uint32(idx >> 6)
-		if k := len(w.words); k == 0 || w.words[k-1] != wd {
-			w.words = append(w.words, wd)
+		if k := len(words); k == 0 || words[k-1] != wd {
+			words = append(words, wd)
 		}
 	}
-	if !slices.IsSorted(w.words) {
-		slices.Sort(w.words)
-		w.words = slices.Compact(w.words)
+	if !slices.IsSorted(words) {
+		slices.Sort(words)
+		words = slices.Compact(words)
 	}
+	if w.wordsGen == 0 || !slices.Equal(words, w.words) {
+		w.wordsGen++
+	}
+	w.words, w.spare = words, w.words
 }
 
 // emitTrees adopts the sealed round's emission into the walker's reusable

@@ -61,22 +61,21 @@ func (p *FaultPlan) slow(id int) time.Duration {
 type Span struct{ From, To int }
 
 // FilterCtx describes one NodeFilter call: where in the topology it runs
-// and which children each input payload covers. The engine reuses
-// FilterCtx values across calls — a filter must not retain the struct or
-// its slices past the call.
+// and which children its inputs are. The engine reuses FilterCtx values
+// across calls — a filter must not retain the struct or its slices past
+// the call.
 type FilterCtx struct {
 	// Node is the topology node whose children produced the inputs —
 	// also when that node crashed and its orphans fold on its behalf.
 	Node *topology.Node
-	// Spans, when non-nil, gives the half-open range of Node.Children
-	// positions input i covers — {i, i+1} for a fresh child payload,
-	// {0, i} for the fold's accumulator. nil means input i is exactly
-	// child i's payload.
+	// Spans, when non-nil, gives the range of Node.Children positions
+	// Fold's input i covers: {p, p+1} for the child at position p. nil
+	// means input i is exactly child i's payload. Emit has no inputs.
 	Spans []Span
 	// Missing lists child positions whose subtrees delivered nothing —
-	// timed out, crashed, partitioned, or behind a too-slow uplink.
-	// Positions in Missing are excluded from whatever span contains them.
-	// nil on a clean call, so a fault-free reduction pays nothing for the
+	// timed out, crashed, partitioned, or behind a too-slow uplink. Fold
+	// sees the losses known so far; Emit sees the node's complete set.
+	// nil on a clean node, so a fault-free reduction pays nothing for the
 	// machinery.
 	Missing []int
 }
@@ -84,13 +83,30 @@ type FilterCtx struct {
 // Incomplete reports whether the call is missing any child subtree.
 func (c *FilterCtx) Incomplete() bool { return c != nil && len(c.Missing) > 0 }
 
-// NodeFilter is a Filter that also sees the call's position in the
-// topology and the liveness of its inputs (FilterCtx). It is how a filter
-// emits partial results: when ctx.Missing is non-empty the inputs cover
-// only the surviving children, and the filter's output should say so
-// (core's result filter attaches an explicit liveness set). The lease
-// contract is identical to Filter's.
-type NodeFilter func(ctx *FilterCtx, children []*Lease) (*Lease, error)
+// NodeFilter is the reduction's per-node fold. Every interior node keeps
+// one accumulator — the filter's own state, opaque to the engine —
+// between calls:
+//
+//   - Fold folds the node's next arrived children, in child order, into
+//     acc and returns the new accumulator; acc is nil on the node's first
+//     call. The inputs are engine-owned leases, valid for the call (see
+//     Filter). Fold returns the accumulator even when it fails, so the
+//     failure sweep can Drop it.
+//   - Emit runs exactly once per node, after its last child has folded,
+//     and turns the accumulator into the node's output lease, consuming
+//     acc. Its ctx carries the node's complete Missing set, so a loss
+//     after the last fold (a dead trailing child) still surfaces in a
+//     partial result.
+//   - Drop releases an accumulator that will never emit, on the sweep of
+//     a failed run.
+//
+// A fold that is associative over ordered inputs yields the same output
+// however the engine groups a node's children into Fold calls.
+type NodeFilter interface {
+	Fold(ctx *FilterCtx, acc any, in []*Lease) (any, error)
+	Emit(ctx *FilterCtx, acc any) (*Lease, error)
+	Drop(acc any)
+}
 
 // callLeafTimed runs a leaf callback under the subtree timeout. On expiry
 // the call is abandoned: the watcher goroutine releases the late payload

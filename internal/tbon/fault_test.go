@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,72 +14,74 @@ import (
 	"stat/internal/topology"
 )
 
-// The liveness filter mirrors the production (core) accounting exactly: a
+// livenessFold mirrors the production (core) accounting exactly: a
 // payload is the sorted list of leaf indexes its subtree delivered, marked
-// "P:" when incomplete. Full (unmarked) inputs are attributed through the
-// FilterCtx — the coverage of the child positions their span covers, minus
-// the positions reported missing — so the tests exercise the span/seal
-// contract the core filter depends on, not just payload plumbing.
-func livenessFilter(t *testing.T) NodeFilter {
-	return func(ctx *FilterCtx, children []*Lease) (*Lease, error) {
-		set := map[int]bool{}
-		anyPartial := false
-		for i, c := range children {
-			s := string(c.Bytes())
-			if rest, ok := strings.CutPrefix(s, "P:"); ok {
-				anyPartial = true
-				for _, f := range strings.Split(rest, ",") {
-					if f == "" {
-						continue
-					}
-					v, err := strconv.Atoi(f)
-					if err != nil {
-						return nil, err
-					}
-					set[v] = true
-				}
+// "P:" when incomplete. Fold collects the members of partial inputs and
+// their positions; Emit attributes every other child through the
+// FilterCtx — the coverage of each position neither missing nor partial —
+// so the tests exercise the position/Missing contract the core filter
+// depends on, not just payload plumbing.
+type livenessFold struct{}
+
+type livenessAcc struct {
+	set      map[int]bool
+	partials []int // child positions that delivered partial payloads
+}
+
+func (livenessFold) Fold(ctx *FilterCtx, acc any, in []*Lease) (any, error) {
+	a, _ := acc.(*livenessAcc)
+	if a == nil {
+		a = &livenessAcc{set: map[int]bool{}}
+	}
+	for i, c := range in {
+		rest, ok := strings.CutPrefix(string(c.Bytes()), "P:")
+		if !ok {
+			continue
+		}
+		a.partials = append(a.partials, ctx.Spans[i].From)
+		for _, f := range strings.Split(rest, ",") {
+			if f == "" {
 				continue
 			}
-			if ctx == nil || ctx.Node == nil {
-				return nil, errors.New("test: full input without ctx")
+			v, err := strconv.Atoi(f)
+			if err != nil {
+				return a, err
 			}
-			from, to := i, i+1
-			if ctx.Spans != nil {
-				from, to = ctx.Spans[i].From, ctx.Spans[i].To
-			}
-			for pos := from; pos < to; pos++ {
-				missing := false
-				for _, m := range ctx.Missing {
-					if m == pos {
-						missing = true
-					}
-				}
-				if missing {
-					continue
-				}
-				for _, leaf := range ctx.Node.Children[pos].SubtreeLeaves(nil) {
-					set[leaf.LeafIndex] = true
-				}
-			}
+			a.set[v] = true
 		}
-		members := make([]int, 0, len(set))
-		for m := range set {
-			members = append(members, m)
-		}
-		sort.Ints(members)
-		var b strings.Builder
-		if anyPartial || ctx.Incomplete() {
-			b.WriteString("P:")
-		}
-		for i, m := range members {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(strconv.Itoa(m))
-		}
-		return NewLease([]byte(b.String()), nil), nil
 	}
+	return a, nil
 }
+
+func (livenessFold) Emit(ctx *FilterCtx, acc any) (*Lease, error) {
+	a := acc.(*livenessAcc)
+	for pos, child := range ctx.Node.Children {
+		if slices.Contains(ctx.Missing, pos) || slices.Contains(a.partials, pos) {
+			continue
+		}
+		for _, leaf := range child.SubtreeLeaves(nil) {
+			a.set[leaf.LeafIndex] = true
+		}
+	}
+	members := make([]int, 0, len(a.set))
+	for m := range a.set {
+		members = append(members, m)
+	}
+	sort.Ints(members)
+	var b strings.Builder
+	if len(a.partials) > 0 || ctx.Incomplete() {
+		b.WriteString("P:")
+	}
+	for i, m := range members {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(m))
+	}
+	return NewLease([]byte(b.String()), nil), nil
+}
+
+func (livenessFold) Drop(any) {}
 
 func leafIndexData(leaf int) (*Lease, error) {
 	return NewLease([]byte(strconv.Itoa(leaf)), nil), nil
@@ -147,7 +150,7 @@ func runFaulty(t *testing.T, topo *topology.Tree, e faultEngine, plan *FaultPlan
 	n := New(topo)
 	out, _, err := n.ReduceNodeLeasedWith(ReduceOptions{
 		Workers: e.workers, BudgetBytes: e.budget, Partial: true, Faults: plan, SubtreeTimeout: timeout,
-	}, leafIndexData, livenessFilter(t))
+	}, leafIndexData, livenessFold{})
 	if after := LiveLeases(); after != before {
 		t.Errorf("%d leases live after reduction, %d before", after, before)
 	}
@@ -170,9 +173,9 @@ func TestFaultCrashLeaf(t *testing.T) {
 	}
 }
 
-// TestFaultCrashTrailingLeaf pins the seal-call behavior: a child missing
-// AFTER the last present one must still mark the output partial, or a
-// trailing loss would silently masquerade as complete coverage.
+// TestFaultCrashTrailingLeaf pins Emit's complete Missing set: a child
+// missing AFTER the last present one must still mark the output partial,
+// or a trailing loss would silently masquerade as complete coverage.
 func TestFaultCrashTrailingLeaf(t *testing.T) {
 	topo := balanced29(t)
 	for _, e := range faultEngines {
@@ -281,7 +284,7 @@ func TestFaultFatalWithoutPartial(t *testing.T) {
 			n := New(topo)
 			_, _, err := n.ReduceNodeLeasedWith(ReduceOptions{
 				Workers: e.workers, BudgetBytes: e.budget, Faults: &FaultPlan{Crash: map[int]bool{4: true}}, SubtreeTimeout: 200 * time.Millisecond,
-			}, leafIndexData, livenessFilter(t))
+			}, leafIndexData, livenessFold{})
 			if err == nil {
 				t.Fatal("crash without Partial mode succeeded")
 			}
@@ -386,13 +389,13 @@ func TestFaultFreePartialIdentical(t *testing.T) {
 		}
 		for _, e := range faultEngines {
 			n := New(topo)
-			base, _, err := n.ReduceNodeLeasedWith(ReduceOptions{Workers: e.workers, BudgetBytes: e.budget}, leafIndexData, livenessFilter(t))
+			base, _, err := n.ReduceNodeLeasedWith(ReduceOptions{Workers: e.workers, BudgetBytes: e.budget}, leafIndexData, livenessFold{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			got, _, err := New(topo).ReduceNodeLeasedWith(
 				ReduceOptions{Workers: e.workers, BudgetBytes: e.budget, Partial: true, SubtreeTimeout: time.Second},
-				leafIndexData, livenessFilter(t))
+				leafIndexData, livenessFold{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -415,12 +418,12 @@ func TestFaultFilterErrorIsFatal(t *testing.T) {
 			n := New(topo)
 			_, _, err := n.ReduceNodeLeasedWith(ReduceOptions{Workers: e.workers, BudgetBytes: e.budget, Partial: true},
 				leafIndexData,
-				func(ctx *FilterCtx, children []*Lease) (*Lease, error) {
+				leaseFold(func(ctx *FilterCtx, children []*Lease) (*Lease, error) {
 					if ctx.Node.ID == 2 {
 						return nil, boom
 					}
 					return NewLease([]byte("x"), nil), nil
-				})
+				}))
 			if !errors.Is(err, boom) {
 				t.Fatalf("err = %v, want the filter error", err)
 			}

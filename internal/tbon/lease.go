@@ -18,8 +18,7 @@ import (
 //   - NewLease returns the buffer with one reference, owned by the caller.
 //   - Retain adds a reference; every Retain needs exactly one Release.
 //   - When the count reaches zero the buffer is recycled (its free hook
-//     runs, its parent lease — if it is a Sub view — is released) and the
-//     bytes must never be touched again.
+//     runs) and the bytes must never be touched again.
 //   - Bytes is valid only while the caller holds a reference; callers that
 //     keep payload bytes beyond a filter call must Retain first.
 //
@@ -41,9 +40,6 @@ type Lease struct {
 	// Must be a plain func value (package-level function or a long-lived
 	// closure); it is invoked exactly once.
 	free func([]byte)
-	// parent, when non-nil, is the lease this one is a Sub view into; it
-	// holds one reference that is released when this lease dies.
-	parent *Lease
 	// gate, when non-nil, is the engine's in-flight charge on
 	// this payload, refunded (gateSize bytes) when the count hits zero.
 	// Plain fields rather than a chained hook so the per-payload
@@ -79,7 +75,6 @@ func NewLease(b []byte, free func([]byte)) *Lease {
 	l := leasePool.Get().(*Lease)
 	l.b = b
 	l.free = free
-	l.parent = nil
 	l.gate = nil
 	l.refs.Store(1)
 	liveLeases.Add(1)
@@ -119,9 +114,9 @@ func (l *Lease) Release() {
 	if n < 0 {
 		panic("tbon: Lease double release (or use after release)")
 	}
-	b, free, parent := l.b, l.free, l.parent
+	b, free := l.b, l.free
 	gate, gateSize := l.gate, l.gateSize
-	l.b, l.free, l.parent, l.gate = nil, nil, nil, nil
+	l.b, l.free, l.gate = nil, nil, nil
 	l.refs.Store(leasePoison)
 	leasePool.Put(l)
 	liveLeases.Add(-1)
@@ -131,21 +126,6 @@ func (l *Lease) Release() {
 	if free != nil {
 		free(b)
 	}
-	if parent != nil {
-		parent.Release()
-	}
-}
-
-// Sub returns a new lease over b, a slice that must alias l's buffer
-// (a protocol body inside a framed packet, typically). The sub-lease holds
-// one reference on l, released when the sub-lease itself dies, so pinning
-// the view pins the packet. The caller owns the returned lease's single
-// reference; l's own count is managed automatically.
-func (l *Lease) Sub(b []byte) *Lease {
-	l.Retain()
-	s := NewLease(b, nil)
-	s.parent = l
-	return s
 }
 
 // retire transfers the buffer to the reduction's caller permanently: the
@@ -153,9 +133,7 @@ func (l *Lease) Sub(b []byte) *Lease {
 // the live count so LiveLeases sees a completed reduction as balanced.
 // Engine-internal, called exactly once on the root result lease — the
 // engine holds the sole reference by contract, so no other goroutine can
-// touch the lease. Any budget charge is refunded; a parent (the root
-// output aliasing a child packet via Sub) stays pinned, since the caller's
-// view of the bytes lives inside it.
+// touch the lease. Any budget charge is refunded.
 func (l *Lease) retire() {
 	if l.gate != nil {
 		l.gate.refund(l.gateSize)

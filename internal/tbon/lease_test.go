@@ -47,24 +47,6 @@ func TestLeaseGuards(t *testing.T) {
 	expectPanic("double Release", func() { l.Release() })
 }
 
-func TestLeaseSubPinsParent(t *testing.T) {
-	freed := false
-	buf := []byte("header|body")
-	l := NewLease(buf, func([]byte) { freed = true })
-	sub := l.Sub(buf[7:])
-	l.Release() // parent's own reference gone; sub still pins it
-	if freed {
-		t.Fatal("parent freed while a sub-lease views it")
-	}
-	if string(sub.Bytes()) != "body" {
-		t.Fatalf("sub bytes = %q", sub.Bytes())
-	}
-	sub.Release()
-	if !freed {
-		t.Fatal("parent not freed after the last sub-lease died")
-	}
-}
-
 func TestLeaseConcurrentRetainRelease(t *testing.T) {
 	var freed sync.WaitGroup
 	freed.Add(1)

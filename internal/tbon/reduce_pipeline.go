@@ -30,7 +30,7 @@ type pipeNode struct {
 	arrived []bool   // child payload delivered, by position
 	buf     []*Lease // delivered payloads awaiting their turn
 	missing []int    // child positions whose subtrees delivered tombstones
-	acc     *Lease
+	acc     any      // the filter's accumulator; nil before the first Fold
 
 	// ctx, in and spans are this node's reused filter-call arguments;
 	// only the single folding worker touches them, and filters must not
@@ -83,11 +83,11 @@ func PoolWorkers(workers, leaves int) int {
 //
 // Workers claim leaves in post-order and cascade each completed subtree
 // toward the root, while independent subtrees run concurrently. Each
-// interior node folds its children in child order, one filter call per
-// contiguous arrived prefix; because the order is fixed and the filter is
-// associative over ordered inputs, the result is byte-identical for every
-// worker count and bound (one worker under the default bound is the
-// plain pairwise fold), and the traffic statistics are identical too.
+// interior node folds its children in child order into its accumulator,
+// one Fold call per contiguous arrived prefix, and Emits once, after its
+// last child; because the order is fixed and the fold is associative over
+// ordered inputs, the result is byte-identical for every worker count and
+// bound, and the traffic statistics are identical too.
 //
 // Memory stays bounded: a payload produced out of fold order must be
 // buffered until its left siblings fold, and the gate caps how many such
@@ -124,8 +124,8 @@ func (n *Network) ReduceNodeLeasedWith(opts ReduceOptions, leaf LeafFunc, filter
 			pn.kids = make([]*pipeNode, k)
 			pn.arrived = make([]bool, k)
 			pn.buf = make([]*Lease, k)
-			pn.in = make([]*Lease, 0, k+1)
-			pn.spans = make([]Span, 0, k+1)
+			pn.in = make([]*Lease, 0, k)
+			pn.spans = make([]Span, 0, k)
 			for i, c := range node.Children {
 				pn.kids[i] = index(c, i)
 				pn.kids[i].parent = pn
@@ -230,9 +230,9 @@ func (n *Network) ReduceNodeLeasedWith(opts ReduceOptions, leaf LeafFunc, filter
 
 	if r.err != nil {
 		// Release every lease stranded mid-flight by the failure —
-		// buffered-but-unfolded child payloads and partial accumulators —
-		// so their free hooks run and pooled buffers (filter output
-		// pools, leaf pools) are not silently lost. The workers are gone,
+		// buffered-but-unfolded child payloads — and drop every open
+		// accumulator, so free hooks run and pooled buffers (filter
+		// state, leaf pools) are not silently lost. The workers are gone,
 		// so no node lock is needed.
 		for _, pn := range byRank {
 			for i, l := range pn.buf {
@@ -242,7 +242,7 @@ func (n *Network) ReduceNodeLeasedWith(opts ReduceOptions, leaf LeafFunc, filter
 				}
 			}
 			if pn.acc != nil {
-				pn.acc.Release()
+				filter.Drop(pn.acc)
 				pn.acc = nil
 			}
 		}
@@ -344,16 +344,17 @@ func (r *pipeRun) unwedge(head int) {
 	r.drain(pp, true)
 }
 
-// drain folds pp's contiguous arrived prefix through the filter, unless
-// another worker is already folding there: one call takes the accumulator
-// (span {0,i}) and every arrived payload from position i on (spans
+// drain folds pp's contiguous arrived prefix into its accumulator,
+// unless another worker is already folding there: one Fold call takes
+// every arrived payload from the next unfolded position on (spans
 // {j,j+1}), with tombstones recorded missing. While the node still waits
 // for children and the gate has room (see hasRoom), the fold is deferred
 // instead (force overrides that once), so a node usually folds all its
-// children in one call. Filter calls run outside the node lock so late
-// siblings can buffer their payloads without waiting for a merge in
-// progress. A node whose children were all tombstones propagates a
-// tombstone of its own.
+// children in one call. Once every child is in, the worker that folded
+// last calls Emit and completes the node. Filter calls run outside the
+// node lock so late siblings can buffer their payloads without waiting
+// for a merge in progress. A node whose children were all tombstones
+// propagates a tombstone of its own.
 //
 // Called with pp.mu held; returns with it released.
 func (r *pipeRun) drain(pp *pipeNode, force bool) {
@@ -372,10 +373,6 @@ func (r *pipeRun) drain(pp *pipeNode, force bool) {
 		}
 		force = false
 		in, spans := pp.in[:0], pp.spans[:0]
-		if pp.acc != nil {
-			in, spans = append(in, pp.acc), append(spans, Span{0, from})
-		}
-		base := len(in)
 		for i := from; i < to; i++ {
 			if p := pp.buf[i]; p != nil {
 				in, spans = append(in, p), append(spans, Span{i, i + 1})
@@ -385,7 +382,7 @@ func (r *pipeRun) drain(pp *pipeNode, force bool) {
 			}
 		}
 		pp.next = to
-		if len(in) == base {
+		if len(in) == 0 {
 			// Tombstones only: nothing to fold, but fold order must keep
 			// advancing through the dead ranks or the gate's head wedges
 			// behind them (consumeRank is idempotent, so a pre-consumed
@@ -393,21 +390,22 @@ func (r *pipeRun) drain(pp *pipeNode, force bool) {
 			r.consumeKids(pp, from, to)
 			continue
 		}
+		acc := pp.acc
 		pp.acc = nil
 		pp.mu.Unlock()
 
 		r.statsMu.Lock()
-		for _, p := range in[base:] {
+		for _, p := range in {
 			r.stats.NodeInBytes[pp.node.ID] += int64(p.Len())
 			r.stats.LevelInBytes[pp.node.Level] += int64(p.Len())
 		}
-		r.stats.Packets += int64(len(in) - base)
+		r.stats.Packets += int64(len(in))
 		r.statsMu.Unlock()
 
 		// pp.missing is only touched by the single folding worker, so
 		// reading it outside the lock is safe.
 		pp.ctx.Node, pp.ctx.Spans, pp.ctx.Missing = pp.node, spans, pp.missing
-		folded, err := r.filter(&pp.ctx, in)
+		folded, err := r.filter.Fold(&pp.ctx, acc, in)
 		// The fold consumed these children's payloads: advance the gate's
 		// rank order now (the head must track fold order even if the
 		// filter retained a payload), while the byte charges lift only
@@ -419,11 +417,12 @@ func (r *pipeRun) drain(pp *pipeNode, force bool) {
 		clear(in)
 		pp.in, pp.spans = in[:0], spans[:0]
 		pp.mu.Lock()
+		// Kept on error too: the failure sweep drops it.
+		pp.acc = folded
 		if err != nil {
 			r.fail(fmt.Errorf("tbon: filter at node %d: %w", pp.node.ID, err))
 			break
 		}
-		pp.acc = folded
 	}
 	done := pp.next == len(pp.arrived) && !r.failed.Load()
 	acc := pp.acc
@@ -445,25 +444,16 @@ func (r *pipeRun) drain(pp *pipeNode, force bool) {
 		r.deliver(pp.parent, pp.pos, nil)
 		return
 	}
-	if len(missing) > 0 {
-		// Seal: one final call whose ctx carries the node's complete
-		// missing set, so a loss after the last fold (a dead trailing
-		// child) still surfaces in the output. No other worker can reach
-		// this node again — every position has arrived — so touching ctx
-		// without the lock is safe.
-		pp.in = append(pp.in[:0], acc)
-		pp.spans = append(pp.spans[:0], Span{0, len(pp.arrived)})
-		pp.ctx.Node, pp.ctx.Spans, pp.ctx.Missing = pp.node, pp.spans, missing
-		folded, err := r.filter(&pp.ctx, pp.in)
-		pp.in[0] = nil
-		acc.Release()
-		if err != nil {
-			r.fail(fmt.Errorf("tbon: filter at node %d: %w", pp.node.ID, err))
-			return
-		}
-		acc = folded
+	// No other worker can reach this node again — every position has
+	// arrived — so touching ctx without the lock is safe. Its Missing is
+	// now the node's complete set.
+	pp.ctx.Node, pp.ctx.Spans, pp.ctx.Missing = pp.node, nil, missing
+	out, err := r.filter.Emit(&pp.ctx, acc)
+	if err != nil {
+		r.fail(fmt.Errorf("tbon: filter at node %d: %w", pp.node.ID, err))
+		return
 	}
-	r.complete(pp, acc)
+	r.complete(pp, out)
 }
 
 // consumeKids marks the ranks of pp's children at positions [from, to)

@@ -292,13 +292,33 @@ func TestPipelinedFailureReleasesStrandedLeases(t *testing.T) {
 	if f, p := freed.Load(), outs.Load(); f != p {
 		t.Fatalf("%d filter outputs produced, only %d freed after failure", p, f)
 	}
+
+	// A fold that fails keeps its accumulator open, and the sweep must
+	// Drop it along with every other open one.
+	for _, opts := range []ReduceOptions{{Workers: 1}, {Workers: 4}, {Workers: 4, BudgetBytes: 8}, {Workers: 4, BudgetBytes: 1 << 30}} {
+		before := LiveLeases()
+		f := &keepOnErrorFold{failNode: topo.Levels[1][1].ID}
+		_, _, err := net.ReduceNodeLeasedWith(opts, func(i int) (*Lease, error) {
+			return NewLease([]byte{byte(i)}, nil), nil
+		}, f)
+		if !errors.Is(err, errKeepOnError) {
+			t.Fatalf("%+v: error %v does not wrap the fold error", opts, err)
+		}
+		if f.drops.Load() == 0 {
+			t.Errorf("%+v: no accumulator dropped after a failed fold", opts)
+		}
+		if after := LiveLeases(); after != before {
+			t.Errorf("%+v: %d leases live after the failed reduction, %d before", opts, after, before)
+		}
+	}
 }
 
 // TestKWayFoldCalls pins the fold width. On a fan-in-k balanced tree under
 // a roomy byte budget every interior node defers until its whole child row
-// has arrived and makes exactly one filter call with all k children; with
+// has arrived and makes exactly one Fold call with all k children; with
 // no room to defer (a 1-byte budget, or one worker under the default
-// bound) every call folds at most [acc, child]. Every configuration's
+// bound) every call folds at most one child into the accumulator, which
+// the byte Filter sees as [acc, child]. Every configuration's
 // output matches the one-worker fold byte for byte, and no lease outlives
 // a reduction.
 func TestKWayFoldCalls(t *testing.T) {
@@ -315,7 +335,7 @@ func TestKWayFoldCalls(t *testing.T) {
 		t.Helper()
 		var mu sync.Mutex
 		calls := map[int][]int{} // inputs per call, by node ID
-		filter := func(ctx *FilterCtx, children []*Lease) (*Lease, error) {
+		filter := leaseFold(func(ctx *FilterCtx, children []*Lease) (*Lease, error) {
 			mu.Lock()
 			calls[ctx.Node.ID] = append(calls[ctx.Node.ID], len(children))
 			mu.Unlock()
@@ -324,7 +344,7 @@ func TestKWayFoldCalls(t *testing.T) {
 				out = append(out, c.Bytes()...)
 			}
 			return NewLease(out, nil), nil
-		}
+		})
 		before := LiveLeases()
 		out, _, err := New(topo).ReduceNodeLeasedWith(opts, leaf, filter)
 		if err != nil {
@@ -522,4 +542,89 @@ func ExampleNetwork_ReduceWith() {
 	}, leaf, concat)
 	fmt.Println(out)
 	// Output: [0 1 2 3 4 5 6 7 8]
+}
+
+// emitCounter concatenates like concatFilter and records, per node, how
+// many times Emit ran and the Missing set it last saw.
+type emitCounter struct {
+	leaseFold
+	mu      sync.Mutex
+	emits   map[int]int
+	missing map[int][]int
+}
+
+func (c *emitCounter) Emit(ctx *FilterCtx, acc any) (*Lease, error) {
+	c.mu.Lock()
+	c.emits[ctx.Node.ID]++
+	c.missing[ctx.Node.ID] = slices.Clone(ctx.Missing)
+	c.mu.Unlock()
+	return c.leaseFold.Emit(ctx, acc)
+}
+
+// TestFoldEmitsOncePerNode pins the fold contract's last step: however a
+// node's children are grouped into Fold calls — one worker, eight, a
+// starved budget or a roomy one — Emit runs exactly once per interior
+// node, and under a fault plan whose trailing child is lost it carries
+// that loss, though no Fold call ever saw it.
+func TestFoldEmitsOncePerNode(t *testing.T) {
+	topo := balanced29(t)
+	// Leaf 8 (ID 12) is position 2, the last child of interior node 3.
+	trailing := &FaultPlan{Crash: map[int]bool{12: true}}
+	concat := leaseFold(func(_ *FilterCtx, in []*Lease) (*Lease, error) { return concatFilter(in) })
+	for _, workers := range []int{1, 2, 4, 8} {
+		for _, budget := range []int64{0, 1, 1 << 30} {
+			for _, plan := range []*FaultPlan{nil, trailing} {
+				label := fmt.Sprintf("w=%d/budget=%d/faults=%v", workers, budget, plan != nil)
+				c := &emitCounter{leaseFold: concat, emits: map[int]int{}, missing: map[int][]int{}}
+				before := LiveLeases()
+				opts := ReduceOptions{Workers: workers, BudgetBytes: budget, Partial: plan != nil, Faults: plan}
+				if _, _, err := New(topo).ReduceNodeLeasedWith(opts, leafIndexData, c); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				for _, level := range topo.Levels[:len(topo.Levels)-1] {
+					for _, nd := range level {
+						if got := c.emits[nd.ID]; got != 1 {
+							t.Errorf("%s: node %d emitted %d times, want once", label, nd.ID, got)
+						}
+						var want []int
+						if plan != nil && nd.ID == 3 {
+							want = []int{2}
+						}
+						if got := c.missing[nd.ID]; !slices.Equal(got, want) {
+							t.Errorf("%s: node %d emitted with Missing %v, want %v", label, nd.ID, got, want)
+						}
+					}
+				}
+				if after := LiveLeases(); after != before {
+					t.Errorf("%s: %d leases live after reduction, %d before", label, after, before)
+				}
+			}
+		}
+	}
+}
+
+// keepOnErrorFold concatenates like concatFilter, except that the Fold
+// taking failNode's child 2 fails after folding it and hands back its
+// accumulator, as core's result filter does. Drop counts the
+// accumulators the failure sweep returns.
+type keepOnErrorFold struct {
+	failNode int
+	drops    atomic.Int64
+}
+
+var errKeepOnError = errors.New("fold failed")
+
+func (f *keepOnErrorFold) Fold(ctx *FilterCtx, acc any, in []*Lease) (any, error) {
+	acc, err := leaseFold(func(_ *FilterCtx, in []*Lease) (*Lease, error) { return concatFilter(in) }).Fold(ctx, acc, in)
+	if err == nil && ctx.Node.ID == f.failNode && slices.ContainsFunc(ctx.Spans, func(s Span) bool { return s.From == 2 }) {
+		err = errKeepOnError
+	}
+	return acc, err
+}
+
+func (f *keepOnErrorFold) Emit(_ *FilterCtx, acc any) (*Lease, error) { return acc.(*Lease), nil }
+
+func (f *keepOnErrorFold) Drop(acc any) {
+	f.drops.Add(1)
+	acc.(*Lease).Release()
 }

@@ -12,10 +12,11 @@
 // A worker pool evaluates the topology DAG. Workers claim leaves in order
 // and produce their payloads; a completed node's payload is delivered to
 // its parent, and independent subtrees run concurrently. Each interior
-// node folds its children in child order: one filter call takes the
-// node's accumulator plus every contiguous child payload that has arrived
-// after it, [acc, p_i … p_j]. For any filter that is associative over
-// ordered inputs (both prefix-tree merges are) the result is therefore
+// node folds its children in child order into an accumulator the filter
+// keeps between calls (NodeFilter): each Fold call takes the contiguous
+// child payloads that arrived since the last one, and one Emit makes the
+// node's output after its last child. For any fold that is associative
+// over ordered inputs (both prefix-tree merges are) the result is
 // byte-identical however the children are grouped, at every worker count
 // and budget, and the traffic statistics are identical too.
 //
@@ -29,15 +30,15 @@
 // one call when the last one arrives — the fan-in-k merge of the paper's
 // comm processes. Under the default bound every slot is reserved for a
 // worker's next payload, so nodes fold as their prefixes arrive — with
-// ReduceOptions.Workers = 1 that is the plain pairwise sequential fold:
-// one accumulator plus one child payload per tree level.
+// ReduceOptions.Workers = 1 that is the plain sequential fold: one child
+// payload into the live accumulator per call.
 //
 // # Buffer lifetime
 //
 // Payloads move as refcounted leased buffers (Lease), not throwaway
 // byte slices. The contract:
 //
-//   - A filter receives its child payloads as leases the engine owns. The
+//   - A filter's Fold receives its child payloads as leases the engine owns. The
 //     bytes are valid for the duration of the call; a filter that wants
 //     them to outlive the call (a zero-copy decoder whose decoded tree
 //     views the wire buffer, say) calls Retain and pairs it with Release
@@ -45,7 +46,7 @@
 //     bytes: a retained buffer may still be counted, logged, or viewed by
 //     the engine.
 //
-//   - A filter returns its output as a lease it mints (NewLease), which
+//   - A filter's Emit returns its output as a lease it mints (NewLease), which
 //     transfers ownership to the engine. The free hook is how a filter
 //     recycles pooled output buffers: the engine releases its reference
 //     once the payload has been consumed upstream, and the buffer returns
@@ -98,10 +99,11 @@
 //
 //   - Filters see what is missing. Partial reductions require a
 //     position-aware NodeFilter (ReduceNodeLeasedWith): each call carries a
-//     FilterCtx naming the topology node, the child span each input
-//     covers, and the missing positions, which is what lets core's result
-//     filter attach an explicit liveness set to a partial packet. A node
-//     all of whose children are lost emits nothing and is itself reported
+//     FilterCtx naming the topology node, the child position of each
+//     input, and the missing positions (complete at Emit), which is what
+//     lets core's result filter attach an explicit liveness set to a
+//     partial packet. A node all of whose children are lost emits nothing
+//     and is itself reported
 //     missing one level up; if nothing reaches the front end the reduction
 //     fails ("no surviving subtree").
 //
@@ -112,7 +114,8 @@
 //     nothing at all.
 //
 //   - Lease lifetime on error paths is unchanged: stranded payloads are
-//     swept on both failed and partial runs before returning.
+//     swept on both failed and partial runs before returning, and every
+//     open accumulator is handed to NodeFilter.Drop.
 //
 // FaultPlan scripts crashes, slow links, and partitioned links per node
 // for tests and the emulation harness; see its documentation for how each
@@ -191,7 +194,8 @@ type LeafFunc func(leaf int) (*Lease, error)
 
 // ReduceWith runs one upstream reduction with plain byte-slice leaves and
 // a position-blind filter: each returned buffer is wrapped in a hookless
-// lease, and its ownership transfers to the engine.
+// lease, and its ownership transfers to the engine. The filter runs as a
+// fold whose accumulator is its own previous output (leaseFold).
 func (n *Network) ReduceWith(opts ReduceOptions, leafData func(leaf int) ([]byte, error), filter Filter) ([]byte, *Stats, error) {
 	leaf := func(i int) (*Lease, error) {
 		b, err := leafData(i)
@@ -200,21 +204,43 @@ func (n *Network) ReduceWith(opts ReduceOptions, leafData func(leaf int) ([]byte
 		}
 		return NewLease(b, nil), nil
 	}
-	return n.ReduceNodeLeasedWith(opts, leaf, func(_ *FilterCtx, children []*Lease) (*Lease, error) {
-		return filter(children)
-	})
+	return n.ReduceNodeLeasedWith(opts, leaf, leaseFold(func(_ *FilterCtx, in []*Lease) (*Lease, error) {
+		return filter(in)
+	}))
 }
 
-// Filter combines the payloads received from a node's children into the
-// payload forwarded to its parent. Inputs are ordered by child position.
-// Interior nodes receive their children's outputs; the root's filter output
-// is the reduction result.
+// Filter combines payloads into one. Inputs are ordered by child
+// position; as a fold (ReduceWith) a node's first call takes its first
+// arrived children, and each later call takes the previous output
+// followed by the next arrived children. The root's last output is the
+// reduction result.
 //
-// Children are leases owned by the engine: their bytes are valid for the
+// Inputs are leases owned by the engine: their bytes are valid for the
 // duration of the call, and a filter retains any it needs longer. The
 // output lease transfers to the engine; see the package documentation's
 // buffer-lifetime contract. BytesFilter adapts plain []byte filters.
 type Filter func(children []*Lease) (*Lease, error)
+
+// leaseFold runs a Filter as a NodeFilter whose accumulator is the
+// filter's previous output lease.
+type leaseFold func(ctx *FilterCtx, in []*Lease) (*Lease, error)
+
+func (f leaseFold) Fold(ctx *FilterCtx, acc any, in []*Lease) (any, error) {
+	if acc != nil {
+		prev := acc.(*Lease)
+		defer prev.Release()
+		in = append([]*Lease{prev}, in...)
+	}
+	out, err := f(ctx, in)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func (leaseFold) Emit(_ *FilterCtx, acc any) (*Lease, error) { return acc.(*Lease), nil }
+
+func (leaseFold) Drop(acc any) { acc.(*Lease).Release() }
 
 // Network is an overlay ready to run reductions and broadcasts over a
 // fixed topology.

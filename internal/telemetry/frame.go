@@ -62,7 +62,7 @@ type Frame struct {
 	// Daemons counts the leaf frames folded in — the telemetry
 	// plane's own coverage, which a degraded round makes explicit.
 	Daemons uint32
-	// Filters counts interior filter calls folded in.
+	// Filters counts interior Fold calls folded in.
 	Filters uint32
 	// Round is the daemons' round (epoch) the frame describes.
 	// Folded by max, so a torn fleet shows the newest epoch seen.
@@ -79,10 +79,10 @@ type Frame struct {
 	// LiveLeases is the max leased-buffer count observed at any node
 	// during the round (a high-water memory proxy).
 	LiveLeases int64
-	// QueueDepth is the max number of inputs one filter call folded
+	// QueueDepth is the max number of inputs one Fold call folded
 	// (accumulator included). It reads a comm process's fan-in when the
 	// reduction had room to fold whole child rows at once, and 2 when
-	// every call folded [accumulator, child].
+	// every call folded one child into the accumulator.
 	QueueDepth int64
 
 	// WalkHist is the fleet-wide histogram of leaf walk durations

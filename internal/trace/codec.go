@@ -63,8 +63,8 @@ const (
 // Codec bundles the reusable allocation state of wire decoding: an intern
 // table for function names, a bitvec.Arena supplying decoded label
 // storage, and free lists of recycled nodes and tree headers. A TBON
-// merge filter decodes its children, merges, encodes and releases
-// everything before returning; with a Codec every side of that cycle
+// merge filter decodes its children, merges them into its accumulator,
+// encodes it and releases everything; with a Codec every side of that cycle
 // reuses the same arena slabs, name strings, nodes and tree structs every
 // invocation instead of reallocating per packet — Release fills the free
 // lists, Decode and MergeConcat drain them, with no per-node trip
@@ -228,6 +228,17 @@ func (c *Codec) MergeConcat(trees ...*Tree) *Tree {
 	root := c.cm.merge(roots, 0)
 	t := c.getTree()
 	t.NumTasks, t.Root = total, root
+	c.live++
+	t.owner = c
+	return t
+}
+
+// NewTree returns an empty tree over n tasks that borrows the codec like
+// a decoded tree; nodes MergeUnion or MergeXor add to it come from the
+// codec too. It is an original-mode fold's mutable accumulator.
+func (c *Codec) NewTree(n int) *Tree {
+	t := c.getTree()
+	t.NumTasks, t.Root = n, c.getNode(Frame{}, c.arena.New(n))
 	c.live++
 	t.owner = c
 	return t

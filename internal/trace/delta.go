@@ -106,8 +106,8 @@ func (n *Node) removeChild(name string) {
 // the fold: fold(dst ⊕ src) = fold(dst) then fold(src), even if change
 // sets ever overlapped. Nodes whose labels cancel to empty and have no
 // surviving children are pruned, preserving the canonical delta form.
-// dst must own mutable dense labels (the copying decode); src is only
-// read, so it may be an aliasing decode.
+// dst must own mutable dense labels (NewTree, Codec.NewTree or a copying
+// decode); src is only read, so it may be an aliasing decode.
 func MergeXor(dst, src *Tree) error {
 	if dst.NumTasks != src.NumTasks {
 		return fmt.Errorf("trace: MergeXor task-space mismatch %d vs %d", dst.NumTasks, src.NumTasks)
@@ -120,7 +120,7 @@ func MergeXor(dst, src *Tree) error {
 		for _, sc := range s.Children {
 			dc := d.child(sc.Frame.Function)
 			if dc == nil {
-				dc = newNode(sc.Frame, bitvec.New(dst.NumTasks))
+				dc = dst.newChild(sc.Frame)
 				d.insertChild(dc)
 			}
 			if err := rec(dc, sc); err != nil {

@@ -8,7 +8,7 @@ import (
 
 // nodePool recycles prefix-tree nodes. A TBON merge filter decodes its
 // child trees, merges them, serializes the result and drops every
-// intermediate tree — at a few hundred nodes per tree and one filter call
+// intermediate tree — at a few hundred nodes per tree and several folds
 // per interior overlay node, allocation is the dominant cost of the merge
 // path. The pool is shared by every tree and safe for concurrent filter
 // workers; recycled nodes keep their Children backing array, so a

@@ -273,6 +273,15 @@ func (t *Tree) Validate() error {
 	return rec(t.Root, "")
 }
 
+// newChild returns an empty node for a path t lacks, drawn from t's codec
+// when it borrows one (Codec.NewTree).
+func (t *Tree) newChild(frame Frame) *Node {
+	if c := t.owner; c != nil {
+		return c.getNode(frame, c.arena.New(t.NumTasks))
+	}
+	return newNode(frame, bitvec.New(t.NumTasks))
+}
+
 // MergeUnion merges src into dst under the ORIGINAL representation: both
 // trees label edges with vectors spanning the same (full-job) task space,
 // and matching nodes combine by set union. This is what every level of the
@@ -290,7 +299,7 @@ func MergeUnion(dst, src *Tree) error {
 		for _, sc := range s.Children {
 			dc := d.child(sc.Frame.Function)
 			if dc == nil {
-				dc = newNode(sc.Frame, bitvec.New(dst.NumTasks))
+				dc = dst.newChild(sc.Frame)
 				d.insertChild(dc)
 			}
 			if err := rec(dc, sc); err != nil {
